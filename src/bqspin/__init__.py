@@ -18,6 +18,7 @@ from .errors import (
     DegenerateMass,
     InvalidAxis,
     InvalidFrame,
+    MixedBackend,
     NoConsistentConvention,
     OffShell,
     SingularOperand,

@@ -144,7 +144,7 @@ def covariance_characters(L, f, rng_values):
             amplitude(lq * a0 * r2, ls * b0 * r2) - amplitude(a0, b0))))
 
         # spinor row: project onto the sigma ideal first
-        sg = f.sigma.to_float() if f.is_exact() else f.sigma
+        sg = f.sigma.to_float()
         sa0, sb0 = a0 * sg, b0 * sg
         sa, sb = fconst(sa0), fconst(sb0)
         scov = covariants(sa, sb)

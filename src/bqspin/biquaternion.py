@@ -3,7 +3,8 @@
 A biquaternion is a scalar plus 3-vector with complex components.  The
 product follows Hamilton's convention (e1*e2 = e3, e_n**2 = -1).  Components
 are either exact :class:`~bqspin.scalars.GaussianRational` values or Python
-``complex``; all operations work uniformly over both backends.
+``complex``; all operations work uniformly over both backends.  The backend of
+an element is the type of its components (see :meth:`Biquaternion.is_exact`).
 """
 
 from __future__ import annotations
@@ -11,17 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidFrame, SingularOperand
-from .scalars import GR_ONE, GR_ZERO, GaussianRational, conj, gr, im_part, re_part
+from .errors import InvalidFrame, MixedBackend, SingularOperand
+from .scalars import (GR_I, GR_ONE, GR_ZERO, GaussianRational, conj, gr, im_part,
+                      is_exact, re_part)
 
 
-def _lift(value, exact_hint):
-    """Lift a bare number into the scalar backend suggested by exact_hint."""
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(value) if exact_hint else complex(value)
-    return complex(value)
+def _lift(*values):
+    """Lift bare numbers into one backend: exact when all of them are rational."""
+    if all(is_exact(v) for v in values):
+        return [v if isinstance(v, GaussianRational) else GaussianRational(v)
+                for v in values]
+    return [complex(v) for v in values]
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,38 +36,33 @@ class Biquaternion:
 
     # -- constructors --------------------------------------------------------
 
-    @staticmethod
-    def scalar(s, exact=None):
-        if exact is None:
-            exact = isinstance(s, (GaussianRational, int, Fraction))
-        zero = GR_ZERO if exact else 0j
-        return Biquaternion(_lift(s, exact), zero, zero, zero)
+    # Each constructor is exact when every number it is given is rational,
+    # and float otherwise; none of them produces a mix.
 
     @staticmethod
-    def vector(x, y, z, exact=None):
-        if exact is None:
-            exact = all(isinstance(c, (GaussianRational, int, Fraction)) for c in (x, y, z))
-        zero = GR_ZERO if exact else 0j
-        return Biquaternion(zero, _lift(x, exact), _lift(y, exact), _lift(z, exact))
+    def scalar(s):
+        w, zero = _lift(s, GR_ZERO)
+        return Biquaternion(w, zero, zero, zero)
 
     @staticmethod
-    def zero(exact=True):
-        z = GR_ZERO if exact else 0j
-        return Biquaternion(z, z, z, z)
+    def vector(x, y, z):
+        return Biquaternion(*_lift(GR_ZERO, x, y, z))
 
     @staticmethod
-    def one(exact=True):
-        return Biquaternion.scalar(GR_ONE if exact else 1.0 + 0j)
+    def zero():
+        return Biquaternion(GR_ZERO, GR_ZERO, GR_ZERO, GR_ZERO)
 
     @staticmethod
-    def from_real_coords(coords, exact=True):
+    def one():
+        return Biquaternion(GR_ONE, GR_ZERO, GR_ZERO, GR_ZERO)
+
+    @staticmethod
+    def from_real_coords(coords):
         """Build from 8 real coordinates in the basis (1, e1, e2, e3, i, ie1, ie2, ie3)."""
         a = list(coords)
-        if exact:
-            comps = [GaussianRational(Fraction(a[k]), Fraction(a[k + 4])) for k in range(4)]
-        else:
-            comps = [complex(float(a[k]), float(a[k + 4])) for k in range(4)]
-        return Biquaternion(*comps)
+        if all(is_exact(c) for c in a):
+            return Biquaternion(*(GaussianRational(a[k], a[k + 4]) for k in range(4)))
+        return Biquaternion(*(complex(float(a[k]), float(a[k + 4])) for k in range(4)))
 
     # -- views ---------------------------------------------------------------
 
@@ -77,8 +73,7 @@ class Biquaternion:
         return self.w
 
     def vector_part(self):
-        zero = GR_ZERO if self.is_exact() else 0j
-        return Biquaternion(zero, self.x, self.y, self.z)
+        return Biquaternion.vector(self.x, self.y, self.z)
 
     def real_coords(self):
         """8 real coordinates in the basis (1, e1, e2, e3, i, ie1, ie2, ie3)."""
@@ -86,7 +81,16 @@ class Biquaternion:
         return [re_part(c) for c in cs] + [im_part(c) for c in cs]
 
     def is_exact(self):
-        return isinstance(self.w, GaussianRational)
+        """True when all four components are exact, False when none is.
+
+        Raises MixedBackend when the components disagree.
+        """
+        exact = [is_exact(c) for c in self.components()]
+        if all(exact):
+            return True
+        if any(exact):
+            raise MixedBackend(f"components mix exact and float scalars: {self!r}")
+        return False
 
     def to_float(self):
         return Biquaternion(*(complex(c) for c in self.components()))
@@ -247,18 +251,15 @@ class Frame:
 
     @property
     def i_nu(self):
-        return self.nu * (gr(0, 1) if self.nu.is_exact() else 1j)
+        return self.nu * GR_I
 
     def basis(self):
         return (self.sigma, self.tau_sigma, self.sigma_bar, self.tau_sigma_bar)
 
-    def is_exact(self):
-        return self.nu.is_exact()
-
 
 def make_frame(nu_vec, tau_vec, tol=1e-12) -> Frame:
     """Build a Frame from two real 3-vectors (rational entries give exact mode)."""
-    exact = all(isinstance(c, (int, Fraction)) for c in tuple(nu_vec) + tuple(tau_vec))
+    exact = all(is_exact(c) for c in tuple(nu_vec) + tuple(tau_vec))
     if exact:
         nv = [Fraction(c) for c in nu_vec]
         tv = [Fraction(c) for c in tau_vec]
@@ -271,12 +272,9 @@ def make_frame(nu_vec, tau_vec, tol=1e-12) -> Frame:
     if not ok:
         raise InvalidFrame("frame vectors must be orthogonal unit 3-vectors")
 
-    nu = Biquaternion.vector(*nv, exact=exact)
-    tau = Biquaternion.vector(*tv, exact=exact)
-    half = gr(Fraction(1, 2)) if exact else 0.5 + 0j
-    i_unit = gr(0, 1) if exact else 1j
-    one = Biquaternion.one(exact)
-    sigma = (one + nu * i_unit) * half
+    nu = Biquaternion.vector(*nv)
+    tau = Biquaternion.vector(*tv)
+    sigma = (Biquaternion.one() + nu * GR_I) * gr(Fraction(1, 2))
     sigma_bar = sigma.bar()
     return Frame(
         nu=nu,
@@ -315,13 +313,14 @@ def peirce_compose(coords, f: Frame) -> Biquaternion:
 # Basis constants ---------------------------------------------------------------
 
 def basis_elements(exact=True):
-    """The 8 real-basis elements (1, e1, e2, e3, i, ie1, ie2, ie3)."""
-    one = Biquaternion.one(exact)
-    i_unit = gr(0, 1) if exact else 1j
-    e1 = Biquaternion.vector(1, 0, 0, exact=exact)
-    e2 = Biquaternion.vector(0, 1, 0, exact=exact)
-    e3 = Biquaternion.vector(0, 0, 1, exact=exact)
-    return [one, e1, e2, e3, one * i_unit, e1 * i_unit, e2 * i_unit, e3 * i_unit]
+    """The 8 real-basis elements (1, e1, e2, e3, i, ie1, ie2, ie3).
+
+    The one constructor that takes a backend: exact, or float with exact=False.
+    """
+    real = [Biquaternion.one(), Biquaternion.vector(1, 0, 0),
+            Biquaternion.vector(0, 1, 0), Biquaternion.vector(0, 0, 1)]
+    basis = real + [b * GR_I for b in real]
+    return basis if exact else [b.to_float() for b in basis]
 
 
 def random_rational_biquaternion(rng, span=6):

@@ -35,3 +35,7 @@ class UnknownSuite(BqspinError):
 
 class ConfigError(BqspinError):
     """Invalid harness configuration (tolerance, backend, output options)."""
+
+
+class MixedBackend(BqspinError):
+    """A value mixes exact (Gaussian-rational) and float components."""

@@ -25,25 +25,22 @@ from .biquaternion import Biquaternion, Frame
 from .errors import DegenerateMass, NoConsistentConvention, OffShell
 from .exactlinalg import nullspace
 from .linops import RealLinearOp
-from .scalars import gr
+from .scalars import GR_I, gr
 
 
 _VARS = ("t", "x1", "x2", "x3")
 
-
-def _e_units(exact=True):
-    return (Biquaternion.vector(1, 0, 0, exact=exact),
-            Biquaternion.vector(0, 1, 0, exact=exact),
-            Biquaternion.vector(0, 0, 1, exact=exact))
+_E_UNITS = (Biquaternion.vector(1, 0, 0), Biquaternion.vector(0, 1, 0),
+            Biquaternion.vector(0, 0, 1))
+_HALF = gr(Fraction(1, 2))
 
 
 class Poly:
     """Polynomial in (t, x1, x2, x3) with biquaternion coefficients."""
 
-    __slots__ = ("terms", "exact")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms=None, exact=True):
-        self.exact = exact
+    def __init__(self, terms=None):
         self.terms = {}
         if terms:
             for exps, coeff in terms.items():
@@ -52,11 +49,11 @@ class Poly:
 
     @staticmethod
     def constant(q: Biquaternion):
-        return Poly({(0, 0, 0, 0): q}, exact=q.is_exact())
+        return Poly({(0, 0, 0, 0): q})
 
     @staticmethod
-    def zero(exact=True):
-        return Poly({}, exact=exact)
+    def zero():
+        return Poly()
 
     def is_zero(self):
         return not self.terms
@@ -70,10 +67,10 @@ class Poly:
                 out.pop(e, None)
             else:
                 out[e] = s
-        return Poly(out, exact=self.exact and other.exact)
+        return Poly(out)
 
     def __neg__(self):
-        return Poly({e: -c for e, c in self.terms.items()}, exact=self.exact)
+        return Poly({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -88,7 +85,7 @@ class Poly:
                     s = out.get(e)
                     s = c if s is None else s + c
                     out[e] = s
-            return Poly(out, exact=self.exact and other.exact)
+            return Poly(out)
         return self.map_coeffs(lambda c: c * other)
 
     def lmul(self, q: Biquaternion):
@@ -103,7 +100,7 @@ class Poly:
             v = fn(c)
             if not v.is_zero():
                 out[e] = v
-        return Poly(out, exact=self.exact)
+        return Poly(out)
 
     def derivative(self, var: int):
         out = {}
@@ -113,12 +110,11 @@ class Poly:
                 continue
             ne = list(e)
             ne[var] = n - 1
-            factor = n if not self.exact else Fraction(n)
-            out[tuple(ne)] = c * factor
-        return Poly(out, exact=self.exact)
+            out[tuple(ne)] = c * n
+        return Poly(out)
 
     def eval_float(self, point):
-        total = Biquaternion.zero(exact=False)
+        total = Biquaternion.scalar(0.0)
         for e, c in self.terms.items():
             val = 1.0
             for basis, p in zip(point, e):
@@ -154,12 +150,11 @@ def _k_canonical(k):
 class Field:
     """Biquaternion-valued function of spacetime, closed under exact calculus."""
 
-    __slots__ = ("modes", "exact")
+    __slots__ = ("modes",)
 
-    def __init__(self, modes=None, exact=True):
+    def __init__(self, modes=None):
         # modes: {k: (cos_poly, sin_poly)}; k == (0,0,0,0) holds the plain
         # polynomial part in its cos slot.
-        self.exact = exact
         self.modes = {}
         if modes:
             for k, (pc, ps) in modes.items():
@@ -168,30 +163,28 @@ class Field:
     # -- construction ----------------------------------------------------------
 
     @staticmethod
-    def zero(exact=True):
-        return Field({}, exact=exact)
+    def zero():
+        return Field()
 
     @staticmethod
     def constant(q: Biquaternion):
-        f = Field(exact=q.is_exact())
-        f._accumulate((0, 0, 0, 0), Poly.constant(q), None)
-        return f
+        return Field.polynomial(Poly.constant(q))
 
     @staticmethod
     def polynomial(poly: Poly):
-        f = Field(exact=poly.exact)
+        f = Field()
         f._accumulate((0, 0, 0, 0), poly, None)
         return f
 
     @staticmethod
     def monomial(q: Biquaternion, exps):
-        return Field.polynomial(Poly({tuple(exps): q}, exact=q.is_exact()))
+        return Field.polynomial(Poly({tuple(exps): q}))
 
     @staticmethod
     def trig(k, cos_coeff: Biquaternion, sin_coeff: Biquaternion):
-        exact = cos_coeff.is_exact()
-        k = tuple(Fraction(c) for c in k) if exact else tuple(float(c) for c in k)
-        f = Field(exact=exact)
+        # a rational wave vector stays exact, like the scalars
+        k = tuple(c if isinstance(c, float) else Fraction(c) for c in k)
+        f = Field()
         f._accumulate(k, Poly.constant(cos_coeff), Poly.constant(sin_coeff))
         return f
 
@@ -202,8 +195,7 @@ class Field:
         if _k_is_zero(k):
             ps = None  # sin(0) == 0
         old = self.modes.get(k)
-        zero = Poly.zero(self.exact)
-        oc, os_ = old if old is not None else (zero, zero)
+        oc, os_ = old if old is not None else (Poly(), Poly())
         nc = oc + pc if pc is not None else oc
         ns = os_ + ps if ps is not None else os_
         if nc.is_zero() and ns.is_zero():
@@ -214,7 +206,7 @@ class Field:
     # -- linear structure --------------------------------------------------------
 
     def __add__(self, other):
-        out = Field(exact=self.exact and other.exact)
+        out = Field()
         for k, (pc, ps) in self.modes.items():
             out._accumulate(k, pc, ps)
         for k, (pc, ps) in other.modes.items():
@@ -222,8 +214,7 @@ class Field:
         return out
 
     def __neg__(self):
-        return Field({k: (-pc, -ps) for k, (pc, ps) in self.modes.items()},
-                     exact=self.exact)
+        return Field({k: (-pc, -ps) for k, (pc, ps) in self.modes.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -239,7 +230,7 @@ class Field:
         return self.map_coeffs(lambda c: c * q)
 
     def map_coeffs(self, fn):
-        out = Field(exact=self.exact)
+        out = Field()
         for k, (pc, ps) in self.modes.items():
             out._accumulate(k, pc.map_coeffs(fn), ps.map_coeffs(fn))
         return out
@@ -251,8 +242,7 @@ class Field:
             return self.rmul(other)
         if not isinstance(other, Field):
             return self.scale(other)
-        out = Field(exact=self.exact and other.exact)
-        half = gr(Fraction(1, 2)) if out.exact else 0.5
+        out = Field()
         for ka, (ca, sa) in self.modes.items():
             for kb, (cb, sb) in other.modes.items():
                 cacb = ca * cb
@@ -268,8 +258,8 @@ class Field:
                 casb = ca * sb
                 kp = tuple(a + b for a, b in zip(ka, kb))
                 km = tuple(a - b for a, b in zip(ka, kb))
-                out._accumulate(kp, (cacb - sasb) * half, (sacb + casb) * half)
-                out._accumulate(km, (cacb + sasb) * half, (sacb - casb) * half)
+                out._accumulate(kp, (cacb - sasb) * _HALF, (sacb + casb) * _HALF)
+                out._accumulate(km, (cacb + sasb) * _HALF, (sacb - casb) * _HALF)
         return out
 
     def __rmul__(self, q):
@@ -292,27 +282,24 @@ class Field:
         return self.map_coeffs(lambda c: c.reverse())
 
     def scalar_part(self):
-        return self.map_coeffs(
-            lambda c: Biquaternion.scalar(c.w, exact=self.exact))
+        return self.map_coeffs(lambda c: Biquaternion.scalar(c.w))
 
     def vector_part(self):
         return self.map_coeffs(lambda c: c.vector_part())
 
     def re_scalar(self):
         """(f + f.star())/2 -- the real part, for scalar-valued fields."""
-        half = gr(Fraction(1, 2)) if self.exact else 0.5
-        return (self + self.star()).scale(half)
+        return (self + self.star()).scale(_HALF)
 
     def im_scalar(self):
         """(f - f.star())/(2i), real-valued for scalar-valued fields."""
-        c = gr(0, Fraction(-1, 2)) if self.exact else -0.5j
-        return (self - self.star()).scale(c)
+        return (self - self.star()).scale(gr(0, Fraction(-1, 2)))
 
     # -- calculus ------------------------------------------------------------------------
 
     def derivative(self, var: int):
         """Partial derivative with respect to t, x1, x2, or x3 (var = 0..3)."""
-        out = Field(exact=self.exact)
+        out = Field()
         for k, (pc, ps) in self.modes.items():
             dpc = pc.derivative(var)
             dps = ps.derivative(var)
@@ -347,7 +334,7 @@ class Field:
 
     def eval_float(self, point):
         import math
-        total = Biquaternion.zero(exact=False)
+        total = Biquaternion.scalar(0.0)
         t, x1, x2, x3 = (float(c) for c in point)
         for k, (pc, ps) in self.modes.items():
             phase = float(k[0]) * t - float(k[1]) * x1 - float(k[2]) * x2 - float(k[3]) * x3
@@ -356,7 +343,7 @@ class Field:
         return total
 
     def __repr__(self):
-        return f"Field({len(self.modes)} modes, exact={self.exact})"
+        return f"Field({len(self.modes)} modes)"
 
 
 # -- the quaternion four-gradient ----------------------------------------------------------
@@ -378,16 +365,14 @@ class NablaSpec:
             return f"-i d/dt {'+' if self.space_sign > 0 else '-'} e_n d/dx_n"
         return f"d/dt {'+' if self.space_sign > 0 else '-'} i e_n d/dx_n"
 
-    def units(self, exact=True):
+    def units(self):
         """The four left-multiplier units (time, e1.., possibly i-weighted)."""
-        i_unit = gr(0, 1) if exact else 1j
-        es = _e_units(exact)
         if self.i_on_time:
-            time = Biquaternion.scalar(-i_unit if exact else -1j)
-            space = [e * self.space_sign for e in es]
+            time = Biquaternion.scalar(-GR_I)
+            space = [e * self.space_sign for e in _E_UNITS]
         else:
-            time = Biquaternion.one(exact)
-            space = [e * (i_unit * self.space_sign) for e in es]
+            time = Biquaternion.one()
+            space = [e * (GR_I * self.space_sign) for e in _E_UNITS]
         return [time] + space
 
 
@@ -396,27 +381,27 @@ FROZEN_NABLA = NablaSpec(i_on_time=True, space_sign=1)
 
 def _apply_gradient(f: Field, units, from_right=False):
     derivs = [f.dt(), f.dx(1), f.dx(2), f.dx(3)]
-    out = Field.zero(exact=f.exact)
+    out = Field.zero()
     for u, d in zip(units, derivs):
         out = out + (d.rmul(u) if from_right else d.lmul(u))
     return out
 
 
 def nabla(f: Field, spec: NablaSpec = FROZEN_NABLA) -> Field:
-    return _apply_gradient(f, spec.units(f.exact))
+    return _apply_gradient(f, spec.units())
 
 
 def nabla_bar(f: Field, spec: NablaSpec = FROZEN_NABLA) -> Field:
-    units = [u.bar() for u in spec.units(f.exact)]
+    units = [u.bar() for u in spec.units()]
     return _apply_gradient(f, units)
 
 
 def nabla_from_right(f: Field, spec: NablaSpec = FROZEN_NABLA) -> Field:
-    return _apply_gradient(f, spec.units(f.exact), from_right=True)
+    return _apply_gradient(f, spec.units(), from_right=True)
 
 
 def nabla_bar_from_right(f: Field, spec: NablaSpec = FROZEN_NABLA) -> Field:
-    units = [u.bar() for u in spec.units(f.exact)]
+    units = [u.bar() for u in spec.units()]
     return _apply_gradient(f, units, from_right=True)
 
 
@@ -444,7 +429,7 @@ def gradient_symbol(spec: NablaSpec, p0, p):
     """Constant quaternion S with nabla(exp(i phi_p)) = S exp(i phi_p)."""
     i_unit = gr(0, 1)
     comps = [i_unit * gr(p0), -i_unit * gr(p[0]), -i_unit * gr(p[1]), -i_unit * gr(p[2])]
-    units = spec.units(exact=True)
+    units = spec.units()
     out = Biquaternion.zero()
     for u, c in zip(units, comps):
         out = out + u * c
@@ -527,16 +512,13 @@ def _default_frame():
 def _dl_symbol_op_for_spec(spec, p0, p, m, frame) -> RealLinearOp:
     """Real-linear symbol of the free minimally-coupled equation on the
     amplitude of psi = X * exp(-nu*phi)."""
-    i_unit = gr(0, 1)
-    inu = frame.nu * i_unit
-
     def residual_amp(x):
         psi = plane_wave_field(x, (p0,) + tuple(p), frame, spec=spec)
-        res = nabla_bar(psi, spec).rmul(inu) - psi.star().scale(m)
+        res = nabla_bar(psi, spec).rmul(frame.i_nu) - psi.star().scale(m)
         # the residual is again a single plane-wave mode; extract its cos part
         return _extract_mode_cos(res, (p0,) + tuple(p))
 
-    return RealLinearOp.from_function(residual_amp, exact=True)
+    return RealLinearOp.from_function(residual_amp)
 
 
 def _extract_mode_cos(f: Field, k):
@@ -584,8 +566,8 @@ def plane_wave_field(amplitude: Biquaternion, k, frame: Frame,
                      spec: NablaSpec = FROZEN_NABLA) -> Field:
     """The field amplitude * exp(-nu * phi) with phi = k0 t - k.x."""
     del spec  # the ansatz itself is convention independent
-    return (Field.trig(k, amplitude, Biquaternion.zero(amplitude.is_exact()))
-            - Field.trig(k, Biquaternion.zero(amplitude.is_exact()), amplitude * frame.nu))
+    zero = Biquaternion.zero()
+    return Field.trig(k, amplitude, zero) - Field.trig(k, zero, amplitude * frame.nu)
 
 
 def plane_wave_solutions(p: Momentum, frame: Frame):
@@ -625,8 +607,8 @@ class ExternalField:
     e: object
 
     @staticmethod
-    def zero(exact=True):
-        return ExternalField(Field.zero(exact), gr(0) if exact else 0.0)
+    def zero():
+        return ExternalField(Field.zero(), gr(0))
 
     @staticmethod
     def from_components(phi0: Poly, phivec, e):
@@ -634,7 +616,7 @@ class ExternalField:
         i_neg = gr(0, -1)
         total = Field.polynomial(phi0)
         for n, comp in enumerate(phivec):
-            unit = _e_units(True)[n] * i_neg
+            unit = _E_UNITS[n] * i_neg
             total = total + Field.polynomial(comp).lmul(unit)
         return ExternalField(total, e)
 
@@ -650,15 +632,12 @@ class ExternalField:
         The quaternion field stores phi0 - i*phivec, so the n-th component
         is i times the n-th vector part.
         """
-        i_unit = gr(0, 1) if self.phi.exact else 1j
-        exact = self.phi.exact
         phi0 = self.phi.scalar_part()
         comps = [phi0]
         for n in range(3):
             picker = {0: "x", 1: "y", 2: "z"}[n]
             comp = self.phi.map_coeffs(
-                lambda c, picker=picker: Biquaternion.scalar(
-                    getattr(c, picker) * i_unit, exact=exact))
+                lambda c, picker=picker: Biquaternion.scalar(getattr(c, picker) * GR_I))
             comps.append(comp)
         return comps
 
@@ -673,16 +652,13 @@ def lanczos_residual(a: Field, b: Field, ext: ExternalField, m):
 
 def dirac_lanczos_residual(psi: Field, ext: ExternalField, m, frame: Frame) -> Field:
     """Residual of the minimally coupled four-component spinor equation."""
-    i_unit = gr(0, 1) if psi.exact else 1j
-    inu = frame.nu * i_unit
-    return (nabla_bar(psi).rmul(inu) - (ext.phi_bar() * psi).scale(ext.e)
+    return (nabla_bar(psi).rmul(frame.i_nu) - (ext.phi_bar() * psi).scale(ext.e)
             - psi.star().scale(m))
 
 
 def build_doublet(a: Field, b: Field, frame: Frame):
     """The two independent spinor superpositions built from a solution pair."""
-    i_unit = gr(0, 1) if a.exact else 1j
-    itn = frame.tau * frame.nu * i_unit
+    itn = frame.tau * frame.i_nu
     psi_plus = a * frame.sigma + b.star() * frame.sigma_bar
     psi_minus = (a * frame.sigma_bar - b.star() * frame.sigma) * itn
     return psi_plus, psi_minus
@@ -711,8 +687,7 @@ def proca_residual(a: Field, m):
     res = (nabla(b) + reverse(b) nabla_from_right)/2 - m^2 a.
     """
     b = wedge(nabla_bar(a))
-    half = gr(Fraction(1, 2)) if a.exact else 0.5
-    res = (nabla(b) + nabla_from_right(b.reverse())).scale(half) - a.scale(m * m)
+    res = (nabla(b) + nabla_from_right(b.reverse())).scale(_HALF) - a.scale(m * m)
     return b, res
 
 

@@ -49,7 +49,7 @@ from .fields import (
     random_quadratic_potential,
     select_nabla_convention,
 )
-from .linops import RealLinearOp, mul_i_op, op_exp
+from .linops import RealLinearOp, left_mul, op_exp
 from .scalars import gr
 from .spin import (
     SpinLabel,
@@ -221,7 +221,7 @@ def _all_frames(rng):
 def _s_su2(rng, tol):
     import numpy as np
     worst = 0.0
-    Ji = mul_i_op(exact=False)
+    Ji = left_mul(Biquaternion.scalar(1j))
     for f in _all_frames(rng):
         for s in SpinLabel:
             g = generators(s, f)
@@ -306,7 +306,7 @@ def _s_boost(rng, tol):
         axis = _unit(rng)
         rho = rng.uniform(-1.2, 1.2)
         prod = boost(s, axis, rho, f) @ boost(s, axis, -rho, f)
-        worst = max(worst, prod.max_abs_diff(RealLinearOp.identity(exact=False)))
+        worst = max(worst, prod.max_abs_diff(RealLinearOp.identity()))
     return worst <= tol, worst, None
 
 
@@ -491,7 +491,7 @@ def _s_symbol_cov(rng, tol):
     pq = ONSHELL.quaternion().to_float()
     sg = frame.sigma.to_float()
     sb = frame.sigma_bar.to_float()
-    one = Biquaternion.one(False)
+    one = Biquaternion.scalar(1.0)
     for _ in range(50):
         L = lor.random_lorentz(rng)
         pq2 = L.l * pq * L.l.plus()
@@ -631,7 +631,7 @@ def _s_rs_identities(rng, tol):
         acc_star = ts if acc_star is None else acc_star + ts
     ok = (acc_bar - ctx.pibar(x)).is_zero() and (acc_star - ctx.pibar_star(x)).is_zero()
     total = Biquaternion.zero()
-    units = rs.eps_units(exact=True)
+    units = rs.eps_units()
     for mu in range(4):
         total = total + units["bar_upper"][mu] * units["lower"][mu]
     ok = ok and total == Biquaternion.scalar(gr(4))
@@ -657,7 +657,7 @@ def _s_rs_dual(rng, tol):
     ext = _witness_potential()
     comps = ext.component_fields()
     phi_map = rs.dual_tensor(ext)
-    units = rs.eps_units(exact=True)
+    units = rs.eps_units()
     d_lower = lambda f, mu: (f.dt() if mu == 0 else -f.dx(mu))
     phi_lower = [comps[0]] + [-comps[n] for n in (1, 2, 3)]
     minus_i = gr(0, -1)
@@ -813,14 +813,14 @@ def _s_op_exp(rng, tol):
     for _ in range(10):
         m = RealLinearOp([[rng.uniform(-1.5, 1.5) for _ in range(8)] for _ in range(8)])
         prod = op_exp(m) @ op_exp(m.scale(-1.0))
-        diff = prod - RealLinearOp.identity(exact=False)
+        diff = prod - RealLinearOp.identity()
         worst = max(worst, float(np.linalg.norm(diff.to_numpy(), 2)))
     # rotation generators at the 4 pi double turn reach norm 6 pi, the top
     # of the stated well-conditioned range
-    Ji = mul_i_op(exact=False)
+    Ji = left_mul(Biquaternion.scalar(1j))
     gen = (Ji @ generators(SpinLabel.THREE_HALF, DEFAULT_FRAME).j1).scale(-4.0 * math.pi)
     prod = op_exp(gen) @ op_exp(gen.scale(-1.0))
-    diff = prod - RealLinearOp.identity(exact=False)
+    diff = prod - RealLinearOp.identity()
     worst = max(worst, float(np.linalg.norm(diff.to_numpy(), 2)))
     return worst <= tol, worst, None
 

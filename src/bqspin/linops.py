@@ -4,7 +4,8 @@ Operators are stored as 8x8 real matrices over the basis
 (1, e1, e2, e3, i, ie1, ie2, ie3).  This uniform representation covers both
 complex-linear maps (left/right multiplications) and antilinear ones
 (anything involving component conjugation), which complex 4x4 matrices
-cannot express.  Entries are Fractions in exact mode or floats otherwise.
+cannot express.  Entries are Fractions in exact mode or floats otherwise;
+an operator built from float data is float.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .biquaternion import Biquaternion, basis_elements
+from .scalars import GR_I
 
 
 _BASIS_EXACT = basis_elements(exact=True)
@@ -32,24 +34,24 @@ class RealLinearOp:
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
-    def from_function(fn, exact=True, label=""):
-        """Matrix of an arbitrary real-linear function on the algebra."""
-        basis = _BASIS_EXACT if exact else _BASIS_FLOAT
+    def from_function(fn, label="", basis=_BASIS_EXACT):
+        """Matrix of an arbitrary real-linear function on the algebra.
+
+        fn is evaluated on ``basis``, the real basis in one backend
+        (``basis_elements``); the float basis keeps float closures unmixed.
+        """
         cols = [fn(b).real_coords() for b in basis]
         matrix = [[cols[j][i] for j in range(8)] for i in range(8)]
         return RealLinearOp(matrix, label)
 
     @staticmethod
-    def identity(exact=True, label="id"):
-        one = Fraction(1) if exact else 1.0
-        zero = Fraction(0) if exact else 0.0
-        return RealLinearOp([[one if i == j else zero for j in range(8)]
+    def identity(label="id"):
+        return RealLinearOp([[Fraction(int(i == j)) for j in range(8)]
                              for i in range(8)], label)
 
     @staticmethod
-    def zero(exact=True):
-        z = Fraction(0) if exact else 0.0
-        return RealLinearOp([[z] * 8 for _ in range(8)], "0")
+    def zero():
+        return RealLinearOp([[Fraction(0)] * 8 for _ in range(8)], "0")
 
     # -- algebra ---------------------------------------------------------------
 
@@ -92,12 +94,11 @@ class RealLinearOp:
 
     def apply(self, q: Biquaternion) -> Biquaternion:
         coords = q.real_coords()
-        exact = q.is_exact() and isinstance(self.matrix[0][0], (Fraction, int))
         out = []
         for i in range(8):
             acc = sum(self.matrix[i][k] * coords[k] for k in range(8))
             out.append(acc)
-        return Biquaternion.from_real_coords(out, exact=exact)
+        return Biquaternion.from_real_coords(out)
 
     def __call__(self, q: Biquaternion) -> Biquaternion:
         return self.apply(q)
@@ -138,11 +139,10 @@ def monomial(left: Biquaternion, right: Biquaternion, slot_flavor="id", label=""
     """Operator x -> left * flavor(x) * right.
 
     Flavors star and plus produce antilinear operators; id and bar are
-    complex-linear.
+    complex-linear.  The operator is float when either factor is float.
     """
     if slot_flavor not in _FLAVORS:
         raise ValueError(f"unknown slot flavor {slot_flavor!r}")
-    exact = left.is_exact() and right.is_exact()
 
     def fn(x):
         if slot_flavor == "star":
@@ -153,44 +153,46 @@ def monomial(left: Biquaternion, right: Biquaternion, slot_flavor="id", label=""
             x = x.plus()
         return left * x * right
 
-    return RealLinearOp.from_function(fn, exact=exact, label=label)
+    return RealLinearOp.from_function(fn, label, _basis_of(left, right))
+
+
+def _basis_of(*factors):
+    """The real basis in the backend of the factors: float when any is float."""
+    exact = all(q.is_exact() for q in factors)
+    return _BASIS_EXACT if exact else _BASIS_FLOAT
 
 
 def left_mul(a: Biquaternion, label=""):
-    return monomial(a, Biquaternion.one(a.is_exact()), "id", label or "L")
+    return RealLinearOp.from_function(lambda x: a * x, label or "L", _basis_of(a))
 
 
 def right_mul(a: Biquaternion, label=""):
-    return monomial(Biquaternion.one(a.is_exact()), a, "id", label or "R")
+    return RealLinearOp.from_function(lambda x: x * a, label or "R", _basis_of(a))
 
 
-def conj_op(flavor, exact=True):
+def conj_op(flavor):
     """The operator applying one of the four conjugations."""
-    one = Biquaternion.one(exact)
+    one = Biquaternion.one()
     return monomial(one, one, flavor, label=flavor)
 
 
-def mul_i_op(exact=True):
+def mul_i_op():
     """The multiply-by-i operator."""
-    from .scalars import gr
-    i_unit = gr(0, 1) if exact else 1j
-    return RealLinearOp.from_function(lambda x: x * i_unit, exact=exact, label="i*")
+    return RealLinearOp.from_function(lambda x: x * GR_I, "i*")
 
 
-def reverse_op(exact=True):
-    return RealLinearOp.from_function(lambda x: x.reverse(), exact=exact, label="rev")
+def reverse_op():
+    return RealLinearOp.from_function(lambda x: x.reverse(), "rev")
 
 
 def commutes_with_i(op: RealLinearOp, tol=1e-12) -> bool:
-    exact = isinstance(op.matrix[0][0], (Fraction, int))
-    J = mul_i_op(exact=exact)
+    J = mul_i_op()
     return (op @ J).equal(J @ op, tol)
 
 
 def anticommutes_with_i(op: RealLinearOp, tol=1e-12) -> bool:
-    exact = isinstance(op.matrix[0][0], (Fraction, int))
-    J = mul_i_op(exact=exact)
-    return ((op @ J) + (J @ op)).equal(RealLinearOp.zero(exact), tol)
+    J = mul_i_op()
+    return ((op @ J) + (J @ op)).equal(RealLinearOp.zero(), tol)
 
 
 def op_equal(f: RealLinearOp, g: RealLinearOp, tol=0.0) -> bool:

@@ -28,6 +28,8 @@ from .errors import InvalidAxis
 from .linops import RealLinearOp, monomial, op_equal
 from .spin import SpinLabel, boost as spin_boost, rotate as spin_rotate, subspace_basis
 
+_ONE = Biquaternion.scalar(1.0)
+
 
 @dataclass(frozen=True)
 class LorentzElement:
@@ -38,10 +40,10 @@ class LorentzElement:
     rotation_part: Biquaternion
 
     def is_rotation(self, tol=1e-12):
-        return (self.boost_part - Biquaternion.one(False)).max_abs() <= tol
+        return (self.boost_part - _ONE).max_abs() <= tol
 
     def is_boost(self, tol=1e-12):
-        return (self.rotation_part - Biquaternion.one(False)).max_abs() <= tol
+        return (self.rotation_part - _ONE).max_abs() <= tol
 
 
 def _unit_axis(axis):
@@ -91,7 +93,7 @@ def polar_split(l: Biquaternion) -> LorentzElement:
         rho = math.asinh(sh)
         b = boost_factor(axis, rho)
     else:
-        b = Biquaternion.one(False)
+        b = _ONE
     r = b.bar() * l
     return LorentzElement(l=l, boost_part=b, rotation_part=r)
 
@@ -118,11 +120,11 @@ def action_op(row: str, field_role: str, L: LorentzElement, f: Frame) -> RealLin
     """The table action of L on one field type, as a real-linear operator."""
     if field_role not in ("A", "B"):
         raise ValueError("field_role must be 'A' or 'B'")
-    one = Biquaternion.one(False)
+    one = _ONE
     lf = L.l
     ls = L.l.star()
-    fp = f.sigma.to_float() if f.is_exact() else f.sigma
-    fm = f.sigma_bar.to_float() if f.is_exact() else f.sigma_bar
+    fp = f.sigma.to_float()
+    fm = f.sigma_bar.to_float()
     r2 = L.rotation_part * L.rotation_part
     table = {
         ("zero", "A"): (lf, lf.plus()),
@@ -141,7 +143,7 @@ def action_op(row: str, field_role: str, L: LorentzElement, f: Frame) -> RealLin
 
 
 def act(row: str, field_role: str, L: LorentzElement, x: Biquaternion, f: Frame):
-    return action_op(row, field_role, L, f).apply(x.to_float() if x.is_exact() else x)
+    return action_op(row, field_role, L, f).apply(x.to_float())
 
 
 def l32_action(L: LorentzElement, field_role="A") -> RealLinearOp:
@@ -155,12 +157,11 @@ def l32_action(L: LorentzElement, field_role="A") -> RealLinearOp:
 
 def row_subspaces(row: str, f: Frame):
     """Real bases of the A- and B-field value subspaces of one table row."""
-    ff = f if not f.is_exact() else None
     sigma = f.sigma.to_float()
     sigma_bar = f.sigma_bar.to_float()
     tau = f.tau.to_float()
     nu = f.nu.to_float()
-    one = Biquaternion.one(False)
+    one = _ONE
     i = 1j
     e_basis = [nu, tau, tau * nu]
     bireal = [one] + [v * i for v in e_basis]
@@ -218,7 +219,7 @@ def _rep_operator(s, kind, rng, f: Frame):
 def _sample_domain(s, f: Frame, rng):
     basis = subspace_basis(s, f)
     def draw():
-        out = Biquaternion.zero(exact=False)
+        out = Biquaternion.scalar(0.0)
         for b in basis:
             out = out + b * complex(rng.gauss(0, 1), rng.gauss(0, 1))
         return out

@@ -29,20 +29,19 @@ from .fields import (
     ExternalField,
     Field,
     Momentum,
+    _extract_mode_cos,
     nabla_bar,
     nabla_bar_from_right,
     plane_wave_field,
     wedge,
 )
-from .scalars import gr
+from .scalars import GR_I, gr
 
 
-def eps_units(exact=True):
+def eps_units():
     """The bireal unit 4-tuples: lower, upper, and their bar partners."""
-    one = Biquaternion.one(exact)
-    i_unit = gr(0, 1) if exact else 1j
-    ie = [Biquaternion.vector(*v, exact=exact) * i_unit
-          for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    one = Biquaternion.one()
+    ie = [Biquaternion.vector(*v) * GR_I for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
     lower = [one] + ie
     upper = [one] + [-u for u in ie]
     return {
@@ -74,15 +73,11 @@ class RSContext:
 
     def __post_init__(self):
         object.__setattr__(self, "_phi_comps", self.ext.component_fields())
-        object.__setattr__(self, "_eps", eps_units(exact=True))
+        object.__setattr__(self, "_eps", eps_units())
 
     @property
     def nu(self):
         return self.frame.nu
-
-    @property
-    def i_nu(self):
-        return self.frame.nu * gr(0, 1)
 
     def pi_lower(self, mu: int, x: Field) -> Field:
         out = _d_lower(x, mu).rmul(self.nu)
@@ -95,7 +90,7 @@ class RSContext:
         return p if ETA[mu] > 0 else -p
 
     def pibar(self, x: Field) -> Field:
-        out = nabla_bar(x).rmul(self.i_nu)
+        out = nabla_bar(x).rmul(self.frame.i_nu)
         if bool(self.ext.e):
             out = out - (self.ext.phi_bar() * x).scale(self.ext.e)
         return out
@@ -176,7 +171,7 @@ def commutator_identity(ext: ExternalField, frame: Frame, fields, m=Fraction(1))
     for x in fields:
         for mu in range(4):
             lhs = ctx.pi_upper(mu, ctx.pibar(x)) - ctx.pibar(ctx.pi_upper(mu, x))
-            rhs = (phi_map(ebu[mu]) * x).rmul(ctx.i_nu).scale(ext.e)
+            rhs = (phi_map(ebu[mu]) * x).rmul(frame.i_nu).scale(ext.e)
             worst = max(worst, (lhs - rhs).max_abs())
     return worst
 
@@ -186,7 +181,7 @@ def extra_constraint(psi, ext: ExternalField, m, frame: Frame) -> Field:
     ctx = RSContext(ext, m, frame)
     phi_map = dual_tensor(ext)
     ebu = ctx.eps("bar_upper")
-    total = _sum_fields((phi_map(ebu[mu]) * psi[mu]).rmul(ctx.i_nu)
+    total = _sum_fields((phi_map(ebu[mu]) * psi[mu]).rmul(frame.i_nu)
                         for mu in range(4))
     return total
 
@@ -363,7 +358,7 @@ def g1_chain(ext: ExternalField, m, frame: Frame, sample_fields):
             out["e29_conjugation"], (e29 - e28.star()).max_abs())
 
         # (30): the algebraic contraction in terms of the curvature field
-        coeff = Fraction(2, 3) * e / (m * m) if isinstance(m, Fraction) else 2 * e / (3 * m * m)
+        coeff = 2 * e / (3 * m * m)
         e30 = u - w23.scale(coeff)
         combo = (e27 - e29.scale(Fraction(2) / m)).scale(Fraction(1) / (3 * m))
         out["e30_secondary"] = max(
@@ -398,17 +393,6 @@ def _rs_plane_wave(amps, k, frame):
     return tuple(plane_wave_field(a, k, frame) for a in amps)
 
 
-def _extract_const_cos(f: Field, k):
-    from .fields import _k_canonical
-    kk = tuple(Fraction(c) for c in k)
-    kc, _ = _k_canonical(kk)
-    pair = f.modes.get(kc)
-    if pair is None:
-        return Biquaternion.zero()
-    coeff = pair[0].terms.get((0, 0, 0, 0))
-    return coeff if coeff is not None else Biquaternion.zero()
-
-
 def constraint_counting(p: Momentum, m, frame: Frame):
     """Momentum-space rank analysis of the free constrained system.
 
@@ -436,13 +420,13 @@ def constraint_counting(p: Momentum, m, frame: Frame):
         psi = filled(j)
         sysout = rs_free_system(psi, ext, m, frame)
         for mu in range(4):
-            col = _extract_const_cos(sysout["eq_residuals"][mu], k).real_coords()
+            col = _extract_mode_cos(sysout["eq_residuals"][mu], k).real_coords()
             for i in range(8):
                 dl_rows[8 * mu + i].append(col[i])
-        col = _extract_const_cos(sysout["algebraic_constraint"], k).real_coords()
+        col = _extract_mode_cos(sysout["algebraic_constraint"], k).real_coords()
         for i in range(8):
             alg_rows[i].append(col[i])
-        col = _extract_const_cos(sysout["differential_constraint"], k).real_coords()
+        col = _extract_mode_cos(sysout["differential_constraint"], k).real_coords()
         for i in range(8):
             diff_rows[i].append(col[i])
 

@@ -3,11 +3,13 @@
 Every biquaternion component is either a :class:`GaussianRational` (exact
 mode) or a Python ``complex`` (float mode).  Both expose the same arithmetic
 protocol plus ``conjugate()``, so the algebra layer never branches on the
-backend.
+backend.  The backend is a property of the values: exact with exact stays
+exact, and exact with float gives float, just as int with float gives float.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -112,19 +114,24 @@ class GaussianRational:
         return bool(self.re) or bool(self.im)
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return complex(self) == other
-        return self.re == o.re and self.im == o.im
+        if isinstance(other, (GaussianRational, int, Fraction, float, complex)):
+            # exact comparison, as Fraction does with a float
+            return self.re == other.real and self.im == other.imag
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # the hash of complex, so equal numbers hash alike across the backends
+        h = hash(self.re) + sys.hash_info.imag * hash(self.im)
+        h = (h + _HASH_HALF) % (2 * _HASH_HALF) - _HASH_HALF
+        return -2 if h == -1 else h
 
     def __repr__(self):
         if not self.im:
             return f"{self.re}"
         return f"({self.re}{'+' if self.im >= 0 else ''}{self.im}i)"
 
+
+_HASH_HALF = 1 << (sys.hash_info.width - 1)
 
 GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
@@ -137,6 +144,7 @@ def gr(re=0, im=0) -> GaussianRational:
 
 
 def is_exact(x) -> bool:
+    """True for a scalar of the exact backend: Gaussian rational, int or Fraction."""
     return isinstance(x, (GaussianRational, int, Fraction))
 
 
@@ -157,6 +165,3 @@ def im_part(x):
         return x.im
     return complex(x).imag
 
-
-def scalar_zero_like(x):
-    return GR_ZERO if isinstance(x, GaussianRational) else 0j

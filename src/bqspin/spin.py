@@ -16,7 +16,11 @@ from enum import Enum
 
 from .biquaternion import Biquaternion, Frame
 from .errors import InvalidAxis
-from .linops import RealLinearOp, monomial, mul_i_op, op_exp
+from .linops import RealLinearOp, left_mul, monomial, op_exp
+
+# multiplication by i, built on the float basis so that composing it with
+# the float generators stays in complex arithmetic
+_MUL_I = left_mul(Biquaternion.scalar(1j), "i*")
 
 
 class SpinLabel(Enum):
@@ -40,8 +44,6 @@ class GeneratorTriple:
 
 
 def _float_frame(f: Frame):
-    if not f.is_exact():
-        return f
     return Frame(
         nu=f.nu.to_float(), tau=f.tau.to_float(), sigma=f.sigma.to_float(),
         sigma_bar=f.sigma_bar.to_float(), tau_sigma=f.tau_sigma.to_float(),
@@ -57,7 +59,7 @@ def generators(s: SpinLabel, f: Frame) -> GeneratorTriple:
     """
     f = _float_frame(f)
     nu, tau = f.nu, f.tau
-    one = Biquaternion.one(False)
+    one = Biquaternion.scalar(1.0)
     half_i = 0.5j
 
     if s in (SpinLabel.HALF_PLUS, SpinLabel.HALF_MINUS):
@@ -149,7 +151,7 @@ def rotate(s: SpinLabel, axis, theta, f: Frame) -> RealLinearOp:
     """Rotation exponential exp(-i theta sum_n a_n J_n)."""
     a1, a2, a3 = axis_projections(axis, f)
     gen = generators(s, f).combination(a1, a2, a3)
-    arg = (mul_i_op(exact=False) @ gen).scale(-float(theta))
+    arg = (_MUL_I @ gen).scale(-float(theta))
     return op_exp(arg)
 
 
@@ -168,7 +170,7 @@ def closed_form_half_rotation(axis, theta, f: Frame, side="plus") -> RealLinearO
     ax = Biquaternion.vector(*(float(c) for c in axis))
     half = float(theta) / 2.0
     q = Biquaternion.scalar(complex(math.cos(half))) + ax * math.sin(half)
-    return monomial(q, Biquaternion.one(False), "id", "closed-half")
+    return monomial(q, Biquaternion.scalar(1.0), "id", "closed-half")
 
 
 def closed_form_one_rotation(axis, theta, f: Frame) -> RealLinearOp:
@@ -186,4 +188,4 @@ def closed_form_half_boost(axis, rapidity, f: Frame) -> RealLinearOp:
     ax = Biquaternion.vector(*(float(c) for c in axis))
     half = float(rapidity) / 2.0
     q = Biquaternion.scalar(complex(math.cosh(half))) + ax * (1j * math.sinh(half))
-    return monomial(q, Biquaternion.one(False), "id", "closed-boost")
+    return monomial(q, Biquaternion.scalar(1.0), "id", "closed-boost")

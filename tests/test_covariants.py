@@ -54,7 +54,7 @@ def test_singular_pair_annihilation():
 
 
 def test_unit_pair_values():
-    one = Field.constant(Biquaternion.one(True))
+    one = Field.constant(Biquaternion.one())
     cov = covariants(one, one)
     two = Field.constant(Biquaternion.scalar(gr(2)))
     assert cov.polar.equal(two)
@@ -139,7 +139,7 @@ def test_lagrangian_density():
 
 
 def test_amplitude_values_and_invariance():
-    one = Biquaternion.one(False)
+    one = Biquaternion.scalar(1.0)
     assert abs(complex(amplitude(one, one)) - 1.0) < 1e-15
     f = DEFAULT_FRAME
     sg = f.sigma.to_float()

@@ -79,7 +79,7 @@ def test_derivative_product_rule_and_mode_closure():
 
 
 def test_constant_derivative_zero():
-    c = Field.constant(Biquaternion.one(True))
+    c = Field.constant(Biquaternion.one())
     for var in range(4):
         assert c.derivative(var).is_zero()
 

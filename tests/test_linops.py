@@ -24,7 +24,7 @@ from bqspin.linops import (
 from bqspin.scalars import gr
 
 
-ONE = Biquaternion.one(True)
+ONE = Biquaternion.one()
 
 
 def test_monomial_identity():
@@ -98,14 +98,14 @@ def test_op_equal_tolerance():
 
 
 def test_op_exp_zero_and_inverse():
-    zero = RealLinearOp.zero(exact=False)
-    assert op_equal(op_exp(zero), RealLinearOp.identity(exact=False), tol=1e-15)
+    zero = RealLinearOp.zero()
+    assert op_equal(op_exp(zero), RealLinearOp.identity(), tol=1e-15)
     rng = random.Random(16)
     for _ in range(10):
         m = RealLinearOp((np.array([[rng.uniform(-1.5, 1.5) for _ in range(8)]
                                     for _ in range(8)])).tolist())
         prod = op_exp(m) @ op_exp(m.scale(-1.0))
-        assert op_equal(prod, RealLinearOp.identity(exact=False), tol=1e-12)
+        assert op_equal(prod, RealLinearOp.identity(), tol=1e-12)
 
 
 def test_op_exp_matches_rodrigues_closed_form():
@@ -125,5 +125,5 @@ def test_op_exp_matches_rodrigues_closed_form():
 
 
 def test_mul_i_op_square():
-    J = mul_i_op(exact=True)
+    J = mul_i_op()
     assert op_equal(J @ J, RealLinearOp.identity().scale(-1), tol=0.0)

@@ -36,7 +36,7 @@ def _rand_axis(rng):
 
 def test_make_lorentz_invariants():
     rng = random.Random(60)
-    one = Biquaternion.one(False)
+    one = Biquaternion.scalar(1.0)
     for _ in range(25):
         L = random_lorentz(rng)
         # unit norm, real rotation part, bireal boost part, L = B R
@@ -51,7 +51,7 @@ def test_make_lorentz_pure_cases():
     rng = random.Random(61)
     axis = _rand_axis(rng)
     ident = make_lorentz(axis, 0.0, axis, 0.0)
-    assert (ident.l - Biquaternion.one(False)).max_abs() < 1e-15
+    assert (ident.l - Biquaternion.scalar(1.0)).max_abs() < 1e-15
     rot = make_lorentz(axis, 1.1, axis, 0.0)
     assert (rot.l.star() - rot.l).max_abs() < 1e-13
     boo = make_lorentz(axis, 0.0, axis, 0.8)
@@ -83,7 +83,7 @@ def test_identity_action_fixes_field_values(row):
     for role, basis in (("A", basis_a), ("B", basis_b)):
         op = action_op(row, role, ident, DEFAULT_FRAME)
         for _ in range(5):
-            x = Biquaternion.zero(exact=False)
+            x = Biquaternion.scalar(0.0)
             for b in basis:
                 x = x + b * complex(rng.gauss(0, 1), rng.gauss(0, 1))
             assert (op.apply(x) - x).max_abs() < 1e-13
@@ -144,7 +144,7 @@ def test_subspace_closure_and_dimensions(row, dims):
 
 def test_minkowski_unitary_product_values():
     f = DEFAULT_FRAME
-    one = Biquaternion.one(True)
+    one = Biquaternion.one()
     assert minkowski_product(one, one) == 1
     assert minkowski_product(f.sigma, f.sigma).__bool__() is False
     s2 = f.sigma * 2  # sqrt(2)*sigma twice over: 2<sigma+ sigma> = 1
@@ -180,7 +180,7 @@ def test_l32_invariance_matrix():
 def test_l32_identity():
     ident = make_lorentz((0, 0, 1), 0.0, (0, 0, 1), 0.0)
     from bqspin.linops import RealLinearOp
-    assert op_equal(l32_action(ident), RealLinearOp.identity(exact=False), tol=1e-14)
+    assert op_equal(l32_action(ident), RealLinearOp.identity(), tol=1e-14)
 
 
 def test_l32_matches_rep_for_nu_rotations():

@@ -59,7 +59,7 @@ def _nonlorenz_potential():
 
 
 def test_eps_unit_identities():
-    u = eps_units(exact=True)
+    u = eps_units()
     total = Biquaternion.zero()
     for mu in range(4):
         total = total + u["bar_upper"][mu] * u["lower"][mu]
@@ -112,7 +112,7 @@ def test_pi_component_recovery():
 def test_star_slot_passes_units():
     # m (eps_bar^lam X)* = eps^lam m X*
     rng = random.Random(112)
-    u = eps_units(exact=True)
+    u = eps_units()
     for _ in range(10):
         x = random_rational_biquaternion(rng)
         for lam in range(4):
@@ -121,7 +121,7 @@ def test_star_slot_passes_units():
 
 def test_pi_mu_trivial_cases():
     ctx = RSContext(ExternalField.zero(), M, FRAME)
-    const = Field.constant(Biquaternion.one(True))
+    const = Field.constant(Biquaternion.one())
     for mu in range(4):
         assert ctx.pi_lower(mu, const).is_zero()
 
@@ -160,7 +160,7 @@ def test_dual_tensor_matches_field_tensor_components():
     ext = _nonlorenz_potential()
     comps = ext.component_fields()
     phi_map = dual_tensor(ext)
-    u = eps_units(exact=True)
+    u = eps_units()
     d_lower = lambda f, mu: (f.dt() if mu == 0 else -f.dx(mu))
     phi_lower = [comps[0]] + [-comps[n] for n in (1, 2, 3)]
     minus_i = gr(0, -1)
@@ -182,7 +182,7 @@ def test_dual_tensor_constant_potential_is_zero_map():
     zero = Poly({})
     ext = ExternalField.from_components(phi0, (zero, zero, zero), gr(1))
     phi_map = dual_tensor(ext)
-    assert phi_map(Biquaternion.one(True)).is_zero()
+    assert phi_map(Biquaternion.one()).is_zero()
 
 
 def test_free_system_on_momentum_space_solutions():

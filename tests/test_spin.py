@@ -36,7 +36,7 @@ def _frames(rng):
 @pytest.mark.parametrize("label", ALL_LABELS)
 def test_su2_commutators(label):
     rng = random.Random(50)
-    Ji = mul_i_op(exact=False)
+    Ji = mul_i_op()
     for f in _frames(rng):
         g = generators(label, f)
         pairs = [(g.j1, g.j2, g.j3), (g.j2, g.j3, g.j1), (g.j3, g.j1, g.j2)]
@@ -165,10 +165,10 @@ def test_boost_zero_is_identity_and_inverse():
     f = DEFAULT_FRAME
     axis = _random_axis(rng)
     assert op_equal(boost(SpinLabel.HALF_PLUS, axis, 0.0, f),
-                    RealLinearOp.identity(exact=False), tol=1e-13)
+                    RealLinearOp.identity(), tol=1e-13)
     rho = rng.uniform(-1.5, 1.5)
     prod = boost(SpinLabel.HALF_PLUS, axis, rho, f) @ boost(SpinLabel.HALF_PLUS, axis, -rho, f)
-    assert op_equal(prod, RealLinearOp.identity(exact=False), tol=1e-12)
+    assert op_equal(prod, RealLinearOp.identity(), tol=1e-12)
 
 
 def test_half_boost_factor_is_bireal():
