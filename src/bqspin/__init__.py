@@ -47,11 +47,13 @@ from .linops import RealLinearOp, monomial, op_equal, op_exp
 from .lorentz import (
     LorentzElement,
     act,
+    boost_counterexample,
     closure_test,
     invariance_report,
     l32_action,
     make_lorentz,
     polar_split,
+    rotation_closure,
     subspace_closure,
 )
 from .spin import SpinLabel, boost, eigenstates, generators, rotate

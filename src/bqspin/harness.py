@@ -30,7 +30,7 @@ from .biquaternion import (
     random_rational_frame,
     random_real_quaternion,
 )
-from .errors import UnknownSuite
+from .errors import DegenerateMass, OffShell, UnknownSuite
 from .fields import (
     ExternalField,
     Field,
@@ -261,7 +261,7 @@ def _s_rot_half(rng, tol):
     f = DEFAULT_FRAME
     basis = subspace_basis(SpinLabel.HALF_PLUS, f)
     for _ in range(100):
-        axis = _unit(rng)
+        axis = lor._random_axis(rng)
         theta = rng.uniform(-2 * math.pi, 2 * math.pi)
         full = rotate(SpinLabel.HALF_PLUS, axis, theta, f)
         closed = closed_form_half_rotation(axis, theta, f)
@@ -275,7 +275,7 @@ def _s_rot_one(rng, tol):
     worst = 0.0
     f = DEFAULT_FRAME
     for _ in range(100):
-        axis = _unit(rng)
+        axis = lor._random_axis(rng)
         theta = rng.uniform(-2 * math.pi, 2 * math.pi)
         worst = max(worst, rotate(SpinLabel.ONE, axis, theta, f).max_abs_diff(
             closed_form_one_rotation(axis, theta, f)))
@@ -289,7 +289,7 @@ def _s_period(rng, tol):
     signs = {SpinLabel.HALF_PLUS: -1.0, SpinLabel.HALF_MINUS: -1.0,
              SpinLabel.ONE: 1.0, SpinLabel.THREE_HALF: -1.0}
     for s, sign in signs.items():
-        axis = _unit(rng)
+        axis = lor._random_axis(rng)
         r2 = rotate(s, axis, 2 * math.pi, f)
         r4 = rotate(s, axis, 4 * math.pi, f)
         for b in subspace_basis(s, f):
@@ -303,17 +303,11 @@ def _s_boost(rng, tol):
     worst = 0.0
     f = DEFAULT_FRAME
     for s in SpinLabel:
-        axis = _unit(rng)
+        axis = lor._random_axis(rng)
         rho = rng.uniform(-1.2, 1.2)
         prod = boost(s, axis, rho, f) @ boost(s, axis, -rho, f)
         worst = max(worst, prod.max_abs_diff(RealLinearOp.identity()))
     return worst <= tol, worst, None
-
-
-def _unit(rng):
-    v = [rng.gauss(0, 1) for _ in range(3)]
-    n = math.sqrt(sum(c * c for c in v))
-    return [c / n for c in v]
 
 
 # -- scalar products and the action table ----------------------------------------------
@@ -383,16 +377,14 @@ def _s_subspaces(rng, tol):
 
 @_suite("l32.nu_rotation_closure", "eq.48", "float", 1e-12)
 def _s_l32_closure(rng, tol):
-    out = lor.closure_test(seed=rng.randint(0, 10 ** 6))
-    ok = out["rotations_about_nu_close"]
+    ok = lor.rotation_closure(seed=rng.randint(0, 10 ** 6))
     return ok, 0.0 if ok else 1.0, None
 
 
 @_suite("l32.boost_counterexample", "eq.48", "float", 1e-3, kind="witness")
 def _s_l32_witness(rng, tol):
-    out = lor.closure_test(seed=rng.randint(0, 10 ** 6))
-    defect = out["generic_counterexample"]["defect"]
-    return defect > tol, defect, out["generic_counterexample"]
+    out = lor.boost_counterexample(seed=rng.randint(0, 10 ** 6))
+    return out["defect"] > tol, out["defect"], out
 
 
 # -- wave equations ------------------------------------------------------------------
@@ -415,7 +407,7 @@ def _s_nullspace(rng, tol):
         plane_wave_solutions(
             Momentum(Fraction(5), (Fraction(2), 0, 0), Fraction(4)), frame)
         return False, 1.0, None
-    except Exception:
+    except OffShell:
         pass
     for amp in basis:
         psi = plane_wave_field(amp, ONSHELL.k_tuple(), frame)
@@ -499,10 +491,10 @@ def _s_symbol_cov(rng, tol):
         rights = {"zero": L.l.plus(), "half_plus": sg, "half_minus": sb,
                   "one": L.l.plus(), "three_half_L": r2}
         for row, r in rights.items():
-            a0 = _float_bq(rng)
+            a0 = lor._random_float_bq(rng)
             # the scalar row pairs a four-vector with an invariant scalar
             b0 = one * complex(rng.gauss(0, 1), rng.gauss(0, 1)) if row == "zero" \
-                else _float_bq(rng)
+                else lor._random_float_bq(rng)
             res1 = (pq.bar() * a0) * 1j - b0 * m
             res2 = (pq * b0) * 1j - a0 * m
             a1 = L.l * a0 * r
@@ -533,17 +525,13 @@ def _s_singular(rng, tol):
 
 @_suite("covariants.characters", "eq.37", "float", 1e-12)
 def _s_characters(rng, tol):
-    values = [(_float_bq(rng), _float_bq(rng)) for _ in range(5)]
+    values = [(lor._random_float_bq(rng), lor._random_float_bq(rng)) for _ in range(5)]
     worst = 0.0
     for _ in range(5):
         L = lor.random_lorentz(rng)
         out = cov.covariance_characters(L, DEFAULT_FRAME, values)
         worst = max(worst, max(out.values()))
     return worst <= tol, worst, None
-
-
-def _float_bq(rng):
-    return Biquaternion(*(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)))
 
 
 @_suite("covariants.current_conservation", "eq.34", "exact", 0.0)
@@ -594,7 +582,7 @@ def _s_amplitude(rng, tol):
     worst = 0.0
     for _ in range(10):
         L = lor.random_lorentz(rng)
-        a0, b0 = _float_bq(rng), _float_bq(rng)
+        a0, b0 = lor._random_float_bq(rng), lor._random_float_bq(rng)
         r2 = L.rotation_part * L.rotation_part
         t = cov.amplitude(L.l * a0 * r2, L.l.star() * b0 * r2)
         worst = max(worst, abs(complex(t - cov.amplitude(a0, b0))))
@@ -730,7 +718,7 @@ def _s_rs_g1(rng, tol):
     try:
         rs.g1_chain(ext, Fraction(0), DEFAULT_FRAME, [_sample_psi(rng)])
         return False, worst, None
-    except Exception:
+    except DegenerateMass:
         pass
     return worst == 0.0, worst, {k: v for k, v in out.items()}
 

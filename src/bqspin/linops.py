@@ -46,7 +46,8 @@ class RealLinearOp:
 
     @staticmethod
     def identity(label="id"):
-        return RealLinearOp([[Fraction(int(i == j)) for j in range(8)]
+        one, zero = Fraction(1), Fraction(0)
+        return RealLinearOp([[one if i == j else zero for j in range(8)]
                              for i in range(8)], label)
 
     @staticmethod

@@ -161,15 +161,14 @@ def row_subspaces(row: str, f: Frame):
     sigma_bar = f.sigma_bar.to_float()
     tau = f.tau.to_float()
     nu = f.nu.to_float()
-    one = _ONE
     i = 1j
     e_basis = [nu, tau, tau * nu]
-    bireal = [one] + [v * i for v in e_basis]
-    scalars = [one, one * i]
-    vectors = [v for v in e_basis] + [v * i for v in e_basis]
+    bireal = [_ONE] + [v * i for v in e_basis]
+    scalars = [_ONE, _ONE * i]
+    vectors = e_basis + [v * i for v in e_basis]
     spinor_p = [sigma, sigma * i, tau * sigma, tau * sigma * i]
     spinor_m = [sigma_bar, sigma_bar * i, tau * sigma_bar, tau * sigma_bar * i]
-    full = [b for v in bireal for b in (v,)] + [v * i for v in bireal]
+    full = bireal + [v * i for v in bireal]
     if row == "zero":
         return bireal, scalars
     if row == "half_plus":
@@ -226,47 +225,12 @@ def _sample_domain(s, f: Frame, rng):
     return draw
 
 
-def invariance_report(s: SpinLabel, transform_kind: str, f: Frame = None,
-                      seed=0, samples=40, tol=1e-10):
-    """Sample transformed pairs from the representation's invariant domain
-    and report which scalar product survives."""
-    from .biquaternion import DEFAULT_FRAME
-    f = f or DEFAULT_FRAME
-    rng = random.Random(seed)
-    draw = _sample_domain(s, f, rng)
+def _product_report(sample, samples, tol):
+    """Largest change of both scalar products over sampled (op, x, y)."""
     viol_m = 0.0
     viol_u = 0.0
     for _ in range(samples):
-        op = _rep_operator(s, transform_kind, rng, f)
-        x, y = draw(), draw()
-        tx, ty = op.apply(x), op.apply(y)
-        dm = abs(complex(minkowski_product(tx, ty) - minkowski_product(x, y)))
-        du = abs(complex(unitary_product(tx, ty) - unitary_product(x, y)))
-        viol_m = max(viol_m, dm)
-        viol_u = max(viol_u, du)
-    return {
-        "minkowski_invariant": viol_m <= tol,
-        "unitary_invariant": viol_u <= tol,
-        "max_violation": max(viol_m, viol_u),
-        "minkowski_violation": viol_m,
-        "unitary_violation": viol_u,
-    }
-
-
-def l32_invariance_report(transform_kind: str, seed=0, samples=40, tol=1e-10):
-    """Same report for the whole-algebra action x -> L x R^2."""
-    rng = random.Random(seed)
-    viol_m = 0.0
-    viol_u = 0.0
-    for _ in range(samples):
-        axis = _random_axis(rng)
-        if transform_kind == "rotation":
-            L = make_lorentz(axis, rng.uniform(0.3, math.pi), axis, 0.0)
-        else:
-            L = make_lorentz(axis, 0.0, axis, rng.uniform(0.4, 1.4))
-        op = l32_action(L)
-        x = _random_float_bq(rng)
-        y = _random_float_bq(rng)
+        op, x, y = sample()
         tx, ty = op.apply(x), op.apply(y)
         viol_m = max(viol_m, abs(complex(
             minkowski_product(tx, ty) - minkowski_product(x, y))))
@@ -279,6 +243,37 @@ def l32_invariance_report(transform_kind: str, seed=0, samples=40, tol=1e-10):
         "minkowski_violation": viol_m,
         "unitary_violation": viol_u,
     }
+
+
+def invariance_report(s: SpinLabel, transform_kind: str, f: Frame = None,
+                      seed=0, samples=40, tol=1e-10):
+    """Sample transformed pairs from the representation's invariant domain
+    and report which scalar product survives."""
+    from .biquaternion import DEFAULT_FRAME
+    f = f or DEFAULT_FRAME
+    rng = random.Random(seed)
+    draw = _sample_domain(s, f, rng)
+
+    def sample():
+        op = _rep_operator(s, transform_kind, rng, f)
+        return op, draw(), draw()
+
+    return _product_report(sample, samples, tol)
+
+
+def l32_invariance_report(transform_kind: str, seed=0, samples=40, tol=1e-10):
+    """Same report for the whole-algebra action x -> L x R^2."""
+    rng = random.Random(seed)
+
+    def sample():
+        axis = _random_axis(rng)
+        if transform_kind == "rotation":
+            L = make_lorentz(axis, rng.uniform(0.3, math.pi), axis, 0.0)
+        else:
+            L = make_lorentz(axis, 0.0, axis, rng.uniform(0.4, 1.4))
+        return l32_action(L), _random_float_bq(rng), _random_float_bq(rng)
+
+    return _product_report(sample, samples, tol)
 
 
 def _random_float_bq(rng):
@@ -324,9 +319,8 @@ def best_fit_defect(target: RealLinearOp, seed=0, restarts=12):
     return best
 
 
-def closure_test(seed=0):
-    """Rotations about the quantization axis compose inside the family;
-    two generic boosts leave it, with a quantified best-fit defect."""
+def rotation_closure(seed=0) -> bool:
+    """Two rotations about the quantization axis compose inside the family."""
     rng = random.Random(seed)
     nu_axis = (0.0, 0.0, 1.0)
     t1, t2 = rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0)
@@ -334,19 +328,28 @@ def closure_test(seed=0):
     r2 = make_lorentz(nu_axis, t2, nu_axis, 0.0)
     r12 = make_lorentz(nu_axis, t1 + t2, nu_axis, 0.0)
     composed = l32_action(r1) @ l32_action(r2)
-    rotations_close = op_equal(composed, l32_action(r12), tol=1e-12)
+    return op_equal(composed, l32_action(r12), tol=1e-12)
 
+
+def boost_counterexample(seed=0):
+    """Two generic boosts compose outside the family; the defect is the
+    least-squares distance of their composition from it."""
     ax1 = (1.0, 0.0, 0.0)
     ax2 = (0.0, 1.0, 0.0)
     b1 = make_lorentz(ax1, 0.0, ax1, 0.9)
     b2 = make_lorentz(ax2, 0.0, ax2, 0.7)
     boosts_composed = l32_action(b1) @ l32_action(b2)
-    defect = best_fit_defect(boosts_composed, seed=seed)
     return {
-        "rotations_about_nu_close": rotations_close,
-        "generic_counterexample": {
-            "boost_1": {"axis": ax1, "rapidity": 0.9},
-            "boost_2": {"axis": ax2, "rapidity": 0.7},
-            "defect": defect,
-        },
+        "boost_1": {"axis": ax1, "rapidity": 0.9},
+        "boost_2": {"axis": ax2, "rapidity": 0.7},
+        "defect": best_fit_defect(boosts_composed, seed=seed),
+    }
+
+
+def closure_test(seed=0):
+    """Rotations about the quantization axis compose inside the family;
+    two generic boosts leave it, with a quantified best-fit defect."""
+    return {
+        "rotations_about_nu_close": rotation_closure(seed),
+        "generic_counterexample": boost_counterexample(seed),
     }

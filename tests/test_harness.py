@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from bqspin import harness
 from bqspin.cli import emit, main
 from bqspin.errors import UnknownSuite
 from bqspin.harness import (
@@ -38,10 +39,37 @@ def test_suite_isolation_order_independent():
 
 
 def test_backend_filter():
-    exact_only = run("algebra.*", seed=0, backend="exact")
-    assert exact_only and all(r.backend == "exact" for r in exact_only)
+    # lanczos.* holds one suite of each backend, so the filter is checked
+    # in both directions
+    exact_only = run("lanczos.*", seed=0, backend="exact")
+    assert [r.suite_id for r in exact_only] == ["lanczos.free_solutions"]
+    float_only = run("lanczos.*", seed=0, backend="float")
+    assert [r.suite_id for r in float_only] == ["lanczos.symbol_covariance"]
+    assert all(r.backend == "float" for r in float_only)
     with pytest.raises(UnknownSuite):
         run("algebra.*", seed=0, backend="float")
+
+
+def test_expected_rejection_lets_other_errors_through(monkeypatch):
+    # only OffShell / DegenerateMass count as the expected rejection; a
+    # TypeError (say, from a stale keyword) must surface, not pass the suite
+    def solutions(p, frame):
+        if p.on_shell():
+            return [None] * 4
+        raise TypeError("unexpected keyword argument")
+
+    monkeypatch.setattr(harness, "plane_wave_solutions", solutions)
+    with pytest.raises(TypeError):
+        run("dirac.nullspace", seed=0)
+
+    def chain(ext, m, frame, sample_fields):
+        if m:
+            return {"e27_is_eps_contraction": 0.0}
+        raise TypeError("unexpected keyword argument")
+
+    monkeypatch.setattr(harness.rs, "g1_chain", chain)
+    with pytest.raises(TypeError):
+        run("rs.g1_chain", seed=0)
 
 
 def test_results_pass_for_fast_suites():
