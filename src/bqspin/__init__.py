@@ -43,7 +43,7 @@ from .fields import (
     proca_residual,
     select_nabla_convention,
 )
-from .linops import RealLinearOp, monomial, op_equal, op_exp
+from .linops import RealLinearOp, monomial, op_exp
 from .lorentz import (
     LorentzElement,
     act,

@@ -88,10 +88,6 @@ def transition_current_divergences(a: Field, b: Field, ext: ExternalField, m):
     }
 
 
-# primary entry point under the contract name
-divergence_identities = transition_current_divergences
-
-
 def lagrangian_density(a: Field, b: Field, ext: ExternalField, m) -> Field:
     """Real scalar density whose variation gives the coupled system;
     vanishes identically on solutions."""

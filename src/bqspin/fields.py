@@ -18,10 +18,13 @@ the procedure that singles this form out.
 
 from __future__ import annotations
 
+import functools
+import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .biquaternion import Biquaternion, Frame
+from .biquaternion import DEFAULT_FRAME, Biquaternion, Frame, random_rational_biquaternion
 from .errors import DegenerateMass, NoConsistentConvention, OffShell
 from .exactlinalg import nullspace
 from .linops import RealLinearOp
@@ -177,10 +180,6 @@ class Field:
         return f
 
     @staticmethod
-    def monomial(q: Biquaternion, exps):
-        return Field.polynomial(Poly({tuple(exps): q}))
-
-    @staticmethod
     def trig(k, cos_coeff: Biquaternion, sin_coeff: Biquaternion):
         # a rational wave vector stays exact, like the scalars
         k = tuple(c if isinstance(c, float) else Fraction(c) for c in k)
@@ -333,7 +332,6 @@ class Field:
         return (self - other).is_zero(tol)
 
     def eval_float(self, point):
-        import math
         total = Biquaternion.scalar(0.0)
         t, x1, x2, x3 = (float(c) for c in point)
         for k, (pc, ps) in self.modes.items():
@@ -367,13 +365,26 @@ class NablaSpec:
 
     def units(self):
         """The four left-multiplier units (time, e1.., possibly i-weighted)."""
-        if self.i_on_time:
-            time = Biquaternion.scalar(-GR_I)
-            space = [e * self.space_sign for e in _E_UNITS]
-        else:
-            time = Biquaternion.one()
-            space = [e * (GR_I * self.space_sign) for e in _E_UNITS]
-        return [time] + space
+        return _units(self)
+
+
+# built once per spec: the gradients run hundreds of times per suite run,
+# always with one of the four candidate specs
+@functools.cache
+def _units(spec: NablaSpec):
+    if spec.i_on_time:
+        time = Biquaternion.scalar(-GR_I)
+        space = tuple(e * spec.space_sign for e in _E_UNITS)
+    else:
+        time = Biquaternion.one()
+        space = tuple(e * (GR_I * spec.space_sign) for e in _E_UNITS)
+    return (time,) + space
+
+
+@functools.cache
+def _bar_units(spec: NablaSpec):
+    """The conjugated units of nabla_bar."""
+    return tuple(u.bar() for u in _units(spec))
 
 
 FROZEN_NABLA = NablaSpec(i_on_time=True, space_sign=1)
@@ -392,8 +403,7 @@ def nabla(f: Field, spec: NablaSpec = FROZEN_NABLA) -> Field:
 
 
 def nabla_bar(f: Field, spec: NablaSpec = FROZEN_NABLA) -> Field:
-    units = [u.bar() for u in spec.units()]
-    return _apply_gradient(f, units)
+    return _apply_gradient(f, _bar_units(spec))
 
 
 def nabla_from_right(f: Field, spec: NablaSpec = FROZEN_NABLA) -> Field:
@@ -401,8 +411,7 @@ def nabla_from_right(f: Field, spec: NablaSpec = FROZEN_NABLA) -> Field:
 
 
 def nabla_bar_from_right(f: Field, spec: NablaSpec = FROZEN_NABLA) -> Field:
-    units = [u.bar() for u in spec.units()]
-    return _apply_gradient(f, units, from_right=True)
+    return _apply_gradient(f, _bar_units(spec), from_right=True)
 
 
 def box(f: Field) -> Field:
@@ -411,11 +420,6 @@ def box(f: Field) -> Field:
     for n in (1, 2, 3):
         out = out - f.dx(n).dx(n)
     return out
-
-
-def wedge(f: Field) -> Field:
-    """Vector part of a quaternion-valued field (drops the scalar part)."""
-    return f.vector_part()
 
 
 def four_vector_quaternion(v0, v):
@@ -481,7 +485,6 @@ def _symbol_is_four_vector(spec) -> bool:
 
 
 def _composes_to_minus_box(spec) -> bool:
-    import random
     rng = random.Random(20240)
     f = random_poly_field(rng, n_terms=4, max_deg=3)
     lhs = nabla(nabla_bar(f, spec), spec)
@@ -491,7 +494,7 @@ def _composes_to_minus_box(spec) -> bool:
 def _conserves_current(spec) -> bool:
     # a moving momentum is essential: in the rest frame every candidate
     # conserves the current trivially (cyclicity of the scalar part)
-    frame = _default_frame()
+    frame = DEFAULT_FRAME
     p0, p, m = Fraction(5), (Fraction(3), Fraction(0), Fraction(0)), Fraction(4)
     basis = _plane_wave_amplitudes_for_spec(spec, p0, p, m, frame)
     if len(basis) != 4:
@@ -504,16 +507,11 @@ def _conserves_current(spec) -> bool:
     return True
 
 
-def _default_frame():
-    from .biquaternion import DEFAULT_FRAME
-    return DEFAULT_FRAME
-
-
 def _dl_symbol_op_for_spec(spec, p0, p, m, frame) -> RealLinearOp:
     """Real-linear symbol of the free minimally-coupled equation on the
     amplitude of psi = X * exp(-nu*phi)."""
     def residual_amp(x):
-        psi = plane_wave_field(x, (p0,) + tuple(p), frame, spec=spec)
+        psi = plane_wave_field(x, (p0,) + tuple(p), frame)
         res = nabla_bar(psi, spec).rmul(frame.i_nu) - psi.star().scale(m)
         # the residual is again a single plane-wave mode; extract its cos part
         return _extract_mode_cos(res, (p0,) + tuple(p))
@@ -533,7 +531,7 @@ def _extract_mode_cos(f: Field, k):
 
 def _plane_wave_amplitudes_for_spec(spec, p0, p, m, frame):
     op = _dl_symbol_op_for_spec(spec, p0, p, m, frame)
-    basis = nullspace(op.matrix)
+    basis = nullspace(op.matrix.tolist())
     return [Biquaternion.from_real_coords(v) for v in basis]
 
 
@@ -562,10 +560,9 @@ class Momentum:
         return four_vector_quaternion(self.p0, self.p)
 
 
-def plane_wave_field(amplitude: Biquaternion, k, frame: Frame,
-                     spec: NablaSpec = FROZEN_NABLA) -> Field:
-    """The field amplitude * exp(-nu * phi) with phi = k0 t - k.x."""
-    del spec  # the ansatz itself is convention independent
+def plane_wave_field(amplitude: Biquaternion, k, frame: Frame) -> Field:
+    """The field amplitude * exp(-nu * phi) with phi = k0 t - k.x; the ansatz
+    is independent of the gradient convention."""
     zero = Biquaternion.zero()
     return Field.trig(k, amplitude, zero) - Field.trig(k, zero, amplitude * frame.nu)
 
@@ -577,7 +574,7 @@ def plane_wave_solutions(p: Momentum, frame: Frame):
         raise DegenerateMass("massive plane-wave construction requires m > 0")
     if not p.on_shell():
         op = _dl_symbol_op_for_spec(FROZEN_NABLA, p.p0, p.p, p.m, frame)
-        basis = nullspace(op.matrix)
+        basis = nullspace(op.matrix.tolist())
         if basis:
             raise OffShell("unexpected nontrivial nullspace off shell")
         raise OffShell("momentum is not on the mass shell")
@@ -683,10 +680,10 @@ def divergence_scalar(c: Field) -> Field:
 def proca_residual(a: Field, m):
     """Field bivector and second-order residual of the massive spin-1 system.
 
-    Returns (b, res) where b = wedge(nabla_bar(a)) and
+    Returns (b, res) where b is the vector part of nabla_bar(a) and
     res = (nabla(b) + reverse(b) nabla_from_right)/2 - m^2 a.
     """
-    b = wedge(nabla_bar(a))
+    b = nabla_bar(a).vector_part()
     res = (nabla(b) + nabla_from_right(b.reverse())).scale(_HALF) - a.scale(m * m)
     return b, res
 
@@ -696,7 +693,6 @@ def proca_residual(a: Field, m):
 
 def random_poly_field(rng, n_terms=4, max_deg=3, span=4):
     """Sparse random polynomial field with small rational coefficients."""
-    from .biquaternion import random_rational_biquaternion
     terms = {}
     for _ in range(n_terms):
         exps = tuple(rng.randint(0, max_deg) for _ in range(4))

@@ -4,22 +4,37 @@ Operators are stored as 8x8 real matrices over the basis
 (1, e1, e2, e3, i, ie1, ie2, ie3).  This uniform representation covers both
 complex-linear maps (left/right multiplications) and antilinear ones
 (anything involving component conjugation), which complex 4x4 matrices
-cannot express.  Entries are Fractions in exact mode or floats otherwise;
-an operator built from float data is float.
+cannot express.
+
+The matrix is a numpy array that follows the scalar backend rule: a
+``float64`` array when any entry is float, otherwise an ``object`` array of
+exact ``int``/``Fraction`` entries.  Exact with exact stays exact, and exact
+with float gives float, so composing an exact operator with a float one
+gives a float operator.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
+from scipy.linalg import expm
 
 from .biquaternion import Biquaternion, basis_elements
-from .scalars import GR_I
+from .scalars import GR_I, is_exact
 
 
 _BASIS_EXACT = basis_elements(exact=True)
 _BASIS_FLOAT = basis_elements(exact=False)
+_IS_EXACT = np.frompyfunc(is_exact, 1, 1)
+
+
+def _real_matrix(matrix):
+    """The matrix as float64 when any entry is float, else as an object
+    array of exact int/Fraction entries (never a fixed-width int array)."""
+    m = np.asarray(matrix)
+    if m.dtype == np.float64:
+        return m
+    m = m.astype(object)
+    return m if _IS_EXACT(m).all() else m.astype(float)
 
 
 class RealLinearOp:
@@ -28,7 +43,7 @@ class RealLinearOp:
     __slots__ = ("matrix", "label")
 
     def __init__(self, matrix, label=""):
-        self.matrix = [list(row) for row in matrix]
+        self.matrix = _real_matrix(matrix)
         self.label = label
 
     # -- constructors ---------------------------------------------------------
@@ -41,37 +56,30 @@ class RealLinearOp:
         (``basis_elements``); the float basis keeps float closures unmixed.
         """
         cols = [fn(b).real_coords() for b in basis]
-        matrix = [[cols[j][i] for j in range(8)] for i in range(8)]
-        return RealLinearOp(matrix, label)
+        return RealLinearOp(np.array(cols).T, label)
 
     @staticmethod
     def identity(label="id"):
-        one, zero = Fraction(1), Fraction(0)
-        return RealLinearOp([[one if i == j else zero for j in range(8)]
-                             for i in range(8)], label)
+        return RealLinearOp(np.eye(8, dtype=object), label)
 
     @staticmethod
     def zero():
-        return RealLinearOp([[Fraction(0)] * 8 for _ in range(8)], "0")
+        return RealLinearOp(np.zeros((8, 8), dtype=object), "0")
 
     # -- algebra ---------------------------------------------------------------
 
     def __add__(self, other):
-        return RealLinearOp(
-            [[a + b for a, b in zip(ra, rb)]
-             for ra, rb in zip(self.matrix, other.matrix)])
+        return RealLinearOp(self.matrix + other.matrix)
 
     def __sub__(self, other):
-        return RealLinearOp(
-            [[a - b for a, b in zip(ra, rb)]
-             for ra, rb in zip(self.matrix, other.matrix)])
+        return RealLinearOp(self.matrix - other.matrix)
 
     def __neg__(self):
-        return RealLinearOp([[-a for a in row] for row in self.matrix])
+        return RealLinearOp(-self.matrix)
 
     def scale(self, c):
         """Multiply by a real scalar."""
-        return RealLinearOp([[a * c for a in row] for row in self.matrix])
+        return RealLinearOp(self.matrix * c)
 
     def __mul__(self, c):
         return self.scale(c)
@@ -80,26 +88,10 @@ class RealLinearOp:
 
     def __matmul__(self, other):
         """Operator composition: (self @ other)(x) = self(other(x))."""
-        m, n = self.matrix, other.matrix
-        out = []
-        for i in range(8):
-            row = []
-            mi = m[i]
-            for j in range(8):
-                acc = mi[0] * n[0][j]
-                for k in range(1, 8):
-                    acc += mi[k] * n[k][j]
-                row.append(acc)
-            out.append(row)
-        return RealLinearOp(out)
+        return RealLinearOp(self.matrix @ other.matrix)
 
     def apply(self, q: Biquaternion) -> Biquaternion:
-        coords = q.real_coords()
-        out = []
-        for i in range(8):
-            acc = sum(self.matrix[i][k] * coords[k] for k in range(8))
-            out.append(acc)
-        return Biquaternion.from_real_coords(out)
+        return Biquaternion.from_real_coords(self.matrix @ np.array(q.real_coords()))
 
     def __call__(self, q: Biquaternion) -> Biquaternion:
         return self.apply(q)
@@ -107,21 +99,15 @@ class RealLinearOp:
     # -- comparisons ------------------------------------------------------------
 
     def max_abs_diff(self, other) -> float:
-        return max(
-            abs(float(a) - float(b))
-            for ra, rb in zip(self.matrix, other.matrix)
-            for a, b in zip(ra, rb)
-        )
+        return float(np.abs(self.to_numpy() - other.to_numpy()).max())
 
     def equal(self, other, tol=0.0) -> bool:
         if tol == 0.0:
-            return all(a == b
-                       for ra, rb in zip(self.matrix, other.matrix)
-                       for a, b in zip(ra, rb))
+            return bool((self.matrix == other.matrix).all())
         return self.max_abs_diff(other) <= tol
 
     def to_numpy(self):
-        return np.array([[float(a) for a in row] for row in self.matrix], dtype=float)
+        return self.matrix.astype(float)
 
     def norm(self):
         return float(np.linalg.norm(self.to_numpy()))
@@ -182,10 +168,6 @@ def mul_i_op():
     return RealLinearOp.from_function(lambda x: x * GR_I, "i*")
 
 
-def reverse_op():
-    return RealLinearOp.from_function(lambda x: x.reverse(), "rev")
-
-
 def commutes_with_i(op: RealLinearOp, tol=1e-12) -> bool:
     J = mul_i_op()
     return (op @ J).equal(J @ op, tol)
@@ -196,29 +178,7 @@ def anticommutes_with_i(op: RealLinearOp, tol=1e-12) -> bool:
     return ((op @ J) + (J @ op)).equal(RealLinearOp.zero(), tol)
 
 
-def op_equal(f: RealLinearOp, g: RealLinearOp, tol=0.0) -> bool:
-    """Entrywise equality, exact when tol == 0."""
-    return f.equal(g, tol)
-
-
 def op_exp(f: RealLinearOp) -> RealLinearOp:
-    """Matrix exponential by scaling-and-squaring with a truncated series.
-
-    The squaring count is chosen so the scaled norm is below 1/2, and the
-    series order 18 keeps the unit-inverse residual below 1e-12 for the
-    generator norms that appear in the rotation/boost suites.
-    """
-    m = f.to_numpy()
-    norm = np.linalg.norm(m, 1)
-    squarings = 0
-    if norm > 0.5:
-        squarings = int(np.ceil(np.log2(norm / 0.5)))
-        m = m / (2.0 ** squarings)
-    acc = np.eye(8)
-    term = np.eye(8)
-    for k in range(1, 19):
-        term = term @ m / k
-        acc = acc + term
-    for _ in range(squarings):
-        acc = acc @ acc
-    return RealLinearOp(acc.tolist(), label=f"exp({f.label})" if f.label else "exp")
+    """Matrix exponential by scipy's scaling-and-squaring Pade method
+    (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31 (2009) 970)."""
+    return RealLinearOp(expm(f.to_numpy()), label=f"exp({f.label})" if f.label else "exp")

@@ -33,7 +33,6 @@ from .fields import (
     nabla_bar,
     nabla_bar_from_right,
     plane_wave_field,
-    wedge,
 )
 from .scalars import GR_I, gr
 
@@ -149,8 +148,8 @@ def dual_tensor(ext: ExternalField):
     potential; dropping the scalar (gauge-divergence) parts is what makes
     the commutator identity below exact for arbitrary potentials.
     """
-    gl = wedge(nabla_bar(ext.phi))
-    gr_ = wedge(nabla_bar_from_right(ext.phi))
+    gl = nabla_bar(ext.phi).vector_part()
+    gr_ = nabla_bar_from_right(ext.phi).vector_part()
     half = gr(Fraction(1, 2))
 
     def apply(x):

@@ -163,19 +163,17 @@ def boost(s: SpinLabel, axis, rapidity, f: Frame) -> RealLinearOp:
     return op_exp(gen.scale(float(rapidity)))
 
 
-def closed_form_half_rotation(axis, theta, f: Frame, side="plus") -> RealLinearOp:
+def closed_form_half_rotation(axis, theta) -> RealLinearOp:
     """Left multiplication by exp(theta a / 2): the closed form the spin
     one-half exponential reduces to on its invariant subspace."""
-    f = _float_frame(f)
     ax = Biquaternion.vector(*(float(c) for c in axis))
     half = float(theta) / 2.0
     q = Biquaternion.scalar(complex(math.cos(half))) + ax * math.sin(half)
     return monomial(q, Biquaternion.scalar(1.0), "id", "closed-half")
 
 
-def closed_form_one_rotation(axis, theta, f: Frame) -> RealLinearOp:
+def closed_form_one_rotation(axis, theta) -> RealLinearOp:
     """Two-sided Olinde-Rodrigues form exp(theta a/2) [.] exp(-theta a/2)."""
-    f = _float_frame(f)
     ax = Biquaternion.vector(*(float(c) for c in axis))
     half = float(theta) / 2.0
     q = Biquaternion.scalar(complex(math.cos(half))) + ax * math.sin(half)
@@ -183,7 +181,7 @@ def closed_form_one_rotation(axis, theta, f: Frame) -> RealLinearOp:
     return monomial(q, qinv, "id", "closed-one")
 
 
-def closed_form_half_boost(axis, rapidity, f: Frame) -> RealLinearOp:
+def closed_form_half_boost(axis, rapidity) -> RealLinearOp:
     """Left multiplication by the bireal factor exp(i rho a / 2)."""
     ax = Biquaternion.vector(*(float(c) for c in axis))
     half = float(rapidity) / 2.0

@@ -9,6 +9,7 @@ from bqspin.biquaternion import (
     random_rational_biquaternion,
     random_rational_frame,
 )
+from bqspin import fields
 from bqspin.errors import OffShell
 from bqspin.fields import (
     ExternalField,
@@ -31,7 +32,6 @@ from bqspin.fields import (
     proca_residual,
     random_poly_field,
     select_nabla_convention,
-    wedge,
 )
 from bqspin.scalars import gr
 
@@ -108,6 +108,26 @@ def test_rejected_convention_dalambertian_sign():
     assert (nabla(nabla_bar(f, bad), bad) - box(f)).is_zero()
     good = FROZEN_NABLA
     assert (nabla(nabla_bar(f, good), good) + box(f)).is_zero()
+
+
+def test_nabla_units_are_built_once_per_spec():
+    i = gr(0, 1)
+    e = [Biquaternion.vector(1, 0, 0), Biquaternion.vector(0, 1, 0),
+         Biquaternion.vector(0, 0, 1)]
+    fresh = {
+        NablaSpec(True, 1): (Biquaternion.scalar(-i), *e),
+        NablaSpec(True, -1): (Biquaternion.scalar(-i), *(-u for u in e)),
+        NablaSpec(False, 1): (Biquaternion.one(), *(u * i for u in e)),
+        NablaSpec(False, -1): (Biquaternion.one(), *(u * -i for u in e)),
+    }
+    for spec, want in fresh.items():
+        units = spec.units()
+        assert isinstance(units, tuple)
+        assert units == want
+        assert NablaSpec(spec.i_on_time, spec.space_sign).units() is units
+        bar_units = fields._bar_units(spec)
+        assert bar_units == tuple(u.bar() for u in want)
+        assert fields._bar_units(spec) is bar_units
 
 
 def test_klein_gordon_on_shell():
@@ -221,8 +241,8 @@ def test_reverse_wedge_law():
     rng = random.Random(39)
     f = random_poly_field(rng)
     a = f + f.plus()  # bireal-valued (four-vector) field
-    left = wedge(nabla_bar(a))
-    right = wedge(nabla_bar_from_right(a))
+    left = nabla_bar(a).vector_part()
+    right = nabla_bar_from_right(a).vector_part()
     assert left.reverse().equal(right)
 
 

@@ -72,6 +72,47 @@ def test_expected_rejection_lets_other_errors_through(monkeypatch):
         run("rs.g1_chain", seed=0)
 
 
+# fake lorentz reports: every quantity a suite bounds is the given violation
+def _fake_invariance(violation):
+    def report(*args, seed, tol):
+        within = violation <= tol
+        if args[-1] == "rotation":
+            return {"minkowski_invariant": within, "unitary_invariant": within,
+                    "max_violation": violation, "minkowski_violation": violation,
+                    "unitary_violation": violation}
+        return {"minkowski_invariant": within, "unitary_invariant": False,
+                "max_violation": 0.5, "minkowski_violation": violation,
+                "unitary_violation": 0.5}
+    return report
+
+
+_ROW_DIMS = {"zero": (4, 2), "half_plus": (4, 4), "half_minus": (4, 4),
+             "one": (4, 6), "three_half_L": (8, 8)}
+
+
+def _fake_closure(violation):
+    def closure(row, f, seed):
+        dim_a, dim_b = _ROW_DIMS[row]
+        return {"closed": violation <= 1e-9, "max_residual": violation,
+                "real_dim_A": dim_a, "real_dim_B": dim_b}
+    return closure
+
+
+@pytest.mark.parametrize("suite_id,report,fake", [
+    ("products.low_spin_matrix", "invariance_report", _fake_invariance),
+    ("products.l32_matrix", "l32_invariance_report", _fake_invariance),
+    ("lorentz.subspaces", "subspace_closure", _fake_closure),
+    ("l32.nu_rotation_closure", "rotation_closure", lambda v: lambda seed: v),
+])
+def test_float_suites_report_the_measured_residual(monkeypatch, suite_id, report, fake):
+    tol = harness._REGISTRY[suite_id].tol
+    for violation, status in ((tol / 4, "pass"), (tol * 4, "fail")):
+        monkeypatch.setattr(harness.lor, report, fake(violation))
+        (row,) = run(suite_id, seed=0)
+        assert row.status == status
+        assert row.max_residual == violation
+
+
 def test_results_pass_for_fast_suites():
     results = run(FAST_GLOB, seed=3)
     assert all_passed(results)

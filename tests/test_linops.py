@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 
@@ -17,7 +18,6 @@ from bqspin.linops import (
     left_mul,
     monomial,
     mul_i_op,
-    op_equal,
     op_exp,
     right_mul,
 )
@@ -29,7 +29,7 @@ ONE = Biquaternion.one()
 
 def test_monomial_identity():
     ident = monomial(ONE, ONE, "id")
-    assert op_equal(ident, RealLinearOp.identity(), tol=0.0)
+    assert ident.equal(RealLinearOp.identity(), tol=0.0)
 
 
 def test_monomial_matches_direct_product():
@@ -73,11 +73,11 @@ def test_composition_and_fusion():
     c = random_rational_biquaternion(rng)
     fused = monomial(a, c, "id")
     composed = left_mul(a) @ right_mul(c)
-    assert op_equal(fused, composed, tol=0.0)
+    assert fused.equal(composed, tol=0.0)
     ident = RealLinearOp.identity()
-    assert op_equal(fused @ ident, fused, tol=0.0)
+    assert (fused @ ident).equal(fused, tol=0.0)
     star = conj_op("star")
-    assert op_equal(star @ star, ident, tol=0.0)
+    assert (star @ star).equal(ident, tol=0.0)
 
 
 def test_compose_is_pointwise_composition():
@@ -92,20 +92,20 @@ def test_compose_is_pointwise_composition():
 def test_op_equal_tolerance():
     j3_fixture = monomial(DEFAULT_FRAME.nu * gr(0, 1), DEFAULT_FRAME.sigma, "id")
     again = monomial(DEFAULT_FRAME.nu * gr(0, 1), DEFAULT_FRAME.sigma, "id")
-    assert op_equal(j3_fixture, again, tol=0.0)
+    assert j3_fixture.equal(again, tol=0.0)
     other = monomial(DEFAULT_FRAME.tau, DEFAULT_FRAME.sigma, "id")
-    assert not op_equal(j3_fixture, other, tol=1e-9)
+    assert not j3_fixture.equal(other, tol=1e-9)
 
 
 def test_op_exp_zero_and_inverse():
     zero = RealLinearOp.zero()
-    assert op_equal(op_exp(zero), RealLinearOp.identity(), tol=1e-15)
+    assert op_exp(zero).equal(RealLinearOp.identity(), tol=1e-15)
     rng = random.Random(16)
     for _ in range(10):
         m = RealLinearOp((np.array([[rng.uniform(-1.5, 1.5) for _ in range(8)]
                                     for _ in range(8)])).tolist())
         prod = op_exp(m) @ op_exp(m.scale(-1.0))
-        assert op_equal(prod, RealLinearOp.identity(), tol=1e-12)
+        assert prod.equal(RealLinearOp.identity(), tol=1e-12)
 
 
 def test_op_exp_matches_rodrigues_closed_form():
@@ -121,9 +121,44 @@ def test_op_exp_matches_rodrigues_closed_form():
         closed = left_mul(
             Biquaternion.scalar(complex(math.cos(theta / 2))) + a * math.sin(theta / 2)
         )
-        assert op_equal(op_exp(gen), closed, tol=1e-12)
+        assert op_exp(gen).equal(closed, tol=1e-12)
 
 
 def test_mul_i_op_square():
     J = mul_i_op()
-    assert op_equal(J @ J, RealLinearOp.identity().scale(-1), tol=0.0)
+    assert (J @ J).equal(RealLinearOp.identity().scale(-1), tol=0.0)
+
+
+def _assert_exact_op(op):
+    assert op.matrix.dtype == object
+    assert all(type(x) in (int, Fraction) for x in op.matrix.flat)
+
+
+def test_exact_operators_are_object_arrays_of_rationals():
+    rng = random.Random(19)
+    a, b = random_rational_biquaternion(rng), random_rational_biquaternion(rng)
+    ident, zero, star, J = (RealLinearOp.identity(), RealLinearOp.zero(),
+                            conj_op("star"), mul_i_op())
+    f = monomial(a, b, "plus")
+    for op in (ident, zero, star, J, f, J @ f, f + star, f - ident, -f,
+               f.scale(Fraction(2, 3)), ident @ zero):
+        _assert_exact_op(op)
+
+
+def test_any_float_entry_gives_a_float64_operator():
+    rng = random.Random(20)
+    exact = monomial(random_rational_biquaternion(rng), ONE, "star")
+    flt = left_mul(Biquaternion.scalar(0.5j))
+    rows = [[Fraction(k - j, 3) for k in range(8)] for j in range(8)]
+    rows[2][5] = 0.25
+    for op in (RealLinearOp(rows), flt, exact @ flt, flt @ exact, exact + flt,
+               exact.scale(0.5), op_exp(exact), op_exp(RealLinearOp.zero())):
+        assert op.matrix.dtype == np.float64
+
+
+def test_integer_matrices_stay_exact():
+    # numpy builds int64 from Python ints; an operator never keeps it
+    for data in ([[1] * 8 for _ in range(8)], np.eye(8, dtype=np.int64)):
+        op = RealLinearOp(data)
+        _assert_exact_op(op)
+        _assert_exact_op(op @ op.scale(Fraction(1, 2)))

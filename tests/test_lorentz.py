@@ -10,7 +10,6 @@ from bqspin.biquaternion import (
     unitary_product,
 )
 from bqspin.errors import InvalidAxis
-from bqspin.linops import op_equal
 from bqspin.lorentz import (
     ROWS,
     act,
@@ -100,7 +99,7 @@ def test_actions_are_group_actions(row):
         for role in ("A", "B"):
             lhs = action_op(row, role, L1, f) @ action_op(row, role, L2, f)
             rhs = action_op(row, role, L12, f)
-            assert op_equal(lhs, rhs, tol=1e-11), (row, role)
+            assert lhs.equal(rhs, tol=1e-11), (row, role)
 
 
 def test_spinor_action_agrees_with_rotation_rep_on_subspace():
@@ -180,7 +179,7 @@ def test_l32_invariance_matrix():
 def test_l32_identity():
     ident = make_lorentz((0, 0, 1), 0.0, (0, 0, 1), 0.0)
     from bqspin.linops import RealLinearOp
-    assert op_equal(l32_action(ident), RealLinearOp.identity(), tol=1e-14)
+    assert l32_action(ident).equal(RealLinearOp.identity(), tol=1e-14)
 
 
 def test_l32_matches_rep_for_nu_rotations():
@@ -192,7 +191,7 @@ def test_l32_matches_rep_for_nu_rotations():
         theta = rng.uniform(-math.pi, math.pi)
         L = make_lorentz((0, 0, 1), theta, (0, 0, 1), 0.0)
         rep = rotate(SpinLabel.THREE_HALF, (0, 0, 1), theta, f)
-        assert op_equal(l32_action(L), rep, tol=1e-11)
+        assert l32_action(L).equal(rep, tol=1e-11)
     # eigenstates pick up the phases exp(-i m theta)
     theta = 0.9
     L = make_lorentz((0, 0, 1), theta, (0, 0, 1), 0.0)
@@ -223,7 +222,7 @@ def test_exponential_rep_and_l32_differ_off_axis():
     theta = 0.8
     L = make_lorentz(axis, theta, axis, 0.0)
     rep = rotate(SpinLabel.THREE_HALF, axis, theta, DEFAULT_FRAME)
-    assert not op_equal(l32_action(L), rep, tol=1e-3)
+    assert not l32_action(L).equal(rep, tol=1e-3)
 
 
 def test_half_minus_action_agrees_with_rotation_rep_on_subspace():
