@@ -18,7 +18,7 @@ import json, sys
 sys.path[:0] = [{perfbench!r}, {src!r}]
 import worker
 from bqspin import cli, harness
-rnd, tracer, peak, missing = worker.traced_round(harness, cli, [], 0)
+missing = worker.traced_round(harness, cli, [], 0)[-1]
 print(json.dumps({{"counted": sum(len(v) for v in worker.COUNTERS.values()),
                   "missing": missing}}))
 """
