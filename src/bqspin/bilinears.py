@@ -30,16 +30,23 @@ class CovariantSet:
 def covariants(a: Field, b: Field) -> CovariantSet:
     ap = a.plus()
     bp = b.plus()
-    ab_bar = a * b.bar()
+    b_bar = b.bar()
+    a_ap = a * ap
+    b_bp_bar = (b * bp).bar()
+    a_bp = a * bp
+    a_a_bar = a * a.bar()
+    b_b_bar = b * b_bar
+    ab_bar = a * b_bar
+    ab_bar_plus = ab_bar.plus()
     return CovariantSet(
-        polar=a * ap + (b * bp).bar(),
-        axial=a * ap - (b * bp).bar(),
-        six=(a * bp) - (a * bp).bar(),
+        polar=a_ap + b_bp_bar,
+        axial=a_ap - b_bp_bar,
+        six=a_bp - a_bp.bar(),
         inv=(ap * b).scalar_part(),
-        s_p=(a * a.bar() + b * b.bar()).scalar_part(),
-        s_a=(a * a.bar() - b * b.bar()).scalar_part(),
-        v_p=ab_bar + ab_bar.plus(),
-        v_a=ab_bar - ab_bar.plus(),
+        s_p=(a_a_bar + b_b_bar).scalar_part(),
+        s_a=(a_a_bar - b_b_bar).scalar_part(),
+        v_p=ab_bar + ab_bar_plus,
+        v_a=ab_bar - ab_bar_plus,
     )
 
 

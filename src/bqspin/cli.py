@@ -62,7 +62,8 @@ def main(argv=None):
     parser.add_argument("--backend", choices=("exact", "float"), default=None,
                         help="restrict to the suites of one backend")
     parser.add_argument("--tol", type=float, default=None,
-                        help="override every suite tolerance")
+                        help="override the identity-suite tolerances "
+                             "(witness margins stay fixed)")
     parser.add_argument("--format", choices=("json", "md"), default="md")
     parser.add_argument("--out", default=None, help="write the report to a file")
     parser.add_argument("--list", action="store_true", help="list suite ids and exit")

@@ -25,9 +25,15 @@ from .biquaternion import (
     minkowski_product,
     unitary_product,
 )
-from .errors import InvalidAxis
 from .linops import RealLinearOp, monomial
-from .spin import SpinLabel, boost as spin_boost, rotate as spin_rotate, subspace_basis
+from .spin import (
+    SpinLabel,
+    boost as spin_boost,
+    boost_factor,
+    rotate as spin_rotate,
+    rotation_factor,
+    subspace_basis,
+)
 
 _ONE = Biquaternion.scalar(1.0)
 
@@ -39,30 +45,6 @@ class LorentzElement:
     l: Biquaternion
     boost_part: Biquaternion
     rotation_part: Biquaternion
-
-
-def _unit_axis(axis):
-    v = [float(c) for c in axis]
-    n = math.sqrt(sum(c * c for c in v))
-    if abs(n - 1.0) > 1e-9:
-        raise InvalidAxis("axis must be a unit 3-vector")
-    return v
-
-
-def rotation_factor(axis, angle) -> Biquaternion:
-    """exp(angle a / 2): a real unit quaternion."""
-    v = _unit_axis(axis)
-    half = float(angle) / 2.0
-    return (Biquaternion.scalar(complex(math.cos(half)))
-            + Biquaternion.vector(*v) * math.sin(half))
-
-
-def boost_factor(axis, rapidity) -> Biquaternion:
-    """exp(i rho b / 2): a bireal unit-norm factor."""
-    v = _unit_axis(axis)
-    half = float(rapidity) / 2.0
-    return (Biquaternion.scalar(complex(math.cosh(half)))
-            + Biquaternion.vector(*v) * (1j * math.sinh(half)))
 
 
 def make_lorentz(rot_axis, rot_angle, boost_axis, rapidity) -> LorentzElement:

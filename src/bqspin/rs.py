@@ -19,8 +19,10 @@ the rational backend; the tests double as the committed derivation chain.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .biquaternion import Biquaternion, Frame
 from .errors import DegenerateMass, OffShell
@@ -37,18 +39,22 @@ from .fields import (
 from .scalars import GR_I, gr
 
 
+@functools.cache
 def eps_units():
-    """The bireal unit 4-tuples: lower, upper, and their bar partners."""
+    """The bireal unit 4-tuples: lower, upper, and their bar partners.
+
+    Built once; the mapping is read-only and every entry is a tuple.
+    """
     one = Biquaternion.one()
-    ie = [Biquaternion.vector(*v) * GR_I for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    lower = [one] + ie
-    upper = [one] + [-u for u in ie]
-    return {
+    ie = tuple(Biquaternion.vector(*v) * GR_I for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    lower = (one,) + ie
+    upper = (one,) + tuple(-u for u in ie)
+    return MappingProxyType({
         "lower": lower,
         "upper": upper,
-        "bar_lower": [u.bar() for u in lower],
-        "bar_upper": [u.bar() for u in upper],
-    }
+        "bar_lower": tuple(u.bar() for u in lower),
+        "bar_upper": tuple(u.bar() for u in upper),
+    })
 
 
 ETA = (1, -1, -1, -1)
@@ -56,10 +62,6 @@ ETA = (1, -1, -1, -1)
 
 def _d_lower(f: Field, mu: int) -> Field:
     return f.dt() if mu == 0 else -f.dx(mu)
-
-
-def _d_upper(f: Field, mu: int) -> Field:
-    return f.dt() if mu == 0 else f.dx(mu)
 
 
 @dataclass(frozen=True)
@@ -72,7 +74,6 @@ class RSContext:
 
     def __post_init__(self):
         object.__setattr__(self, "_phi_comps", self.ext.component_fields())
-        object.__setattr__(self, "_eps", eps_units())
 
     @property
     def nu(self):
@@ -97,16 +98,18 @@ class RSContext:
     def pibar_star(self, x: Field) -> Field:
         return self.pibar(x.star()).star()
 
-    def eps(self, kind: str):
-        return self._eps[kind]
+    def dirac(self, x: Field) -> Field:
+        """The spinor operator D(x) = Pibar(x) - m x*."""
+        return self.pibar(x) - x.star().scale(self.m)
 
+    def algebraic(self, psi) -> Field:
+        """The algebraic contraction u = eps_bar^lam psi_lam."""
+        ebu = eps_units()["bar_upper"]
+        return _sum_fields(psi[lam].lmul(ebu[lam]) for lam in range(4))
 
-def pi_mu(mu: int, ext: ExternalField, frame: Frame, upper=False):
-    """The mu-th component operator as a standalone Field -> Field map."""
-    ctx = RSContext(ext, None, frame)
-    if upper:
-        return lambda x: ctx.pi_upper(mu, x)
-    return lambda x: ctx.pi_lower(mu, x)
+    def differential(self, psi) -> Field:
+        """The differential contraction w3 = pi^lam psi_lam."""
+        return _sum_fields(self.pi_upper(lam, psi[lam]) for lam in range(4))
 
 
 # -- the free constrained system ---------------------------------------------------
@@ -115,14 +118,10 @@ def pi_mu(mu: int, ext: ExternalField, frame: Frame, upper=False):
 def rs_free_system(psi, ext: ExternalField, m, frame: Frame):
     """Residuals of the spinor equations plus the two constraints."""
     ctx = RSContext(ext, m, frame)
-    eq = [ctx.pibar(psi[mu]) - psi[mu].star().scale(m) for mu in range(4)]
-    ebu = ctx.eps("bar_upper")
-    algebraic = _sum_fields(psi[mu].lmul(ebu[mu]) for mu in range(4))
-    differential = _sum_fields(ctx.pi_upper(mu, psi[mu]) for mu in range(4))
     return {
-        "eq_residuals": eq,
-        "algebraic_constraint": algebraic,
-        "differential_constraint": differential,
+        "eq_residuals": [ctx.dirac(p) for p in psi],
+        "algebraic_constraint": ctx.algebraic(psi),
+        "differential_constraint": ctx.differential(psi),
     }
 
 
@@ -165,24 +164,23 @@ def commutator_identity(ext: ExternalField, frame: Frame, fields, m=Fraction(1))
     supplied sample fields, per index; exact zero in the rational backend."""
     ctx = RSContext(ext, m, frame)
     phi_map = dual_tensor(ext)
-    ebu = ctx.eps("bar_upper")
+    curvature = [phi_map(u) for u in eps_units()["bar_upper"]]
     worst = 0.0
     for x in fields:
+        pibar_x = ctx.pibar(x)
         for mu in range(4):
-            lhs = ctx.pi_upper(mu, ctx.pibar(x)) - ctx.pibar(ctx.pi_upper(mu, x))
-            rhs = (phi_map(ebu[mu]) * x).rmul(frame.i_nu).scale(ext.e)
+            lhs = ctx.pi_upper(mu, pibar_x) - ctx.pibar(ctx.pi_upper(mu, x))
+            rhs = (curvature[mu] * x).rmul(frame.i_nu).scale(ext.e)
             worst = max(worst, (lhs - rhs).max_abs())
     return worst
 
 
 def extra_constraint(psi, ext: ExternalField, m, frame: Frame) -> Field:
     """The field whose vanishing the coupled system forces on solutions."""
-    ctx = RSContext(ext, m, frame)
     phi_map = dual_tensor(ext)
-    ebu = ctx.eps("bar_upper")
-    total = _sum_fields((phi_map(ebu[mu]) * psi[mu]).rmul(frame.i_nu)
-                        for mu in range(4))
-    return total
+    ebu = eps_units()["bar_upper"]
+    return _sum_fields((phi_map(ebu[mu]) * psi[mu]).rmul(frame.i_nu)
+                       for mu in range(4))
 
 
 def extra_constraint_derivation_residual(psi, ext: ExternalField, m, frame: Frame):
@@ -193,11 +191,8 @@ def extra_constraint_derivation_residual(psi, ext: ExternalField, m, frame: Fram
     e times the extra-constraint field.  Returns the residual field.
     """
     ctx = RSContext(ext, m, frame)
-    lhs = _sum_fields(
-        ctx.pi_upper(mu, ctx.pibar(psi[mu]) - psi[mu].star().scale(m))
-        for mu in range(4))
-    w3 = _sum_fields(ctx.pi_upper(mu, psi[mu]) for mu in range(4))
-    rhs = (ctx.pibar(w3) - w3.star().scale(m)
+    lhs = ctx.differential([ctx.dirac(p) for p in psi])
+    rhs = (ctx.dirac(ctx.differential(psi))
            + extra_constraint(psi, ext, m, frame).scale(ext.e))
     return lhs - rhs
 
@@ -215,29 +210,23 @@ class CoupledSystem:
     def rows(self, psi):
         ctx = self.ctx
         g = self.g
-        m = ctx.m
-        ebl = ctx.eps("bar_lower")
-        ebu = ctx.eps("bar_upper")
-        u = _sum_fields(psi[lam].lmul(ebu[lam]) for lam in range(4))
-        w3 = _sum_fields(ctx.pi_upper(lam, psi[lam]) for lam in range(4))
-        head = ctx.pibar_star(u) + u.star().scale(m)
-        out = []
-        for mu in range(4):
-            row = (ctx.pibar(psi[mu]) - psi[mu].star().scale(m)
-                   - (w3.lmul(ebl[mu]) + ctx.pi_lower(mu, u)).scale(g)
-                   + head.lmul(ebl[mu]).scale(g))
-            out.append(row)
-        return out
+        ebl = eps_units()["bar_lower"]
+        u = ctx.algebraic(psi)
+        w3 = ctx.differential(psi)
+        head = ctx.pibar_star(u) + u.star().scale(ctx.m)
+        return [ctx.dirac(psi[mu])
+                - (w3.lmul(ebl[mu]) + ctx.pi_lower(mu, u)).scale(g)
+                + head.lmul(ebl[mu]).scale(g)
+                for mu in range(4)]
 
 
 def coupled_equation(g, ext: ExternalField, m, frame: Frame) -> CoupledSystem:
     return CoupledSystem(g=g, ctx=RSContext(ext, m, frame))
 
 
-def eps_contraction(system: CoupledSystem, psi) -> Field:
+def eps_contraction(rows) -> Field:
     """sum_mu eps^mu times the mu-th row."""
-    eu = system.ctx.eps("upper")
-    rows = system.rows(psi)
+    eu = eps_units()["upper"]
     return _sum_fields(rows[mu].lmul(eu[mu]) for mu in range(4))
 
 
@@ -246,19 +235,15 @@ def eps_contraction_closed_form(system: CoupledSystem, psi) -> Field:
     + (3g-1) Pibar_star(eps_bar^lam psi_lam)."""
     ctx = system.ctx
     g = system.g
-    m = ctx.m
-    ebu = ctx.eps("bar_upper")
-    u = _sum_fields(psi[lam].lmul(ebu[lam]) for lam in range(4))
-    w3 = _sum_fields(ctx.pi_upper(lam, psi[lam]) for lam in range(4))
-    return (u.star().scale(m * (4 * g - 1))
-            - w3.scale(2 * (2 * g - 1))
+    u = ctx.algebraic(psi)
+    return (u.star().scale(ctx.m * (4 * g - 1))
+            - ctx.differential(psi).scale(2 * (2 * g - 1))
             + ctx.pibar_star(u).scale(3 * g - 1))
 
 
-def pi_contraction(system: CoupledSystem, psi) -> Field:
+def pi_contraction(ctx: RSContext, rows) -> Field:
     """sum_mu pi^mu applied to the mu-th row."""
-    rows = system.rows(psi)
-    return _sum_fields(system.ctx.pi_upper(mu, rows[mu]) for mu in range(4))
+    return ctx.differential(rows)
 
 
 def pi_contraction_closed_form(system: CoupledSystem, psi) -> Field:
@@ -269,16 +254,14 @@ def pi_contraction_closed_form(system: CoupledSystem, psi) -> Field:
     ctx = system.ctx
     g = system.g
     m = ctx.m
-    eu = ctx.eps("upper")
-    ebu = ctx.eps("bar_upper")
-    u = _sum_fields(psi[lam].lmul(ebu[lam]) for lam in range(4))
+    eu = eps_units()["upper"]
     first = _sum_fields(
         (ctx.pibar(psi[lam].star().lmul(eu[lam])).scale(g)
          - ctx.pi_upper(lam, psi[lam].star())).scale(m)
         + ctx.pi_upper(lam, ctx.pibar(psi[lam]))
         - ctx.pibar(ctx.pi_upper(lam, psi[lam])).scale(g)
         for lam in range(4))
-    return first - second_order_defect(ctx, u).scale(g)
+    return first - second_order_defect(ctx, ctx.algebraic(psi)).scale(g)
 
 
 def second_order_defect(ctx: RSContext, x: Field) -> Field:
@@ -295,8 +278,9 @@ def contraction_chain(g, ext: ExternalField, m, frame: Frame, sample_fields):
     worst_eps = 0.0
     worst_pi = 0.0
     for psi in sample_fields:
-        d1 = eps_contraction(system, psi) - eps_contraction_closed_form(system, psi)
-        d2 = pi_contraction(system, psi) - pi_contraction_closed_form(system, psi)
+        rows = system.rows(psi)
+        d1 = eps_contraction(rows) - eps_contraction_closed_form(system, psi)
+        d2 = pi_contraction(system.ctx, rows) - pi_contraction_closed_form(system, psi)
         worst_eps = max(worst_eps, d1.max_abs())
         worst_pi = max(worst_pi, d2.max_abs())
     return {"eps_residual": worst_eps, "pi_residual": worst_pi}
@@ -315,24 +299,30 @@ def g1_chain(ext: ExternalField, m, frame: Frame, sample_fields):
     if not bool(m):
         raise DegenerateMass("the reduction chain requires m != 0")
     ctx = RSContext(ext, m, frame)
-    system = coupled_equation(Fraction(1), ext, m, frame)
-    eu = ctx.eps("upper")
-    ebu = ctx.eps("bar_upper")
+    system = CoupledSystem(g=Fraction(1), ctx=ctx)
+    eu = eps_units()["upper"]
+    ebl = eps_units()["bar_lower"]
     e = ext.e
+    coeff = 2 * e / (3 * m * m)
     out = {k: 0.0 for k in
            ("e27_is_eps_contraction", "e28_is_pi_contraction", "e29_conjugation",
             "e30_secondary", "e31_secondary", "e32_equation_of_motion")}
 
     for psi in sample_fields:
-        u = _sum_fields(psi[lam].lmul(ebu[lam]) for lam in range(4))
-        w3 = _sum_fields(ctx.pi_upper(lam, psi[lam]) for lam in range(4))
+        u = ctx.algebraic(psi)
+        w3 = ctx.differential(psi)
         w23 = extra_constraint(psi, ext, m, frame)
+        rows = system.rows(psi)
+        pibar_star_u = ctx.pibar_star(u)
+        # the curvature source of the secondary constraints (30)-(32)
+        cw23 = w23.scale(coeff)
+        cw23_star = cw23.star()
 
         # (27): the eps contraction at g = 1
-        e27 = (u.star().scale(3 * m) - w3.scale(2) + ctx.pibar_star(u).scale(2))
+        e27 = u.star().scale(3 * m) - w3.scale(2) + pibar_star_u.scale(2)
         out["e27_is_eps_contraction"] = max(
             out["e27_is_eps_contraction"],
-            (eps_contraction(system, psi) - e27).max_abs())
+            (eps_contraction(rows) - e27).max_abs())
 
         # (28): the pi contraction at g = 1 (with curvature correction)
         e28 = _sum_fields(
@@ -343,42 +333,36 @@ def g1_chain(ext: ExternalField, m, frame: Frame, sample_fields):
             for lam in range(4))
         out["e28_is_pi_contraction"] = max(
             out["e28_is_pi_contraction"],
-            (pi_contraction(system, psi)
+            (pi_contraction(ctx, rows)
              - (e28 - second_order_defect(ctx, u))).max_abs())
 
         # (29): complex conjugation of (28) after inserting the commutator;
         # the pointwise star already negates the trailing i nu factor, so the
         # curvature term enters with a plus sign in this representation
-        e29 = (_sum_fields(ctx.pibar_star(psi[lam].lmul(ebu[lam]))
-                           for lam in range(4)).scale(m)
-               - w3.scale(m)
-               + w23.star().scale(e))
+        e29 = pibar_star_u.scale(m) - w3.scale(m) + w23.star().scale(e)
         out["e29_conjugation"] = max(
             out["e29_conjugation"], (e29 - e28.star()).max_abs())
 
         # (30): the algebraic contraction in terms of the curvature field
-        coeff = 2 * e / (3 * m * m)
-        e30 = u - w23.scale(coeff)
+        e30 = u - cw23
         combo = (e27 - e29.scale(Fraction(2) / m)).scale(Fraction(1) / (3 * m))
         out["e30_secondary"] = max(
             out["e30_secondary"], (e30 - combo.star()).max_abs())
 
         # (31): the differential contraction in terms of the curvature field
-        e31 = w3 - (ctx.pibar_star(w23.scale(coeff))
-                    + w23.scale(coeff).star().scale(m * Fraction(3, 2)))
-        combo31 = ctx.pibar_star(e30) - e29.scale(Fraction(1) / m)
+        pibar_star_e30 = ctx.pibar_star(e30)
+        e31 = w3 - (ctx.pibar_star(cw23) + cw23_star.scale(m * Fraction(3, 2)))
+        combo31 = pibar_star_e30 - e29.scale(Fraction(1) / m)
         out["e31_secondary"] = max(
             out["e31_secondary"], (e31 - combo31).max_abs())
 
         # (32): the equation of motion row by row
-        rows = system.rows(psi)
-        ebl = ctx.eps("bar_lower")
         for mu in range(4):
-            e32 = (ctx.pibar(psi[mu]) - psi[mu].star().scale(m)
-                   - ctx.pi_lower(mu, w23.scale(coeff))
-                   - w23.scale(coeff).star().lmul(ebl[mu]).scale(m * Fraction(1, 2)))
+            e32 = (ctx.dirac(psi[mu])
+                   - ctx.pi_lower(mu, cw23)
+                   - cw23_star.lmul(ebl[mu]).scale(m * Fraction(1, 2)))
             combo32 = (rows[mu] + e31.lmul(ebl[mu]) + ctx.pi_lower(mu, e30)
-                       - ctx.pibar_star(e30).lmul(ebl[mu])
+                       - pibar_star_e30.lmul(ebl[mu])
                        - e30.star().lmul(ebl[mu]).scale(m))
             out["e32_equation_of_motion"] = max(
                 out["e32_equation_of_motion"], (e32 - combo32).max_abs())

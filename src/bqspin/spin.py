@@ -131,12 +131,33 @@ def subspace_basis(s: SpinLabel, f: Frame):
     return out
 
 
+def _unit_axis(axis):
+    v = [float(c) for c in axis]
+    n = math.sqrt(sum(c * c for c in v))
+    if abs(n - 1.0) > 1e-9:
+        raise InvalidAxis("axis must be a unit 3-vector")
+    return v
+
+
+def rotation_factor(axis, angle) -> Biquaternion:
+    """exp(angle a / 2): a real unit quaternion."""
+    v = _unit_axis(axis)
+    half = float(angle) / 2.0
+    return (Biquaternion.scalar(complex(math.cos(half)))
+            + Biquaternion.vector(*v) * math.sin(half))
+
+
+def boost_factor(axis, rapidity) -> Biquaternion:
+    """exp(i rho b / 2): a bireal unit-norm factor."""
+    v = _unit_axis(axis)
+    half = float(rapidity) / 2.0
+    return (Biquaternion.scalar(complex(math.cosh(half)))
+            + Biquaternion.vector(*v) * (1j * math.sinh(half)))
+
+
 def axis_projections(axis, f: Frame):
     """Projections of a unit axis on the ordered triad (tau nu, tau, nu)."""
-    ax = [float(c) for c in axis]
-    n = math.sqrt(sum(c * c for c in ax))
-    if abs(n - 1.0) > 1e-9:
-        raise InvalidAxis("rotation/boost axis must be a unit 3-vector")
+    ax = _unit_axis(axis)
     f = _float_frame(f)
     tn = f.tau * f.nu
     triad = [tn, f.tau, f.nu]
@@ -166,24 +187,17 @@ def boost(s: SpinLabel, axis, rapidity, f: Frame) -> RealLinearOp:
 def closed_form_half_rotation(axis, theta) -> RealLinearOp:
     """Left multiplication by exp(theta a / 2): the closed form the spin
     one-half exponential reduces to on its invariant subspace."""
-    ax = Biquaternion.vector(*(float(c) for c in axis))
-    half = float(theta) / 2.0
-    q = Biquaternion.scalar(complex(math.cos(half))) + ax * math.sin(half)
-    return monomial(q, Biquaternion.scalar(1.0), "id", "closed-half")
+    return monomial(rotation_factor(axis, theta), Biquaternion.scalar(1.0), "id",
+                    "closed-half")
 
 
 def closed_form_one_rotation(axis, theta) -> RealLinearOp:
     """Two-sided Olinde-Rodrigues form exp(theta a/2) [.] exp(-theta a/2)."""
-    ax = Biquaternion.vector(*(float(c) for c in axis))
-    half = float(theta) / 2.0
-    q = Biquaternion.scalar(complex(math.cos(half))) + ax * math.sin(half)
-    qinv = Biquaternion.scalar(complex(math.cos(half))) - ax * math.sin(half)
-    return monomial(q, qinv, "id", "closed-one")
+    return monomial(rotation_factor(axis, theta), rotation_factor(axis, -theta), "id",
+                    "closed-one")
 
 
 def closed_form_half_boost(axis, rapidity) -> RealLinearOp:
     """Left multiplication by the bireal factor exp(i rho a / 2)."""
-    ax = Biquaternion.vector(*(float(c) for c in axis))
-    half = float(rapidity) / 2.0
-    q = Biquaternion.scalar(complex(math.cosh(half))) + ax * (1j * math.sinh(half))
-    return monomial(q, Biquaternion.scalar(1.0), "id", "closed-boost")
+    return monomial(boost_factor(axis, rapidity), Biquaternion.scalar(1.0), "id",
+                    "closed-boost")

@@ -111,6 +111,10 @@ def test_float_suites_report_the_measured_residual(monkeypatch, suite_id, report
         (row,) = run(suite_id, seed=0)
         assert row.status == status
         assert row.max_residual == violation
+    # an overriding tolerance is compared with the measured residual
+    monkeypatch.setattr(harness.lor, report, fake(1e-12))
+    (row,) = run(suite_id, seed=0, tol=0.0)
+    assert row.status == "fail"
 
 
 def test_results_pass_for_fast_suites():
@@ -127,6 +131,13 @@ def test_witness_suites_carry_payload():
     assert r.status == "witness"
     assert r.witness_payload is not None
     assert r.max_residual > 1e-3
+
+
+@pytest.mark.parametrize("suite_id", ["l32.boost_counterexample", "rs.extra_constraint"])
+def test_tol_never_overrides_a_witness_margin(suite_id):
+    (row,) = run(suite_id, seed=0, tol=1e6)
+    assert row.status == "witness"
+    assert row.max_residual > harness._REGISTRY[suite_id].tol
 
 
 def test_json_roundtrip_and_schema():

@@ -21,6 +21,7 @@ from bqspin.fields import (
     random_quadratic_potential,
 )
 from bqspin.rs import (
+    CoupledSystem,
     RSContext,
     commutator_identity,
     constraint_counting,
@@ -73,8 +74,8 @@ def test_pi_recombination_lemmas():
     rng = random.Random(110)
     ext = _nonlorenz_potential()
     ctx = RSContext(ext, M, FRAME)
-    eu = ctx.eps("upper")
-    ebu = ctx.eps("bar_upper")
+    eu = eps_units()["upper"]
+    ebu = eps_units()["bar_upper"]
     for _ in range(4):
         x = random_poly_field(rng, n_terms=3, max_deg=3)
         lhs_bar = None
@@ -95,8 +96,8 @@ def test_pi_component_recovery():
     rng = random.Random(111)
     ext = _nonlorenz_potential()
     ctx = RSContext(ext, M, FRAME)
-    ebl = ctx.eps("bar_lower")
-    eu = ctx.eps("upper")
+    ebl = eps_units()["bar_lower"]
+    eu = eps_units()["upper"]
     x = random_poly_field(rng, n_terms=3, max_deg=2)
     for lam in range(4):
         acc = None
@@ -276,6 +277,27 @@ def test_contraction_chain_exact(g):
     assert out["pi_residual"] == 0.0
 
 
+def test_chains_build_the_rows_once_per_sample(monkeypatch):
+    rng = random.Random(127)
+    ext = _nonlorenz_potential()
+    samples = [_rand_psi(rng) for _ in range(2)]
+    calls = []
+    rows = CoupledSystem.rows
+
+    def counted(self, psi):
+        calls.append(psi)
+        return rows(self, psi)
+
+    monkeypatch.setattr(CoupledSystem, "rows", counted)
+    out = contraction_chain(Fraction(1, 3), ext, M, FRAME, samples)
+    assert out == {"eps_residual": 0.0, "pi_residual": 0.0}
+    assert len(calls) == len(samples)
+    calls.clear()
+    out = g1_chain(ext, M, FRAME, samples)
+    assert all(v == 0.0 for v in out.values())
+    assert len(calls) == len(samples)
+
+
 def test_second_order_defect_structure():
     # derivative-free, coupling-proportional curvature multiplier
     rng = random.Random(121)
@@ -348,7 +370,7 @@ def test_chain_machinery_in_random_frame():
     frame = random_rational_frame(rng)
     ext = _nonlorenz_potential()
     ctx = RSContext(ext, M, frame)
-    eu, ebu = ctx.eps("upper"), ctx.eps("bar_upper")
+    eu, ebu = eps_units()["upper"], eps_units()["bar_upper"]
     x = random_poly_field(rng, n_terms=2, max_deg=3)
     acc_bar = acc_star = None
     for mu in range(4):
