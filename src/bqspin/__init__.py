@@ -48,7 +48,6 @@ from .lorentz import (
     LorentzElement,
     act,
     boost_counterexample,
-    closure_test,
     invariance_report,
     l32_action,
     make_lorentz,

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidFrame, MixedBackend, SingularOperand
-from .scalars import (GR_I, GR_ONE, GR_ZERO, GaussianRational, conj, gr, im_part,
-                      is_exact, re_part)
+from .scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational, gr, is_exact
 
 
 def _lift(*values):
@@ -78,7 +77,7 @@ class Biquaternion:
     def real_coords(self):
         """8 real coordinates in the basis (1, e1, e2, e3, i, ie1, ie2, ie3)."""
         cs = self.components()
-        return [re_part(c) for c in cs] + [im_part(c) for c in cs]
+        return [c.real for c in cs] + [c.imag for c in cs]
 
     def is_exact(self):
         """True when all four components are exact, False when none is.
@@ -143,11 +142,12 @@ class Biquaternion:
 
     def star(self):
         """Imaginary conjugation: conjugate every component."""
-        return Biquaternion(*(conj(c) for c in self.components()))
+        return Biquaternion(*(c.conjugate() for c in self.components()))
 
     def plus(self):
         """Bi-conjugation, the composition of bar and star."""
-        return Biquaternion(conj(self.w), -conj(self.x), -conj(self.y), -conj(self.z))
+        return Biquaternion(self.w.conjugate(), -self.x.conjugate(),
+                            -self.y.conjugate(), -self.z.conjugate())
 
     def reverse(self):
         """Order reversal: fix the scalar, conjugate the vector components.
@@ -158,7 +158,8 @@ class Biquaternion:
         its reversed partner (see fields.proca_residual and its tests).
         It is real-linear but neither complex-linear nor antilinear.
         """
-        return Biquaternion(self.w, conj(self.x), conj(self.y), conj(self.z))
+        return Biquaternion(self.w, self.x.conjugate(), self.y.conjugate(),
+                            self.z.conjugate())
 
     # -- norms and classification ---------------------------------------------
 
@@ -170,32 +171,22 @@ class Biquaternion:
         """The real, nonnegative scalar part of q.plus() * q."""
         total = 0
         for c in self.components():
-            total = total + re_part(c) * re_part(c) + im_part(c) * im_part(c)
+            total = total + c.real * c.real + c.imag * c.imag
         return total
 
-    def is_singular(self, tol=0.0):
-        n = self.norm()
-        if isinstance(n, GaussianRational) and tol == 0.0:
-            return not bool(n)
-        return abs(complex(n)) <= tol
+    def is_singular(self):
+        return not self.norm()
 
     def inverse(self):
         n = self.norm()
-        if (isinstance(n, GaussianRational) and not bool(n)) or (
-            not isinstance(n, GaussianRational) and abs(complex(n)) == 0.0
-        ):
+        if not n:
             raise SingularOperand("cannot invert a singular biquaternion")
         return self.bar() / n
 
     # -- comparisons ----------------------------------------------------------
 
-    def is_zero(self, tol=0.0):
-        if tol == 0.0:
-            return not any(bool(c) for c in self.components())
-        return all(abs(complex(c)) <= tol for c in self.components())
-
-    def approx_eq(self, other, tol=1e-12):
-        return (self - other).is_zero(tol)
+    def is_zero(self):
+        return not any(bool(c) for c in self.components())
 
     def max_abs(self):
         return max(abs(complex(c)) for c in self.components())
@@ -213,13 +204,13 @@ def minkowski_product(a: Biquaternion, b: Biquaternion):
 
 def unitary_product(a: Biquaternion, b: Biquaternion):
     """Scalar part of a.plus() * b (the quantum pairing)."""
-    return (conj(a.w) * b.w + conj(a.x) * b.x
-            + conj(a.y) * b.y + conj(a.z) * b.z)
+    return (a.w.conjugate() * b.w + a.x.conjugate() * b.x
+            + a.y.conjugate() * b.y + a.z.conjugate() * b.z)
 
 
-def classify(q: Biquaternion, tol=0.0):
+def classify(q: Biquaternion):
     """Return the complex norm and whether the element is null."""
-    return {"norm": q.norm(), "singular": q.is_singular(tol)}
+    return {"norm": q.norm(), "singular": q.is_singular()}
 
 
 def conjugations(q: Biquaternion):
@@ -257,7 +248,11 @@ class Frame:
         return (self.sigma, self.tau_sigma, self.sigma_bar, self.tau_sigma_bar)
 
 
-def make_frame(nu_vec, tau_vec, tol=1e-12) -> Frame:
+# how far a float frame may be from orthonormal
+_FRAME_TOL = 1e-12
+
+
+def make_frame(nu_vec, tau_vec) -> Frame:
     """Build a Frame from two real 3-vectors (rational entries give exact mode)."""
     exact = all(is_exact(c) for c in tuple(nu_vec) + tuple(tau_vec))
     if exact:
@@ -267,8 +262,8 @@ def make_frame(nu_vec, tau_vec, tol=1e-12) -> Frame:
     else:
         nv = [float(c) for c in nu_vec]
         tv = [float(c) for c in tau_vec]
-        ok = (abs(_dot3(nv, nv) - 1) <= tol and abs(_dot3(tv, tv) - 1) <= tol
-              and abs(_dot3(nv, tv)) <= tol)
+        ok = (abs(_dot3(nv, nv) - 1) <= _FRAME_TOL and abs(_dot3(tv, tv) - 1) <= _FRAME_TOL
+              and abs(_dot3(nv, tv)) <= _FRAME_TOL)
     if not ok:
         raise InvalidFrame("frame vectors must be orthogonal unit 3-vectors")
 

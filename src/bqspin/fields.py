@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .biquaternion import DEFAULT_FRAME, Biquaternion, Frame, random_rational_biquaternion
-from .errors import DegenerateMass, NoConsistentConvention, OffShell
+from .errors import DegenerateMass, MixedBackend, NoConsistentConvention, OffShell
 from .exactlinalg import nullspace
 from .linops import RealLinearOp
 from .scalars import GR_I, gr
@@ -150,6 +150,12 @@ def _k_canonical(k):
     return k, 1
 
 
+def _one_backend(coeffs):
+    """Raise MixedBackend unless the coefficients share one scalar backend."""
+    if len({q.is_exact() for q in coeffs}) > 1:
+        raise MixedBackend("field coefficients mix exact and float scalars")
+
+
 class Field:
     """Biquaternion-valued function of spacetime, closed under exact calculus."""
 
@@ -175,6 +181,7 @@ class Field:
 
     @staticmethod
     def polynomial(poly: Poly):
+        _one_backend(poly.terms.values())
         f = Field()
         f._accumulate((0, 0, 0, 0), poly, None)
         return f
@@ -183,8 +190,10 @@ class Field:
     def trig(k, cos_coeff: Biquaternion, sin_coeff: Biquaternion):
         # a rational wave vector stays exact, like the scalars
         k = tuple(c if isinstance(c, float) else Fraction(c) for c in k)
+        pc, ps = Poly.constant(cos_coeff), Poly.constant(sin_coeff)
+        _one_backend([*pc.terms.values(), *ps.terms.values()])
         f = Field()
-        f._accumulate(k, Poly.constant(cos_coeff), Poly.constant(sin_coeff))
+        f._accumulate(k, pc, ps)
         return f
 
     def _accumulate(self, k, pc, ps):
@@ -290,10 +299,6 @@ class Field:
         """(f + f.star())/2 -- the real part, for scalar-valued fields."""
         return (self + self.star()).scale(_HALF)
 
-    def im_scalar(self):
-        """(f - f.star())/(2i), real-valued for scalar-valued fields."""
-        return (self - self.star()).scale(gr(0, Fraction(-1, 2)))
-
     # -- calculus ------------------------------------------------------------------------
 
     def derivative(self, var: int):
@@ -318,18 +323,15 @@ class Field:
 
     # -- comparisons -----------------------------------------------------------------------
 
-    def is_zero(self, tol=0.0):
-        if tol == 0.0:
-            return not self.modes
-        return all(pc.max_abs() <= tol and ps.max_abs() <= tol
-                   for pc, ps in self.modes.values())
+    def is_zero(self):
+        return not self.modes
 
     def max_abs(self):
         return max((max(pc.max_abs(), ps.max_abs())
                     for pc, ps in self.modes.values()), default=0.0)
 
-    def equal(self, other, tol=0.0):
-        return (self - other).is_zero(tol)
+    def equal(self, other):
+        return (self - other).is_zero()
 
     def eval_float(self, point):
         total = Biquaternion.scalar(0.0)
@@ -546,12 +548,8 @@ class Momentum:
     p: tuple
     m: object
 
-    def on_shell(self, tol=0.0):
-        lhs = self.p0 * self.p0 - sum(c * c for c in self.p)
-        rhs = self.m * self.m
-        if tol == 0.0:
-            return lhs == rhs
-        return abs(float(lhs) - float(rhs)) <= tol
+    def on_shell(self):
+        return self.p0 * self.p0 - sum(c * c for c in self.p) == self.m * self.m
 
     def k_tuple(self):
         return (self.p0,) + tuple(self.p)
@@ -629,14 +627,13 @@ class ExternalField:
         The quaternion field stores phi0 - i*phivec, so the n-th component
         is i times the n-th vector part.
         """
-        phi0 = self.phi.scalar_part()
-        comps = [phi0]
-        for n in range(3):
-            picker = {0: "x", 1: "y", 2: "z"}[n]
-            comp = self.phi.map_coeffs(
-                lambda c, picker=picker: Biquaternion.scalar(getattr(c, picker) * GR_I))
-            comps.append(comp)
-        return comps
+        return [self.phi.scalar_part()] + _vector_components(self.phi, GR_I)
+
+
+def _vector_components(f: Field, factor):
+    """The vector components (x, y, z) of f times a scalar factor, as scalar fields."""
+    return [f.map_coeffs(lambda c, comp=comp: Biquaternion.scalar(getattr(c, comp) * factor))
+            for comp in ("x", "y", "z")]
 
 
 def lanczos_residual(a: Field, b: Field, ext: ExternalField, m):
@@ -702,29 +699,29 @@ def random_poly_field(rng, n_terms=4, max_deg=3, span=4):
     return Field.polynomial(Poly(terms))
 
 
-def random_linear_potential(rng, e=None, span=3):
+def random_linear_potential(rng):
     """External field with degree-1 polynomial components."""
     def lin():
-        terms = {(0, 0, 0, 0): Biquaternion.scalar(gr(Fraction(rng.randint(-span, span))))}
+        terms = {(0, 0, 0, 0): Biquaternion.scalar(gr(rng.randint(-3, 3)))}
         for var in range(4):
             exps = [0, 0, 0, 0]
             exps[var] = 1
-            terms[tuple(exps)] = Biquaternion.scalar(gr(Fraction(rng.randint(-span, span))))
+            terms[tuple(exps)] = Biquaternion.scalar(gr(rng.randint(-3, 3)))
         return Poly(terms)
 
-    coupling = e if e is not None else gr(Fraction(rng.randint(1, 3), rng.randint(1, 2)))
+    coupling = gr(Fraction(rng.randint(1, 3), rng.randint(1, 2)))
     return ExternalField.from_components(lin(), (lin(), lin(), lin()), coupling)
 
 
-def random_quadratic_potential(rng, e=None, span=2):
+def random_quadratic_potential(rng):
     def quad():
         terms = {}
         for _ in range(3):
             exps = tuple(rng.randint(0, 2) for _ in range(4))
             while sum(exps) > 2:
                 exps = tuple(rng.randint(0, 2) for _ in range(4))
-            terms[exps] = Biquaternion.scalar(gr(Fraction(rng.randint(-span, span))))
+            terms[exps] = Biquaternion.scalar(gr(rng.randint(-2, 2)))
         return Poly(terms)
 
-    coupling = e if e is not None else gr(Fraction(rng.randint(1, 3), rng.randint(1, 2)))
+    coupling = gr(Fraction(rng.randint(1, 3), rng.randint(1, 2)))
     return ExternalField.from_components(quad(), (quad(), quad(), quad()), coupling)

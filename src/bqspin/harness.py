@@ -51,8 +51,8 @@ from .fields import (
     random_quadratic_potential,
     select_nabla_convention,
 )
-from .linops import RealLinearOp, left_mul, op_exp
-from .scalars import gr
+from .linops import MUL_I, RealLinearOp, op_exp
+from .scalars import GR_I, GR_ONE, gr
 from .spin import (
     SpinLabel,
     boost,
@@ -222,12 +222,11 @@ def _all_frames(rng):
 @_suite("table1.su2_commutators", "table.1", "float", 1e-12)
 def _s_su2(rng, tol):
     worst = 0.0
-    Ji = left_mul(Biquaternion.scalar(1j))
     for f in _all_frames(rng):
         for s in SpinLabel:
             g = generators(s, f)
             for a, b, c in ((g.j1, g.j2, g.j3), (g.j2, g.j3, g.j1), (g.j3, g.j1, g.j2)):
-                diff = (a @ b) - (b @ a) - (Ji @ c)
+                diff = (a @ b) - (b @ a) - (MUL_I @ c)
                 worst = max(worst, float(np.linalg.norm(diff.to_numpy(), 2)))
     return worst <= tol, worst, None
 
@@ -617,12 +616,9 @@ def _s_rs_identities(rng, tol):
     eu = units["upper"]
     ebu = units["bar_upper"]
     x = random_poly_field(rng, n_terms=3, max_deg=4)
-    acc_bar = acc_star = None
-    for mu in range(4):
-        term = ctx.pi_lower(mu, x)
-        tb, ts = term.lmul(ebu[mu]), term.lmul(eu[mu])
-        acc_bar = tb if acc_bar is None else acc_bar + tb
-        acc_star = ts if acc_star is None else acc_star + ts
+    terms = [ctx.pi_lower(mu, x) for mu in range(4)]
+    acc_bar = rs._sum_fields(t.lmul(ebu[mu]) for mu, t in enumerate(terms))
+    acc_star = rs._sum_fields(t.lmul(eu[mu]) for mu, t in enumerate(terms))
     ok = (acc_bar - ctx.pibar(x)).is_zero() and (acc_star - ctx.pibar_star(x)).is_zero()
     total = Biquaternion.zero()
     for mu in range(4):
@@ -651,14 +647,13 @@ def _s_rs_dual(rng, tol):
     comps = ext.component_fields()
     phi_map = rs.dual_tensor(ext)
     units = rs.eps_units()
-    d_lower = lambda f, mu: (f.dt() if mu == 0 else -f.dx(mu))
     phi_lower = [comps[0]] + [-comps[n] for n in (1, 2, 3)]
     minus_i = gr(0, -1)
     for lam in range(4):
         val = phi_map(units["bar_upper"][lam])
         for rho in range(4):
             got = val.lmul(units["bar_lower"][rho]).scalar_part()
-            ft = d_lower(phi_lower[rho], lam) - d_lower(phi_lower[lam], rho)
+            ft = rs._d_lower(phi_lower[rho], lam) - rs._d_lower(phi_lower[lam], rho)
             if not got.equal(ft.scale(minus_i)):
                 return False, 1.0, None
     return True, 0.0, None
@@ -739,6 +734,14 @@ def _s_rs_counting(rng, tol):
     }
 
 
+def _div(v):
+    return v[0].dx(1) + v[1].dx(2) + v[2].dx(3)
+
+
+def _curl(v):
+    return [v[2].dx(2) - v[1].dx(3), v[0].dx(3) - v[2].dx(1), v[1].dx(1) - v[0].dx(2)]
+
+
 @_suite("proca.tensor_equivalence", "eq.A.8", "exact", 0.0)
 def _s_proca(rng, tol):
     f = random_poly_field(rng, n_terms=4, max_deg=3)
@@ -746,54 +749,38 @@ def _s_proca(rng, tol):
     m = Fraction(3)
     b, res = proca_residual(a, m)
     # independent tensor-component recomputation
-    i_unit = gr(0, 1)
     a0 = a.scalar_part()
-    avec = [a.map_coeffs(lambda c, comp=comp: Biquaternion.scalar(getattr(c, comp) * i_unit))
-            for comp in ("x", "y", "z")]
+    avec = flds._vector_components(a, GR_I)
     e_c = [(-avec[n].dt() - a0.dx(n + 1)) for n in range(3)]
-    b_c = [avec[2].dx(2) - avec[1].dx(3),
-           avec[0].dx(3) - avec[2].dx(1),
-           avec[1].dx(1) - avec[0].dx(2)]
-    div_e = e_c[0].dx(1) + e_c[1].dx(2) + e_c[2].dx(3)
-    curl_b = [b_c[2].dx(2) - b_c[1].dx(3),
-              b_c[0].dx(3) - b_c[2].dx(1),
-              b_c[1].dx(1) - b_c[0].dx(2)]
-    if not res.scalar_part().equal(-div_e - a0.scale(m * m)):
+    b_c = _curl(avec)
+    curl_b = _curl(b_c)
+    if not res.scalar_part().equal(-_div(e_c) - a0.scale(m * m)):
         return False, 1.0, None
-    for n, comp in enumerate(("x", "y", "z")):
-        rn = res.map_coeffs(lambda c, comp=comp: Biquaternion.scalar(getattr(c, comp)))
+    for n, rn in enumerate(flds._vector_components(res, GR_ONE)):
         want = (e_c[n].dt() - curl_b[n] - avec[n].scale(m * m)).scale(gr(0, -1))
         if not rn.equal(want):
             return False, 1.0, None
-    for n, comp in enumerate(("x", "y", "z")):
-        bn = b.map_coeffs(lambda c, comp=comp: Biquaternion.scalar(getattr(c, comp)))
-        if not bn.equal(e_c[n] + b_c[n].scale(i_unit)):
+    for n, bn in enumerate(flds._vector_components(b, GR_ONE)):
+        if not bn.equal(e_c[n] + b_c[n].scale(GR_I)):
             return False, 1.0, None
     return True, 0.0, None
 
 
 @_suite("proca.maxwell_limit", "footnote.13", "exact", 0.0)
 def _s_maxwell(rng, tol):
-    i_unit = gr(0, 1)
     e_f = [random_poly_field(rng).scalar_part().re_scalar() for _ in range(3)]
     b_f = [random_poly_field(rng).scalar_part().re_scalar() for _ in range(3)]
     units = [Biquaternion.vector(1, 0, 0), Biquaternion.vector(0, 1, 0),
              Biquaternion.vector(0, 0, 1)]
     six = Field.zero()
     for n in range(3):
-        six = six + (e_f[n] + b_f[n].scale(i_unit)).lmul(units[n])
+        six = six + (e_f[n] + b_f[n].scale(GR_I)).lmul(units[n])
     grad = nabla(six)
-    div_e = e_f[0].dx(1) + e_f[1].dx(2) + e_f[2].dx(3)
-    div_b = b_f[0].dx(1) + b_f[1].dx(2) + b_f[2].dx(3)
-    if not grad.scalar_part().equal(-(div_e + div_b.scale(i_unit))):
+    if not grad.scalar_part().equal(-(_div(e_f) + _div(b_f).scale(GR_I))):
         return False, 1.0, None
-    curl_e = [e_f[2].dx(2) - e_f[1].dx(3), e_f[0].dx(3) - e_f[2].dx(1),
-              e_f[1].dx(1) - e_f[0].dx(2)]
-    curl_b = [b_f[2].dx(2) - b_f[1].dx(3), b_f[0].dx(3) - b_f[2].dx(1),
-              b_f[1].dx(1) - b_f[0].dx(2)]
-    for n, comp in enumerate(("x", "y", "z")):
-        gn = grad.map_coeffs(lambda c, comp=comp: Biquaternion.scalar(getattr(c, comp)))
-        want = curl_e[n] + b_f[n].dt() - (e_f[n].dt() - curl_b[n]).scale(i_unit)
+    curl_e, curl_b = _curl(e_f), _curl(b_f)
+    for n, gn in enumerate(flds._vector_components(grad, GR_ONE)):
+        want = curl_e[n] + b_f[n].dt() - (e_f[n].dt() - curl_b[n]).scale(GR_I)
         if not gn.equal(want):
             return False, 1.0, None
     return True, 0.0, None
@@ -809,8 +796,7 @@ def _s_op_exp(rng, tol):
         worst = max(worst, float(np.linalg.norm(diff.to_numpy(), 2)))
     # rotation generators at the 4 pi double turn reach norm 6 pi, the
     # largest norm the rotation suites exponentiate
-    Ji = left_mul(Biquaternion.scalar(1j))
-    gen = (Ji @ generators(SpinLabel.THREE_HALF, DEFAULT_FRAME).j1).scale(-4.0 * math.pi)
+    gen = (MUL_I @ generators(SpinLabel.THREE_HALF, DEFAULT_FRAME).j1).scale(-4.0 * math.pi)
     prod = op_exp(gen) @ op_exp(gen.scale(-1.0))
     diff = prod - RealLinearOp.identity()
     worst = max(worst, float(np.linalg.norm(diff.to_numpy(), 2)))

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .biquaternion import Biquaternion, basis_elements
-from .scalars import GR_I, is_exact
+from .scalars import is_exact
 
 
 _BASIS_EXACT = basis_elements(exact=True)
@@ -40,31 +40,30 @@ def _real_matrix(matrix):
 class RealLinearOp:
     """A real-linear map on the biquaternion algebra, as an 8x8 matrix."""
 
-    __slots__ = ("matrix", "label")
+    __slots__ = ("matrix",)
 
-    def __init__(self, matrix, label=""):
+    def __init__(self, matrix):
         self.matrix = _real_matrix(matrix)
-        self.label = label
 
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
-    def from_function(fn, label="", basis=_BASIS_EXACT):
+    def from_function(fn, basis=_BASIS_EXACT):
         """Matrix of an arbitrary real-linear function on the algebra.
 
         fn is evaluated on ``basis``, the real basis in one backend
         (``basis_elements``); the float basis keeps float closures unmixed.
         """
         cols = [fn(b).real_coords() for b in basis]
-        return RealLinearOp(np.array(cols).T, label)
+        return RealLinearOp(np.array(cols).T)
 
     @staticmethod
-    def identity(label="id"):
-        return RealLinearOp(np.eye(8, dtype=object), label)
+    def identity():
+        return RealLinearOp(np.eye(8, dtype=object))
 
     @staticmethod
     def zero():
-        return RealLinearOp(np.zeros((8, 8), dtype=object), "0")
+        return RealLinearOp(np.zeros((8, 8), dtype=object))
 
     # -- algebra ---------------------------------------------------------------
 
@@ -112,35 +111,16 @@ class RealLinearOp:
     def norm(self):
         return float(np.linalg.norm(self.to_numpy()))
 
-    def __repr__(self):
-        tag = f" {self.label}" if self.label else ""
-        return f"<RealLinearOp{tag}>"
+
+# Slot monomials -----------------------------------------------------------------
 
 
-# Flavored slot monomials -------------------------------------------------------
+def monomial(left: Biquaternion, right: Biquaternion):
+    """Operator x -> left * x * right, complex-linear.
 
-_FLAVORS = ("id", "star", "bar", "plus")
-
-
-def monomial(left: Biquaternion, right: Biquaternion, slot_flavor="id", label=""):
-    """Operator x -> left * flavor(x) * right.
-
-    Flavors star and plus produce antilinear operators; id and bar are
-    complex-linear.  The operator is float when either factor is float.
+    The operator is float when either factor is float.
     """
-    if slot_flavor not in _FLAVORS:
-        raise ValueError(f"unknown slot flavor {slot_flavor!r}")
-
-    def fn(x):
-        if slot_flavor == "star":
-            x = x.star()
-        elif slot_flavor == "bar":
-            x = x.bar()
-        elif slot_flavor == "plus":
-            x = x.plus()
-        return left * x * right
-
-    return RealLinearOp.from_function(fn, label, _basis_of(left, right))
+    return RealLinearOp.from_function(lambda x: left * x * right, _basis_of(left, right))
 
 
 def _basis_of(*factors):
@@ -149,36 +129,16 @@ def _basis_of(*factors):
     return _BASIS_EXACT if exact else _BASIS_FLOAT
 
 
-def left_mul(a: Biquaternion, label=""):
-    return RealLinearOp.from_function(lambda x: a * x, label or "L", _basis_of(a))
+def left_mul(a: Biquaternion):
+    return RealLinearOp.from_function(lambda x: a * x, _basis_of(a))
 
 
-def right_mul(a: Biquaternion, label=""):
-    return RealLinearOp.from_function(lambda x: x * a, label or "R", _basis_of(a))
-
-
-def conj_op(flavor):
-    """The operator applying one of the four conjugations."""
-    one = Biquaternion.one()
-    return monomial(one, one, flavor, label=flavor)
-
-
-def mul_i_op():
-    """The multiply-by-i operator."""
-    return RealLinearOp.from_function(lambda x: x * GR_I, "i*")
-
-
-def commutes_with_i(op: RealLinearOp, tol=1e-12) -> bool:
-    J = mul_i_op()
-    return (op @ J).equal(J @ op, tol)
-
-
-def anticommutes_with_i(op: RealLinearOp, tol=1e-12) -> bool:
-    J = mul_i_op()
-    return ((op @ J) + (J @ op)).equal(RealLinearOp.zero(), tol)
+# multiplication by i, built on the float basis so that composing it with
+# the float generators stays in complex arithmetic
+MUL_I = left_mul(Biquaternion.scalar(1j))
 
 
 def op_exp(f: RealLinearOp) -> RealLinearOp:
     """Matrix exponential by scipy's scaling-and-squaring Pade method
     (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31 (2009) 970)."""
-    return RealLinearOp(expm(f.to_numpy()), label=f"exp({f.label})" if f.label else "exp")
+    return RealLinearOp(expm(f.to_numpy()))

@@ -147,21 +147,3 @@ def is_exact(x) -> bool:
     """True for a scalar of the exact backend: Gaussian rational, int or Fraction."""
     return isinstance(x, (GaussianRational, int, Fraction))
 
-
-def conj(x):
-    """Complex conjugate for either backend."""
-    return x.conjugate()
-
-
-def re_part(x):
-    """Real part, exact (Fraction) or float depending on backend."""
-    if isinstance(x, GaussianRational):
-        return x.re
-    return complex(x).real
-
-
-def im_part(x):
-    if isinstance(x, GaussianRational):
-        return x.im
-    return complex(x).imag
-

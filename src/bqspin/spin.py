@@ -16,11 +16,7 @@ from enum import Enum
 
 from .biquaternion import Biquaternion, Frame
 from .errors import InvalidAxis
-from .linops import RealLinearOp, left_mul, monomial, op_exp
-
-# multiplication by i, built on the float basis so that composing it with
-# the float generators stays in complex arithmetic
-_MUL_I = left_mul(Biquaternion.scalar(1j), "i*")
+from .linops import MUL_I, RealLinearOp, monomial, op_exp
 
 
 class SpinLabel(Enum):
@@ -65,26 +61,25 @@ def generators(s: SpinLabel, f: Frame) -> GeneratorTriple:
     if s in (SpinLabel.HALF_PLUS, SpinLabel.HALF_MINUS):
         proj = f.sigma if s is SpinLabel.HALF_PLUS else f.sigma_bar
         return GeneratorTriple(
-            monomial(tau * nu * half_i, proj, "id", "J1"),
-            monomial(tau * half_i, proj, "id", "J2"),
-            monomial(nu * half_i, proj, "id", "J3"),
+            monomial(tau * nu * half_i, proj),
+            monomial(tau * half_i, proj),
+            monomial(nu * half_i, proj),
         )
     if s is SpinLabel.ONE:
         def comm(g):
-            return (monomial(g * half_i, one, "id")
-                    - monomial(one, g * half_i, "id"))
+            return monomial(g * half_i, one) - monomial(one, g * half_i)
         return GeneratorTriple(comm(tau * nu), comm(tau), comm(nu))
 
     # three-half column
     r3 = math.sqrt(3.0)
     mh = -0.5 + 0j
-    j1 = (monomial(tau * mh, tau, "id")
-          + monomial(tau * nu * (mh * r3), nu, "id")
-          + monomial(tau * nu * mh, nu * tau, "id"))
-    j2 = (monomial(tau * nu * mh, tau, "id")
-          + monomial(tau * (mh * r3), nu, "id")
-          - monomial(tau * mh, nu * tau, "id"))
-    j3 = monomial(nu * half_i, one, "id") + monomial(one * 1j, nu, "id")
+    j1 = (monomial(tau * mh, tau)
+          + monomial(tau * nu * (mh * r3), nu)
+          + monomial(tau * nu * mh, nu * tau))
+    j2 = (monomial(tau * nu * mh, tau)
+          + monomial(tau * (mh * r3), nu)
+          - monomial(tau * mh, nu * tau))
+    j3 = monomial(nu * half_i, one) + monomial(one * 1j, nu)
     return GeneratorTriple(j1, j2, j3)
 
 
@@ -172,7 +167,7 @@ def rotate(s: SpinLabel, axis, theta, f: Frame) -> RealLinearOp:
     """Rotation exponential exp(-i theta sum_n a_n J_n)."""
     a1, a2, a3 = axis_projections(axis, f)
     gen = generators(s, f).combination(a1, a2, a3)
-    arg = (_MUL_I @ gen).scale(-float(theta))
+    arg = (MUL_I @ gen).scale(-float(theta))
     return op_exp(arg)
 
 
@@ -187,17 +182,14 @@ def boost(s: SpinLabel, axis, rapidity, f: Frame) -> RealLinearOp:
 def closed_form_half_rotation(axis, theta) -> RealLinearOp:
     """Left multiplication by exp(theta a / 2): the closed form the spin
     one-half exponential reduces to on its invariant subspace."""
-    return monomial(rotation_factor(axis, theta), Biquaternion.scalar(1.0), "id",
-                    "closed-half")
+    return monomial(rotation_factor(axis, theta), Biquaternion.scalar(1.0))
 
 
 def closed_form_one_rotation(axis, theta) -> RealLinearOp:
     """Two-sided Olinde-Rodrigues form exp(theta a/2) [.] exp(-theta a/2)."""
-    return monomial(rotation_factor(axis, theta), rotation_factor(axis, -theta), "id",
-                    "closed-one")
+    return monomial(rotation_factor(axis, theta), rotation_factor(axis, -theta))
 
 
 def closed_form_half_boost(axis, rapidity) -> RealLinearOp:
     """Left multiplication by the bireal factor exp(i rho a / 2)."""
-    return monomial(boost_factor(axis, rapidity), Biquaternion.scalar(1.0), "id",
-                    "closed-boost")
+    return monomial(boost_factor(axis, rapidity), Biquaternion.scalar(1.0))

@@ -5,7 +5,7 @@ import pytest
 
 from bqspin.biquaternion import DEFAULT_FRAME, random_rational_frame
 from bqspin.errors import InvalidAxis
-from bqspin.linops import RealLinearOp, mul_i_op
+from bqspin.linops import MUL_I, RealLinearOp
 from bqspin.spin import (
     SpinLabel,
     boost,
@@ -36,13 +36,12 @@ def _frames(rng):
 @pytest.mark.parametrize("label", ALL_LABELS)
 def test_su2_commutators(label):
     rng = random.Random(50)
-    Ji = mul_i_op()
     for f in _frames(rng):
         g = generators(label, f)
         pairs = [(g.j1, g.j2, g.j3), (g.j2, g.j3, g.j1), (g.j3, g.j1, g.j2)]
         for a, b, c in pairs:
             comm = (a @ b) - (b @ a)
-            assert comm.equal(Ji @ c, tol=1e-12)
+            assert comm.equal(MUL_I @ c, tol=1e-12)
 
 
 @pytest.mark.parametrize("label", ALL_LABELS)
