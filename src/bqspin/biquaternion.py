@@ -5,6 +5,9 @@ product follows Hamilton's convention (e1*e2 = e3, e_n**2 = -1).  Components
 are either exact :class:`~bqspin.scalars.GaussianRational` values or Python
 ``complex``; all operations work uniformly over both backends.  The backend of
 an element is the type of its components (see :meth:`Biquaternion.is_exact`).
+The ring operations, the involutions and ``norm`` also run unchanged on
+:class:`~bqspin.scalars.GaussianIntArray` components, one sample per entry
+(see :func:`random_rational_batch`).
 """
 
 from __future__ import annotations
@@ -12,8 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import InvalidFrame, MixedBackend, SingularOperand
-from .scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational, gr, is_exact
+from .scalars import GR_I, GR_ONE, GR_ZERO, GaussianIntArray, GaussianRational, gr, is_exact
 
 
 def _lift(*values):
@@ -324,6 +329,29 @@ def random_rational_biquaternion(rng, span=6):
         return gr(Fraction(rng.randint(-span, span), rng.randint(1, 3)),
                   Fraction(rng.randint(-span, span), rng.randint(1, 3)))
     return Biquaternion(comp(), comp(), comp(), comp())
+
+
+# the lcm of the denominators 1, 2, 3 that random_rational_biquaternion draws
+_BATCH_SCALE = 6
+
+
+def random_rational_batch(rng, n, k, span=6):
+    """k biquaternions whose components are batches of n exact samples.
+
+    Sample i of the j-th element is the biquaternion that the (i*k + j)-th of
+    n*k calls of random_rational_biquaternion(rng, span) would draw: rng is
+    consumed in the same order, and each drawn numerator is stored as an
+    integer over the common denominator 6.
+    """
+    randint = rng.randint
+    count = n * k * 8
+    # per sample, per element: re and im of w, x, y, z, each a numerator
+    # and then a denominator, as comp() in random_rational_biquaternion draws them
+    flat = np.fromiter((randint(-span, span) * (_BATCH_SCALE // randint(1, 3))
+                        for _ in range(count)), dtype=np.int64, count=count)
+    parts = flat.reshape(n, k, 4, 2).transpose(1, 2, 3, 0)
+    return [Biquaternion(*(GaussianIntArray(re, im, _BATCH_SCALE) for re, im in element))
+            for element in parts]
 
 
 def random_real_quaternion(rng, span=6):

@@ -191,7 +191,11 @@ class Field:
         # a rational wave vector stays exact, like the scalars
         k = tuple(c if isinstance(c, float) else Fraction(c) for c in k)
         pc, ps = Poly.constant(cos_coeff), Poly.constant(sin_coeff)
-        _one_backend([*pc.terms.values(), *ps.terms.values()])
+        coeffs = [*pc.terms.values(), *ps.terms.values()]
+        _one_backend(coeffs)
+        # derivatives multiply the coefficients by k, so a float k is float data
+        if any(isinstance(c, float) for c in k) and any(q.is_exact() for q in coeffs):
+            raise MixedBackend("a float wave vector with exact field coefficients")
         f = Field()
         f._accumulate(k, pc, ps)
         return f

@@ -5,6 +5,10 @@ mode) or a Python ``complex`` (float mode).  Both expose the same arithmetic
 protocol plus ``conjugate()``, so the algebra layer never branches on the
 backend.  The backend is a property of the values: exact with exact stays
 exact, and exact with float gives float, just as int with float gives float.
+
+A :class:`GaussianIntArray` is a third, exact scalar: one Gaussian rational
+per sample of a batch, so the unchanged algebra layer checks an identity on
+every sample of a sweep at once.  It never mixes with the other two.
 """
 
 from __future__ import annotations
@@ -12,6 +16,10 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
+
+from .errors import MixedBackend
 
 
 def _as_fraction(x):
@@ -143,7 +151,97 @@ def gr(re=0, im=0) -> GaussianRational:
     return GaussianRational(re, im)
 
 
+# every entry of a GaussianIntArray stays below this, so int64 never wraps
+_INT_LIMIT = 1 << 62
+
+
+def _magnitude(a):
+    """The largest absolute value of an entry of a (0 for an empty batch)."""
+    return max(int(a.re.max(initial=0)), -int(a.re.min(initial=0)),
+               int(a.im.max(initial=0)), -int(a.im.min(initial=0)))
+
+
+def _headroom(bound):
+    if bound >= _INT_LIMIT:
+        raise OverflowError(f"a GaussianIntArray entry could reach {bound} >= 2**62")
+
+
+class GaussianIntArray:
+    """A batch of exact Gaussian rationals (re + i*im) / scale.
+
+    ``re`` and ``im`` are int64 arrays with one entry per sample and
+    ``scale`` is one positive integer shared by the batch.  Sums and
+    differences need equal scales and products multiply them, which is all a
+    homogeneous identity needs, so nothing is ever rescaled.  Every
+    operation bounds its result from the operands' largest entries and
+    raises OverflowError before an entry could reach 2**62; int64 would
+    wrap silently.  Truth means "nonzero on some sample", so an identity
+    holds on the whole batch exactly when its residual is false.
+    """
+
+    __slots__ = ("re", "im", "scale")
+
+    def __init__(self, re, im, scale=1):
+        self.re = np.asarray(re, dtype=np.int64)
+        self.im = np.asarray(im, dtype=np.int64)
+        self.scale = scale
+
+    def _operand(self, other, same_scale):
+        """other as a batch; None for a type that is no scalar at all."""
+        if isinstance(other, GaussianIntArray):
+            if same_scale and other.scale != self.scale:
+                raise ValueError(f"scales {self.scale} and {other.scale} differ")
+            return other
+        if isinstance(other, (GaussianRational, int, Fraction, float, complex)):
+            raise MixedBackend(f"a GaussianIntArray does not combine with "
+                               f"{type(other).__name__}")
+        return None
+
+    def __add__(self, other):
+        o = self._operand(other, True)
+        if o is None:
+            return NotImplemented
+        _headroom(_magnitude(self) + _magnitude(o))
+        return GaussianIntArray(self.re + o.re, self.im + o.im, self.scale)
+
+    def __sub__(self, other):
+        o = self._operand(other, True)
+        if o is None:
+            return NotImplemented
+        _headroom(_magnitude(self) + _magnitude(o))
+        return GaussianIntArray(self.re - o.re, self.im - o.im, self.scale)
+
+    def __mul__(self, other):
+        o = self._operand(other, False)
+        if o is None:
+            return NotImplemented
+        _headroom(2 * _magnitude(self) * _magnitude(o))
+        return GaussianIntArray(self.re * o.re - self.im * o.im,
+                                self.re * o.im + self.im * o.re, self.scale * o.scale)
+
+    def _reflected(self, other):
+        # reached only for another type: a scalar raises MixedBackend
+        self._operand(other, False)
+        return NotImplemented
+
+    __radd__ = __rsub__ = __rmul__ = _reflected
+
+    def __neg__(self):
+        return GaussianIntArray(-self.re, -self.im, self.scale)
+
+    def conjugate(self):
+        return GaussianIntArray(self.re, -self.im, self.scale)
+
+    def nonzero(self):
+        """Boolean mask of the samples that are not zero."""
+        return (self.re != 0) | (self.im != 0)
+
+    def __bool__(self):
+        return bool(self.re.any() or self.im.any())
+
+
 def is_exact(x) -> bool:
-    """True for a scalar of the exact backend: Gaussian rational, int or Fraction."""
-    return isinstance(x, (GaussianRational, int, Fraction))
+    """True for a scalar of the exact backend: Gaussian rational, int or Fraction,
+    or a batch of Gaussian rationals."""
+    return isinstance(x, (GaussianRational, int, Fraction, GaussianIntArray))
 

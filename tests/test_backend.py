@@ -109,6 +109,16 @@ def test_field_rejects_a_poly_of_two_backends():
     assert not Field.trig((1, 1, 0, 0), flt, Biquaternion.zero()).is_zero()
 
 
+def test_field_rejects_a_float_wave_vector_with_exact_coefficients():
+    one, zero = Biquaternion.one(), Biquaternion.zero()
+    with pytest.raises(MixedBackend):
+        Field.trig((0.5, 1, 0, 0), one, zero)
+    # a float wave vector with float coefficients, or a rational one with
+    # exact coefficients, is one backend
+    assert not Field.trig((0.5, 1, 0, 0), one.to_float(), zero).is_zero()
+    assert not Field.trig((Fraction(1, 2), 1, 0, 0), one, zero).is_zero()
+
+
 def test_exact_with_float_gives_float():
     q = random_rational_biquaternion(random.Random(3))
     for mixed in (q * Biquaternion.scalar(1.0), Biquaternion.scalar(1.0) * q,

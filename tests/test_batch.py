@@ -1,0 +1,164 @@
+"""Batched exact sweeps: the Gaussian-integer array scalar and its draws.
+
+A ``GaussianIntArray`` holds one exact Gaussian rational per sample, so the
+unchanged biquaternion code checks an identity on a whole batch at once.
+These tests tie the batch to the scalar path it replaces: the same draws,
+the same products, and a sweep that fails when the product is wrong.
+"""
+
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from bqspin import harness
+from bqspin.biquaternion import (
+    Biquaternion,
+    random_rational_batch,
+    random_rational_biquaternion,
+)
+from bqspin.errors import MixedBackend
+from bqspin.scalars import GaussianIntArray, gr, is_exact
+
+SWEEPS = ("algebra.associativity", "algebra.conjugation_laws",
+          "algebra.norm_multiplicativity", "algebra.reversal")
+
+
+def _scalar(c, i):
+    """Sample i of a batch scalar as a Gaussian rational."""
+    return gr(Fraction(int(c.re[i]), c.scale), Fraction(int(c.im[i]), c.scale))
+
+
+def _sample(q, i):
+    return Biquaternion(*(_scalar(c, i) for c in q.components()))
+
+
+# -- the draws -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, k, span", [(50, 3, 9), (40, 2, 6), (1, 1, 2)])
+def test_batch_sample_is_the_scalar_draw(n, k, span):
+    batch = random_rational_batch(random.Random(7), n, k, span)
+    rng = random.Random(7)
+    for i in range(n):
+        for element in batch:
+            assert _sample(element, i) == random_rational_biquaternion(rng, span)
+    # the batch consumed the generator exactly as the scalar draws did
+    after = random.Random(7)
+    random_rational_batch(after, n, k, span)
+    assert after.random() == rng.random()
+
+
+def test_batch_operations_agree_with_gaussian_rationals():
+    a, b = random_rational_batch(random.Random(11), 100, 2)
+    rng = random.Random(11)
+    ops = {
+        "product": lambda x, y: x * y,
+        "bar": lambda x, y: x.bar(),
+        "plus": lambda x, y: x.plus(),
+        "star": lambda x, y: x.star(),
+        "reverse": lambda x, y: x.reverse(),
+    }
+    batched = {name: op(a, b) for name, op in ops.items()}
+    norm = a.norm()
+    for i in range(100):
+        qa = random_rational_biquaternion(rng)
+        qb = random_rational_biquaternion(rng)
+        for name, op in ops.items():
+            assert _sample(batched[name], i) == op(qa, qb), (name, i)
+        assert _scalar(norm, i) == qa.norm()
+
+
+def test_is_zero_means_zero_on_every_sample():
+    (a,) = random_rational_batch(random.Random(3), 10, 1)
+    assert (a - a).is_zero()
+    re = np.zeros(10, dtype=np.int64)
+    re[7] = 1
+    one_off = GaussianIntArray(re, np.zeros(10, dtype=np.int64), 6)
+    zero = GaussianIntArray(np.zeros(10, dtype=np.int64), np.zeros(10, dtype=np.int64), 6)
+    assert not Biquaternion(zero, zero, one_off, zero).is_zero()
+    assert np.flatnonzero(one_off.nonzero()).tolist() == [7]
+
+
+# -- the scalar ------------------------------------------------------------------
+
+
+def test_headroom_guard_raises_before_int64_could_wrap():
+    big = GaussianIntArray([2 ** 31, 3], [0, -(2 ** 31)])
+    with pytest.raises(OverflowError):
+        big * big
+    with pytest.raises(OverflowError):
+        GaussianIntArray([2 ** 61], [0]) + GaussianIntArray([-(2 ** 61)], [0])
+    # below the guard the product is exact
+    half = GaussianIntArray([2 ** 30], [2 ** 30])
+    square = half * half
+    assert square.re.tolist() == [0] and square.im.tolist() == [2 ** 61]
+
+
+def test_array_scalar_is_exact_and_never_mixes():
+    (a,) = random_rational_batch(random.Random(5), 4, 1)
+    c = a.w
+    assert is_exact(c)
+    assert a.is_exact()
+    for other in (1j, 0.5, gr(1, 2)):
+        with pytest.raises(MixedBackend):
+            c + other
+        with pytest.raises(MixedBackend):
+            other + c
+        with pytest.raises(MixedBackend):
+            c * other
+        with pytest.raises(MixedBackend):
+            other * c
+    with pytest.raises(ValueError):
+        c + c * c  # scales 6 and 36: a sum must be homogeneous
+
+
+# -- the sweeps ------------------------------------------------------------------
+
+
+def _sign_flipped_mul(self, other):
+    # Biquaternion.__mul__ with "+ ay * bz" turned into "- ay * bz" in e1
+    if isinstance(other, Biquaternion):
+        aw, ax, ay, az = self.components()
+        bw, bx, by, bz = other.components()
+        return Biquaternion(
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw - ay * bz - az * by,
+            aw * by + ay * bw + az * bx - ax * bz,
+            aw * bz + az * bw + ax * by - ay * bx,
+        )
+    return Biquaternion(self.w * other, self.x * other, self.y * other, self.z * other)
+
+
+def test_a_wrong_product_fails_every_batched_sweep(monkeypatch):
+    monkeypatch.setattr(Biquaternion, "__mul__", _sign_flipped_mul)
+    for sid in SWEEPS:
+        (row,) = harness.run(sid, seed=0)
+        assert row.status == "fail", sid
+        assert set(row.witness_payload) == {"sample_index"}, sid
+    # the witness is the first sample on which the scalar check fails
+    (row,) = harness.run("algebra.associativity", seed=0)
+    rng = harness._rng_for(0, "algebra.associativity")
+    for i in range(row.witness_payload["sample_index"] + 1):
+        a, b, c = (random_rational_biquaternion(rng, span=9) for _ in range(3))
+        assert ((a * b) * c - a * (b * c)).is_zero() == (i < row.witness_payload["sample_index"])
+
+
+def test_sweep_witness_counts_samples_across_batches():
+    target = harness._BATCH + 345
+    seen = [0]
+
+    def residuals(a):
+        n = len(a.w.re)
+        index = np.arange(seen[0], seen[0] + n)
+        seen[0] += n
+        return [GaussianIntArray(index >= target, np.zeros(n, dtype=np.int64))]
+
+    ok, residual, payload = harness._sweep(random.Random(0), 10000, 1, residuals)
+    assert (ok, residual, payload) == (False, 1.0, {"sample_index": target})
+
+
+def test_passing_sweeps_report_no_witness():
+    for row in harness.run("algebra.*", seed=3):
+        assert (row.status, row.max_residual, row.witness_payload) == ("pass", 0.0, None)
