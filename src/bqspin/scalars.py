@@ -3,8 +3,15 @@
 Every biquaternion component is either a :class:`GaussianRational` (exact
 mode) or a Python ``complex`` (float mode).  Both expose the same arithmetic
 protocol plus ``conjugate()``, so the algebra layer never branches on the
-backend.  The backend is a property of the values: exact with exact stays
-exact, and exact with float gives float, just as int with float gives float.
+backend.  The backend is a property of the values, read from their type and
+never from how they are stored: exact with exact stays exact, and exact with
+float gives float, just as int with float gives float.
+
+A :class:`GaussianRational` stores (a + i*b)/d as three Python ints in
+canonical form: d > 0 and gcd(a, b, d) = 1, so zero is (0, 0, 1) and two
+values are equal exactly when their ints are.  Each operation is integer
+arithmetic and one three-way gcd; ``re`` and ``im`` are ``Fraction`` values
+derived from the ints on demand.
 
 A :class:`GaussianIntArray` is a third, exact scalar: one Gaussian rational
 per sample of a batch, so the unchanged algebra layer checks an identity on
@@ -14,115 +21,159 @@ every sample of a sweep at once.  It never mixes with the other two.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
 from .errors import MixedBackend
 
 
-def _as_fraction(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+def _parts(x):
+    """(numerator, denominator) of an int or a Fraction."""
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
     raise TypeError(f"cannot build an exact rational from {type(x).__name__}")
 
 
-@dataclass(frozen=True, slots=True)
-class GaussianRational:
-    """Complex number with exact rational real and imaginary parts."""
+def _operand(x):
+    """The ints (a, b, d) of an exact scalar operand; None for any other type."""
+    if isinstance(x, GaussianRational):
+        return x._a, x._b, x._d
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, 0, x.denominator
+    return None
 
-    re: Fraction
-    im: Fraction
+
+def _made(a, b, d):
+    """The Gaussian rational (a + i*b)/d of ints already in canonical form."""
+    z = object.__new__(GaussianRational)
+    z._a = a
+    z._b = b
+    z._d = d
+    return z
+
+
+def _reduced(a, b, d):
+    """The Gaussian rational (a + i*b)/d of ints with d > 0."""
+    g = gcd(a, b, d)
+    if g != 1:
+        return _made(a // g, b // g, d // g)
+    return _made(a, b, d)
+
+
+class GaussianRational:
+    """Complex number with exact rational real and imaginary parts.
+
+    The value (a + i*b)/d is held as three ints in canonical form (see the
+    module docstring).  Like ``Fraction`` it is immutable: the ints live in
+    private slots, and every public attribute is read-only.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        p, q = _parts(re)
+        r, s = _parts(im)
+        a, b, d = p * s, r * q, q * s
+        g = gcd(a, b, d)
+        self._a, self._b, self._d = a // g, b // g, d // g
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _operand(other)
         if o is None:
             return complex(self) + other
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        c, e, f = o
+        d = self._d
+        if d == f:
+            return _reduced(self._a + c, self._b + e, d)
+        return _reduced(self._a * f + c * d, self._b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _operand(other)
         if o is None:
             return complex(self) - other
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        c, e, f = o
+        d = self._d
+        if d == f:
+            return _reduced(self._a - c, self._b - e, d)
+        return _reduced(self._a * f - c * d, self._b * f - e * d, d * f)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _made(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _operand(other)
         if o is None:
             return complex(self) * other
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        c, e, f = o
+        a, b = self._a, self._b
+        return _reduced(a * c - b * e, a * e + b * c, self._d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _operand(other)
         if o is None:
             return complex(self) / other
-        n = o.re * o.re + o.im * o.im
+        c, e, f = o
+        n = c * c + e * e
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
+        a, b = self._a, self._b
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self._d * n)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _operand(other)
         if o is None:
             return other / complex(self)
-        return o / self
+        return _made(*o) / self
 
     # -- protocol shared with complex ---------------------------------------
 
     def conjugate(self):
-        return GaussianRational(self.re, -self.im)
+        return _made(self._a, -self._b, self._d)
 
     @property
-    def real(self):
-        return self.re
+    def re(self):
+        """The real part, as a Fraction."""
+        return Fraction(self._a, self._d)
 
     @property
-    def imag(self):
-        return self.im
+    def im(self):
+        """The imaginary part, as a Fraction."""
+        return Fraction(self._b, self._d)
+
+    real = re
+    imag = im
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        # int / int is correctly rounded, so this equals float() of each Fraction
+        return complex(self._a / self._d, self._b / self._d)
 
     def __abs__(self):
         return abs(complex(self))
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self._a != 0 or self._b != 0
 
     def __eq__(self, other):
-        if isinstance(other, (GaussianRational, int, Fraction, float, complex)):
+        if isinstance(other, GaussianRational):
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, (int, Fraction)):
+            return (self._b == 0 and self._a == other.numerator
+                    and self._d == other.denominator)
+        if isinstance(other, (float, complex)):
             # exact comparison, as Fraction does with a float
             return self.re == other.real and self.im == other.imag
         return NotImplemented
@@ -134,9 +185,9 @@ class GaussianRational:
         return -2 if h == -1 else h
 
     def __repr__(self):
-        if not self.im:
+        if not self._b:
             return f"{self.re}"
-        return f"({self.re}{'+' if self.im >= 0 else ''}{self.im}i)"
+        return f"({self.re}{'+' if self._b >= 0 else ''}{self.im}i)"
 
 
 _HASH_HALF = 1 << (sys.hash_info.width - 1)
