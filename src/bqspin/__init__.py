@@ -49,7 +49,6 @@ from .lorentz import (
     act,
     boost_counterexample,
     invariance_report,
-    l32_action,
     make_lorentz,
     polar_split,
     rotation_closure,

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .biquaternion import Biquaternion
 from .fields import ExternalField, Field, lanczos_residual, nabla, nabla_bar
+from .lorentz import act
 
 
 @dataclass(frozen=True)
@@ -124,9 +125,7 @@ def covariance_characters(L, f, rng_values):
     Returns the maximum deviation found for each claim.
     """
     lq = L.l
-    ls = L.l.star()
-    r2 = L.rotation_part * L.rotation_part
-    report = {}
+    sg = f.to_float().sigma
 
     def fconst(q):
         return Field.constant(q)
@@ -136,28 +135,25 @@ def covariance_characters(L, f, rng_values):
     for a0, b0 in rng_values:
         a, b = fconst(a0), fconst(b0)
         cov = covariants(a, b)
-        ta, tb = fconst(lq * a0 * r2), fconst(ls * b0 * r2)
-        tcov = covariants(ta, tb)
+        ta0, tb0 = act("three_half_L", "A", L, a0, f), act("three_half_L", "B", L, b0, f)
+        tcov = covariants(fconst(ta0), fconst(tb0))
         worst["s_p"] = max(worst["s_p"], (tcov.s_p - cov.s_p).max_abs())
         worst["s_a"] = max(worst["s_a"], (tcov.s_a - cov.s_a).max_abs())
         for name in ("v_p", "v_a"):
             expect = getattr(cov, name).lmul(lq).rmul(lq.plus())
             worst[name] = max(worst[name], (getattr(tcov, name) - expect).max_abs())
         worst["amplitude"] = max(worst["amplitude"], abs(complex(
-            amplitude(lq * a0 * r2, ls * b0 * r2) - amplitude(a0, b0))))
+            amplitude(ta0, tb0) - amplitude(a0, b0))))
 
         # spinor row: project onto the sigma ideal first
-        sg = f.sigma.to_float()
         sa0, sb0 = a0 * sg, b0 * sg
-        sa, sb = fconst(sa0), fconst(sb0)
-        scov = covariants(sa, sb)
-        tsa, tsb = fconst(lq * sa0 * sg), fconst(ls * sb0 * sg)
-        tscov = covariants(tsa, tsb)
+        scov = covariants(fconst(sa0), fconst(sb0))
+        tscov = covariants(fconst(act("half_plus", "A", L, sa0, f)),
+                           fconst(act("half_plus", "B", L, sb0, f)))
         for name in ("polar", "axial"):
             expect = getattr(scov, name).lmul(lq).rmul(lq.plus())
             worst[name] = max(worst[name], (getattr(tscov, name) - expect).max_abs())
         expect_six = scov.six.lmul(lq).rmul(lq.bar())
         worst["six"] = max(worst["six"], (tscov.six - expect_six).max_abs())
 
-    report.update(worst)
-    return report
+    return worst

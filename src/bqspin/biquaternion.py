@@ -12,7 +12,7 @@ The ring operations, the involutions and ``norm`` also run unchanged on
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -251,6 +251,10 @@ class Frame:
 
     def basis(self):
         return (self.sigma, self.tau_sigma, self.sigma_bar, self.tau_sigma_bar)
+
+    def to_float(self):
+        """The same frame with every member in the float backend."""
+        return Frame(*(getattr(self, fld.name).to_float() for fld in fields(self)))
 
 
 # how far a float frame may be from orthonormal

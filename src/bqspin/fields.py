@@ -575,13 +575,8 @@ def plane_wave_solutions(p: Momentum, frame: Frame):
     if not bool(p.m):
         raise DegenerateMass("massive plane-wave construction requires m > 0")
     if not p.on_shell():
-        op = _dl_symbol_op_for_spec(FROZEN_NABLA, p.p0, p.p, p.m, frame)
-        basis = nullspace(op.matrix.tolist())
-        if basis:
-            raise OffShell("unexpected nontrivial nullspace off shell")
         raise OffShell("momentum is not on the mass shell")
-    basis = _plane_wave_amplitudes_for_spec(FROZEN_NABLA, p.p0, p.p, p.m, frame)
-    return basis
+    return _plane_wave_amplitudes_for_spec(FROZEN_NABLA, p.p0, p.p, p.m, frame)
 
 
 def lanczos_plane_wave(p: Momentum, frame: Frame, a0: Biquaternion):
@@ -692,14 +687,14 @@ def proca_residual(a: Field, m):
 # -- random field generators ----------------------------------------------------------
 
 
-def random_poly_field(rng, n_terms=4, max_deg=3, span=4):
+def random_poly_field(rng, n_terms=4, max_deg=3):
     """Sparse random polynomial field with small rational coefficients."""
     terms = {}
     for _ in range(n_terms):
         exps = tuple(rng.randint(0, max_deg) for _ in range(4))
         while sum(exps) > max_deg:
             exps = tuple(rng.randint(0, max_deg) for _ in range(4))
-        terms[exps] = random_rational_biquaternion(rng, span=span)
+        terms[exps] = random_rational_biquaternion(rng, span=4)
     return Field.polynomial(Poly(terms))
 
 

@@ -39,21 +39,13 @@ class GeneratorTriple:
         return self.j1 @ self.j1 + self.j2 @ self.j2 + self.j3 @ self.j3
 
 
-def _float_frame(f: Frame):
-    return Frame(
-        nu=f.nu.to_float(), tau=f.tau.to_float(), sigma=f.sigma.to_float(),
-        sigma_bar=f.sigma_bar.to_float(), tau_sigma=f.tau_sigma.to_float(),
-        tau_sigma_bar=f.tau_sigma_bar.to_float(),
-    )
-
-
 def generators(s: SpinLabel, f: Frame) -> GeneratorTriple:
     """The generator triple of one column, as 8x8 real operators.
 
     The three-half column contains sqrt(3) factors, so all triples are
     produced in the float backend.
     """
-    f = _float_frame(f)
+    f = f.to_float()
     nu, tau = f.nu, f.tau
     one = Biquaternion.scalar(1.0)
     half_i = 0.5j
@@ -85,7 +77,7 @@ def generators(s: SpinLabel, f: Frame) -> GeneratorTriple:
 
 def eigenstates(s: SpinLabel, f: Frame):
     """The labelled J3-eigenstates of one column, unit unitary norm."""
-    f = _float_frame(f)
+    f = f.to_float()
     r2 = math.sqrt(2.0)
     sg, sb, t = f.sigma, f.sigma_bar, f.tau
     if s is SpinLabel.HALF_PLUS:
@@ -109,7 +101,7 @@ def subspace_basis(s: SpinLabel, f: Frame):
     spin-1 column on the complex vectors, and the three-half column on the
     whole algebra.
     """
-    f = _float_frame(f)
+    f = f.to_float()
     i_unit = 1j
     if s is SpinLabel.HALF_PLUS:
         base = [f.sigma, f.tau_sigma]
@@ -153,7 +145,7 @@ def boost_factor(axis, rapidity) -> Biquaternion:
 def axis_projections(axis, f: Frame):
     """Projections of a unit axis on the ordered triad (tau nu, tau, nu)."""
     ax = _unit_axis(axis)
-    f = _float_frame(f)
+    f = f.to_float()
     tn = f.tau * f.nu
     triad = [tn, f.tau, f.nu]
     out = []

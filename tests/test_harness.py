@@ -74,15 +74,10 @@ def test_expected_rejection_lets_other_errors_through(monkeypatch):
 
 # fake lorentz reports: every quantity a suite bounds is the given violation
 def _fake_invariance(violation):
-    def report(*args, seed, tol):
-        within = violation <= tol
+    def report(*args, seed):
         if args[-1] == "rotation":
-            return {"minkowski_invariant": within, "unitary_invariant": within,
-                    "max_violation": violation, "minkowski_violation": violation,
-                    "unitary_violation": violation}
-        return {"minkowski_invariant": within, "unitary_invariant": False,
-                "max_violation": 0.5, "minkowski_violation": violation,
-                "unitary_violation": 0.5}
+            return {"minkowski_violation": violation, "unitary_violation": violation}
+        return {"minkowski_violation": violation, "unitary_violation": 0.5}
     return report
 
 
