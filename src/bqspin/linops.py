@@ -16,7 +16,6 @@ gives a float operator.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
 from .biquaternion import Biquaternion, basis_elements
 from .scalars import is_exact
@@ -140,5 +139,9 @@ MUL_I = left_mul(Biquaternion.scalar(1j))
 
 def op_exp(f: RealLinearOp) -> RealLinearOp:
     """Matrix exponential by scipy's scaling-and-squaring Pade method
-    (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31 (2009) 970)."""
+    (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31 (2009) 970).
+
+    scipy is imported here, not at module level, so that the exact suites,
+    which never exponentiate, do not pay for loading it."""
+    from scipy.linalg import expm
     return RealLinearOp(expm(f.to_numpy()))

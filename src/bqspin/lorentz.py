@@ -16,7 +16,6 @@ import random
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .biquaternion import (
     DEFAULT_FRAME,
@@ -265,6 +264,16 @@ def _normalized(v):
     if n < 1e-12:
         return [0.0, 0.0, 1.0]
     return [float(c) / n for c in v]
+
+
+def least_squares(fun, x0, **kwargs):
+    """``scipy.optimize.least_squares``, imported on the first call.
+
+    Only the float eq. (48) fit needs scipy, so the exact suites never load
+    it.  The fit calls this module-level name, not a function-local import,
+    so that one binding counts or replaces every fit call."""
+    from scipy.optimize import least_squares as scipy_least_squares
+    return scipy_least_squares(fun, x0, **kwargs)
 
 
 def best_fit_defect(target: RealLinearOp, seed=0, restarts=12):

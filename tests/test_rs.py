@@ -361,6 +361,17 @@ def test_constraint_counting_other_frames_and_momenta():
     rest = Momentum(Fraction(3), (Fraction(0), Fraction(0), Fraction(0)), Fraction(3))
     out2 = constraint_counting(rest, Fraction(3), FRAME)
     assert out2["after_constraints"] == 16 and out2["solution_dim"] == 8
+    # Johnson-Sudarshan counting at further exact on-shell momenta: off axis,
+    # along e3, and with a non-integer energy
+    for energy, k, m in [(Fraction(5), (1, 2, 2), Fraction(4)),
+                         (Fraction(13), (0, 0, 12), Fraction(5)),
+                         (Fraction(5, 2), (Fraction(3, 2), 0, 0), Fraction(2))]:
+        p = Momentum(energy, tuple(Fraction(c) for c in k), m)
+        out = constraint_counting(p, m, FRAME)
+        assert out["total_real_dim"] == 32
+        assert out["constraint_ranks"] == (8, 8)
+        assert out["after_constraints"] == 16
+        assert out["solution_dim"] == 8
 
 
 def test_chain_machinery_in_random_frame():
