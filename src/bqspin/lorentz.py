@@ -21,6 +21,7 @@ from .biquaternion import (
     DEFAULT_FRAME,
     Biquaternion,
     Frame,
+    basis_elements,
     minkowski_product,
     unitary_product,
 )
@@ -250,20 +251,56 @@ def _random_float_bq(rng):
 # -- group structure of the whole-algebra action ----------------------------------------
 
 
-def _l32_from_params(params) -> RealLinearOp:
-    th = params[0]
-    ax = _normalized(params[1:4])
-    rho = params[4]
-    bx = _normalized(params[5:8])
-    L = make_lorentz(ax, th, bx, rho)
-    return action_op("three_half_L", "A", L, DEFAULT_FRAME)
+def _regular_tables():
+    """The real matrices of x -> e_k x and of x -> x e_k for the eight real
+    basis elements e_k, as two (8, 8, 8) arrays indexed by k."""
+    one = Biquaternion.scalar(1.0)
+    basis = basis_elements(exact=False)
+    return (np.stack([monomial(e, one).matrix for e in basis]),
+            np.stack([monomial(one, e).matrix for e in basis]))
 
 
-def _normalized(v):
-    n = math.sqrt(sum(float(c) ** 2 for c in v))
-    if n < 1e-12:
-        return [0.0, 0.0, 1.0]
-    return [float(c) / n for c in v]
+def _unit_axes(v):
+    """v divided by its length along the last axis; a 3-vector shorter than
+    1e-12 is replaced by the quantization axis (0, 0, 1)."""
+    n = np.sqrt((v * v).sum(axis=-1, keepdims=True))
+    short = n < 1e-12
+    return np.where(short, (0.0, 0.0, 1.0), v / np.where(short, 1.0, n))
+
+
+def _family_matrices(params, tables):
+    """The whole-algebra action x -> L x R(L)^2 at each row of an (n, 8)
+    array of chart points (angle, rotation axis, rapidity, boost axis), as an
+    (n, 8, 8) array of real matrices.
+
+    The factors are biquaternions with numpy-array components, one point per
+    entry, and go through the action table; ``tables`` (``_regular_tables``)
+    turns the left and right factors into matrices."""
+    p = np.asarray(params, dtype=float)
+    half_th, half_rho = p[:, 0] / 2.0, p[:, 4] / 2.0
+    axes = _unit_axes(p[:, [1, 2, 3, 5, 6, 7]].reshape(-1, 2, 3))
+    sin_th, sinh_rho = np.sin(half_th) + 0j, 1j * np.sinh(half_rho)
+    r = Biquaternion(np.cos(half_th) + 0j, *(c * sin_th for c in axes[:, 0].T))
+    b = Biquaternion(np.cosh(half_rho) + 0j, *(c * sinh_rho for c in axes[:, 1].T))
+    L = LorentzElement(l=b * r, boost_part=b, rotation_part=r)
+    left, right = action_factors("three_half_L", "A", L, DEFAULT_FRAME)
+    left_tab, right_tab = tables
+    return (np.einsum("nk,kij->nij", np.stack(left.real_coords(), axis=1), left_tab)
+            @ np.einsum("nk,kij->nij", np.stack(right.real_coords(), axis=1), right_tab))
+
+
+# scipy's relative step for a 2-point forward difference
+_FD_STEP = np.finfo(float).eps ** 0.5
+
+
+def _family_jacobian(x, tables):
+    """Forward-difference Jacobian of the flattened family matrix at the
+    chart point x, with scipy's 2-point step; the centre and the 8 shifted
+    points are evaluated in one batch."""
+    h = _FD_STEP * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
+    h = (x + h) - x
+    m = _family_matrices(np.vstack([x, x + np.diag(h)]), tables).reshape(9, 64)
+    return ((m[1:] - m[0]) / h[:, None]).T
 
 
 def least_squares(fun, x0, **kwargs):
@@ -278,12 +315,21 @@ def least_squares(fun, x0, **kwargs):
 
 def best_fit_defect(target: RealLinearOp, seed=0, restarts=12):
     """Least-squares distance from the target operator to the family
-    L [.] R(L)^2 over the 7-parameter group chart."""
+    L [.] R(L)^2 of the 6-dimensional group.
+
+    The fit runs over an 8-parameter chart (angle, rotation axis, rapidity,
+    boost axis; each axis enters normalized) from ``restarts`` random
+    starts.  Its Jacobian is a forward difference whose 9-point stencil is
+    evaluated in one batch (``_family_jacobian``)."""
     rng = random.Random(seed)
     tgt = target.to_numpy()
+    tables = _regular_tables()
 
     def resid(params):
-        return (_l32_from_params(params).to_numpy() - tgt).ravel()
+        return (_family_matrices(params[None, :], tables)[0] - tgt).ravel()
+
+    def jac(params):
+        return _family_jacobian(params, tables)
 
     best = math.inf
     for _ in range(restarts):
@@ -291,7 +337,7 @@ def best_fit_defect(target: RealLinearOp, seed=0, restarts=12):
               + [rng.gauss(0, 1) for _ in range(3)]
               + [rng.uniform(-1.5, 1.5)]
               + [rng.gauss(0, 1) for _ in range(3)])
-        sol = least_squares(resid, x0, method="lm", max_nfev=4000)
+        sol = least_squares(resid, x0, jac=jac, method="lm", max_nfev=4000)
         best = min(best, math.sqrt(2.0 * sol.cost))
     return best
 

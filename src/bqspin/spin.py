@@ -10,6 +10,7 @@ i times the rapidity, which cancels the i in front of the generators.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -43,9 +44,26 @@ def generators(s: SpinLabel, f: Frame) -> GeneratorTriple:
     """The generator triple of one column, as 8x8 real operators.
 
     The three-half column contains sqrt(3) factors, so all triples are
-    produced in the float backend.
+    produced in the float backend.  Each triple is built once per column and
+    float frame and then shared, so its matrices are read-only.
     """
-    f = f.to_float()
+    return _generators(s, f.to_float())
+
+
+# (column, float frame) pairs whose triples are kept
+_GENERATOR_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_GENERATOR_CACHE_SIZE)
+def _generators(s: SpinLabel, f: Frame) -> GeneratorTriple:
+    triple = _build_generators(s, f)
+    for op in (triple.j1, triple.j2, triple.j3):
+        op.matrix.flags.writeable = False
+    return triple
+
+
+def _build_generators(s: SpinLabel, f: Frame) -> GeneratorTriple:
+    """The generator triple of one column on a float frame, built anew."""
     nu, tau = f.nu, f.tau
     one = Biquaternion.scalar(1.0)
     half_i = 0.5j

@@ -179,6 +179,31 @@ def test_frame_idempotents():
         assert f.sigma + f.sigma_bar == ONE
 
 
+_FRAME_MEMBERS = ("nu", "tau", "sigma", "sigma_bar", "tau_sigma", "tau_sigma_bar")
+
+
+def test_frame_float_copy_is_made_once():
+    pairs = [(DEFAULT_FRAME, make_frame((0, 0, 1), (1, 0, 0))),
+             (random_rational_frame(random.Random(9)), random_rational_frame(random.Random(9))),
+             (make_frame((0.6, 0.8, 0.0), (0.0, 0.0, 1.0)),
+              make_frame((0.6, 0.8, 0.0), (0.0, 0.0, 1.0)))]
+    for f, twin in pairs:
+        # twin is equal to f and never converted, so it holds no float copy
+        twin_hash, twin_repr = hash(twin), repr(twin)
+        ff = f.to_float()
+        assert f.to_float() is ff
+        assert ff.to_float() is ff
+        for name in _FRAME_MEMBERS:
+            member = getattr(ff, name)
+            assert not member.is_exact()
+            assert member == getattr(f, name).to_float()
+        # equality, hash and repr ignore the kept copy
+        assert f == twin
+        assert hash(f) == twin_hash
+        assert repr(f) == twin_repr
+        assert "_float" not in repr(ff)
+
+
 def test_peirce_basis_multiplication_table():
     # frozen fixture: products of (sigma, tau*sigma, sigma_bar, tau*sigma_bar)
     f = DEFAULT_FRAME

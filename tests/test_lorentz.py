@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from bqspin import lorentz
@@ -240,6 +241,55 @@ def test_best_fit_defect_zero_for_family_member(monkeypatch):
     op = action_op("three_half_L", "A", L, DEFAULT_FRAME)
     assert best_fit_defect(op, seed=4, restarts=6) < 1e-7
     assert len(calls) == 6
+
+
+def _chart_op(p):
+    """The family member at one chart point, built point by point through
+    make_lorentz and action_op."""
+    def unit(v):
+        n = math.sqrt(sum(float(c) ** 2 for c in v))
+        return [0.0, 0.0, 1.0] if n < 1e-12 else [float(c) / n for c in v]
+    L = make_lorentz(unit(p[1:4]), p[0], unit(p[5:8]), p[4])
+    return action_op("three_half_L", "A", L, DEFAULT_FRAME).matrix
+
+
+def _chart_points():
+    rng = np.random.default_rng(47)
+    points = rng.normal(size=(12, 8))
+    points[:, 0] *= math.pi
+    points[3, 1:4] = (3e-13, -2e-13, 1e-13)
+    points[5, 5:8] = 0.0
+    points[7, 1:4] = points[7, 5:8] = (1e-13, 0.0, 0.0)
+    return points
+
+
+def test_family_matrices_match_the_action_table():
+    points = _chart_points()
+    batch = lorentz._family_matrices(points, lorentz._regular_tables())
+    assert batch.shape == (len(points), 8, 8)
+    for p, m in zip(points, batch):
+        assert np.abs(m - _chart_op(p)).max() <= 1e-14
+
+
+def test_batched_jacobian_matches_a_columnwise_difference():
+    tables = lorentz._regular_tables()
+    for x in _chart_points()[:4]:
+        h = math.sqrt(np.finfo(float).eps) * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, abs(x))
+        h = (x + h) - x
+        centre = _chart_op(x)
+        cols = []
+        for j in range(8):
+            shifted = x.copy()
+            shifted[j] += h[j]
+            cols.append(((_chart_op(shifted) - centre) / h[j]).ravel())
+        jac = lorentz._family_jacobian(x, tables)
+        assert jac.shape == (64, 8)
+        assert np.abs(jac - np.stack(cols, axis=1)).max() <= 1e-6
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_boost_counterexample_defect_is_stable(seed):
+    assert abs(boost_counterexample(seed)["defect"] - 0.4309406155) <= 1e-9
 
 
 def test_exponential_rep_and_l32_differ_off_axis():

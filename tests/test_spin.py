@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from bqspin.biquaternion import DEFAULT_FRAME, random_rational_frame
+from bqspin import spin
+from bqspin.biquaternion import DEFAULT_FRAME, make_frame, random_rational_frame
 from bqspin.errors import InvalidAxis
 from bqspin.linops import MUL_I, RealLinearOp
 from bqspin.spin import (
@@ -187,3 +188,20 @@ def test_half_boost_factor_is_bireal():
         ax = Biquaternion.vector(*(float(c) for c in axis))
         b = Biquaternion.scalar(complex(math.cosh(half))) + ax * (1j * math.sinh(half))
         assert (b.plus() - b).max_abs() < 1e-15
+
+
+def test_generators_are_kept_per_float_frame():
+    frames = [(DEFAULT_FRAME, make_frame((0, 0, 1), (1, 0, 0))),
+              (random_rational_frame(random.Random(51)),
+               random_rational_frame(random.Random(51)))]
+    for f, twin in frames:
+        for label in ALL_LABELS:
+            g = generators(label, f)
+            assert generators(label, f.to_float()) is g
+            # a build on an equal frame converted on its own, outside the cache
+            fresh = spin._build_generators(label, twin.to_float())
+            for op, ref in zip((g.j1, g.j2, g.j3), (fresh.j1, fresh.j2, fresh.j3)):
+                assert op.matrix.dtype == ref.matrix.dtype
+                assert op.matrix.tobytes() == ref.matrix.tobytes()
+                with pytest.raises(ValueError):
+                    op.matrix[0, 0] = 1.0
