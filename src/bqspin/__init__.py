@@ -45,12 +45,10 @@ from .fields import (
 )
 from .linops import RealLinearOp, monomial, op_exp
 from .lorentz import (
-    LorentzElement,
     act,
     boost_counterexample,
     invariance_report,
     make_lorentz,
-    polar_split,
     rotation_closure,
     subspace_closure,
 )

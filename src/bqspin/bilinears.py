@@ -124,7 +124,6 @@ def covariance_characters(L, f, rng_values):
     x -> L x L.bar().
     Returns the maximum deviation found for each claim.
     """
-    lq = L.l
     sg = f.to_float().sigma
 
     def fconst(q):
@@ -140,7 +139,7 @@ def covariance_characters(L, f, rng_values):
         worst["s_p"] = max(worst["s_p"], (tcov.s_p - cov.s_p).max_abs())
         worst["s_a"] = max(worst["s_a"], (tcov.s_a - cov.s_a).max_abs())
         for name in ("v_p", "v_a"):
-            expect = getattr(cov, name).lmul(lq).rmul(lq.plus())
+            expect = getattr(cov, name).lmul(L).rmul(L.plus())
             worst[name] = max(worst[name], (getattr(tcov, name) - expect).max_abs())
         worst["amplitude"] = max(worst["amplitude"], abs(complex(
             amplitude(ta0, tb0) - amplitude(a0, b0))))
@@ -151,9 +150,9 @@ def covariance_characters(L, f, rng_values):
         tscov = covariants(fconst(act("half_plus", "A", L, sa0, f)),
                            fconst(act("half_plus", "B", L, sb0, f)))
         for name in ("polar", "axial"):
-            expect = getattr(scov, name).lmul(lq).rmul(lq.plus())
+            expect = getattr(scov, name).lmul(L).rmul(L.plus())
             worst[name] = max(worst[name], (getattr(tscov, name) - expect).max_abs())
-        expect_six = scov.six.lmul(lq).rmul(lq.bar())
+        expect_six = scov.six.lmul(L).rmul(L.bar())
         worst["six"] = max(worst["six"], (tscov.six - expect_six).max_abs())
 
     return worst

@@ -1,8 +1,10 @@
 """Command-line entry point for the verification suites.
 
 Exit codes: 0 all suites passed, 1 at least one failure, 2 configuration
-error.  Reports are deterministic for a fixed (seed, backend) pair; the
-JSON document is the stable machine interface.
+error.  Reports are byte-identical for a fixed (seed, backend) pair, with
+one known exception: the best-fit defect of the float witness
+``l32.boost_counterexample`` can differ in its last digits from one run to
+the next.  The JSON document is the stable machine interface.
 """
 
 from __future__ import annotations

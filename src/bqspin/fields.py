@@ -39,7 +39,12 @@ _HALF = gr(Fraction(1, 2))
 
 
 class Poly:
-    """Polynomial in (t, x1, x2, x3) with biquaternion coefficients."""
+    """Polynomial in (t, x1, x2, x3) with biquaternion coefficients.
+
+    The constructor does not check that the coefficients share one backend,
+    because it runs on every product and sum; ``Field.polynomial`` and
+    ``Field.trig`` are the checks, and raise ``MixedBackend`` on a mix.
+    """
 
     __slots__ = ("terms",)
 

@@ -354,7 +354,7 @@ def _s_actions(rng, tol):
     for _ in range(6):
         L1 = lor.random_lorentz(rng)
         L2 = lor.random_lorentz(rng)
-        L12 = lor.polar_split(L1.l * L2.l)
+        L12 = L1 * L2
         for row in ("zero", "half_plus", "half_minus", "one"):
             for role in ("A", "B"):
                 lhs = lor.action_op(row, role, L1, f) @ lor.action_op(row, role, L2, f)
@@ -441,7 +441,7 @@ def _s_current(rng, tol):
     cf = flds.current(f)
     val = cf.eval_float((0.3, -0.2, 0.8, 0.1)).scalar_part()
     if val.real < -1e-12 or abs(val.imag) > 1e-9:
-        return False, abs(val.imag), None
+        return False, 1.0, None
     return True, 0.0, None
 
 
@@ -486,7 +486,7 @@ def _s_symbol_cov(rng, tol):
     one = Biquaternion.scalar(1.0)
     for _ in range(50):
         L = lor.random_lorentz(rng)
-        pq2 = L.l * pq * L.l.plus()
+        pq2 = L * pq * L.plus()
         for row in lor.ROWS:
             left, r = lor.action_factors(row, "A", L, frame)
             a0 = lor._random_float_bq(rng)
@@ -499,7 +499,7 @@ def _s_symbol_cov(rng, tol):
             b1 = lor.act(row, "B", L, b0, frame)
             lhs1 = (pq2.bar() * a1) * 1j - b1 * m
             lhs2 = (pq2 * b1) * 1j - a1 * m
-            worst = max(worst, (lhs1 - L.l.star() * res1 * r).max_abs())
+            worst = max(worst, (lhs1 - L.star() * res1 * r).max_abs())
             worst = max(worst, (lhs2 - left * res2 * r).max_abs())
     return worst <= tol, worst, None
 
@@ -572,7 +572,8 @@ def _s_lagrangian(rng, tol):
         return False, 1.0, None
     fa, fb = random_poly_field(rng), random_poly_field(rng)
     val = cov.lagrangian_density(fa, fb, random_linear_potential(rng), Fraction(3))
-    return (not val.is_zero()), 0.0, None
+    ok = not val.is_zero()
+    return ok, 0.0 if ok else 1.0, None
 
 
 @_suite("covariants.amplitude", "eq.40", "float", 1e-12)
@@ -711,7 +712,7 @@ def _s_rs_g1(rng, tol):
     worst = max(out.values())
     try:
         rs.g1_chain(ext, Fraction(0), DEFAULT_FRAME, [_sample_psi(rng)])
-        return False, worst, None
+        return False, 1.0, None
     except DegenerateMass:
         pass
     return worst == 0.0, worst, {k: v for k, v in out.items()}
@@ -888,7 +889,10 @@ def list_suites():
 
 
 def run(suite_filter="*", seed=0, backend=None, tol=None):
-    """Run all suites matching the glob; deterministic in (seed, backend).
+    """Run all suites matching the glob; deterministic in (seed, backend),
+    except the float witness ``l32.boost_counterexample``, whose best-fit
+    defect comes from an iterative least-squares fit and can differ in its
+    last digits from one run to the next (its status does not).
 
     Each suite carries its natural backend (exact identities vs float
     exponential sweeps); selecting a backend restricts the run to that

@@ -1,19 +1,18 @@
 """SL(2,C) elements, their actions on the field types, and scalar-product
 invariance reports.
 
-An element L = B R factors into a bireal boost factor and a real rotation
-factor.  The action table assigns to every spin row a left factor (L or its
-imaginary conjugate) and a right factor (a projector, L.plus(), or the
-squared rotation part), covering the scalar, the two spinor ideals, the
-four-/six-vector pair, and the whole-algebra action used for the
-four-component solutions.
+An element is a unit-norm biquaternion L = B R, a bireal boost factor times
+a real rotation factor.  The action table assigns to every spin row a left
+factor (L or its imaginary conjugate) and a right factor (a projector,
+L.plus(), or the squared rotation factor R(L)^2), covering the scalar, the
+two spinor ideals, the four-/six-vector pair, and the whole-algebra action
+used for the four-component solutions.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,44 +37,23 @@ from .spin import (
 _ONE = Biquaternion.scalar(1.0)
 
 
-@dataclass(frozen=True)
-class LorentzElement:
-    """Unit-norm biquaternion with its boost/rotation polar factors."""
-
-    l: Biquaternion
-    boost_part: Biquaternion
-    rotation_part: Biquaternion
+def make_lorentz(rot_axis, rot_angle, boost_axis, rapidity) -> Biquaternion:
+    return boost_factor(boost_axis, rapidity) * rotation_factor(rot_axis, rot_angle)
 
 
-def make_lorentz(rot_axis, rot_angle, boost_axis, rapidity) -> LorentzElement:
-    r = rotation_factor(rot_axis, rot_angle)
-    b = boost_factor(boost_axis, rapidity)
-    return LorentzElement(l=b * r, boost_part=b, rotation_part=r)
+def rotation_square(l: Biquaternion) -> Biquaternion:
+    """R(L)^2 for L = B R, rational in L.
 
-
-def polar_split(l: Biquaternion) -> LorentzElement:
-    """Factor a unit-norm element as L = B R.
-
-    B is the principal square root of L L.plus() (bireal, positive scalar
-    part); R = B.bar() L is then real with unit norm.  The leftover overall
-    sign sits in R, which only ever enters the actions through R*R.
+    With B = cosh(rho/2) + i b sinh(rho/2), L + L.star() = 2 cosh(rho/2) R,
+    a real multiple of R, so its square divided by its norm is R^2.  No
+    square root is taken: the result is exact for an exact L and runs
+    unchanged on numpy-array components.
     """
-    ll = l * l.plus()
-    # ll = cosh(rho) + i b sinh(rho): scalar part >= 1
-    ch = ll.scalar_part().real
-    vec = [ll.x / 1j, ll.y / 1j, ll.z / 1j]
-    sh = math.sqrt(max(ch * ch - 1.0, 0.0))
-    if sh > 1e-15:
-        axis = [complex(c).real / sh for c in vec]
-        rho = math.asinh(sh)
-        b = boost_factor(axis, rho)
-    else:
-        b = _ONE
-    r = b.bar() * l
-    return LorentzElement(l=l, boost_part=b, rotation_part=r)
+    twice_re = l + l.star()
+    return twice_re * twice_re / twice_re.norm()
 
 
-def random_lorentz(rng) -> LorentzElement:
+def random_lorentz(rng) -> Biquaternion:
     axis = _random_axis(rng)
     axis2 = _random_axis(rng)
     return make_lorentz(axis, rng.uniform(-math.pi, math.pi),
@@ -93,30 +71,32 @@ def _random_axis(rng):
 ROWS = ("zero", "half_plus", "half_minus", "one", "three_half_L")
 
 
-def action_factors(row: str, field_role: str, L: LorentzElement, f: Frame):
+def action_factors(row: str, field_role: str, L: Biquaternion, f: Frame):
     """The (left, right) factors of the table action x -> left x right of L
-    on one field type; the single copy of the action table."""
+    on one field type; the single copy of the action table.  The factors of
+    an exact L stay exact, except the projectors of the half rows and the
+    scalar B field's unit factors, which are float."""
     if field_role not in ("A", "B"):
         raise ValueError("field_role must be 'A' or 'B'")
-    left = L.l if field_role == "A" else L.l.star()
+    left = L if field_role == "A" else L.star()
     if row == "zero":
-        return (left, L.l.plus()) if field_role == "A" else (_ONE, _ONE)
+        return (left, L.plus()) if field_role == "A" else (_ONE, _ONE)
     if row in ("half_plus", "half_minus"):
         ff = f.to_float()
         return left, ff.sigma if row == "half_plus" else ff.sigma_bar
     if row == "one":
-        return left, L.l.plus()
+        return left, L.plus()
     if row == "three_half_L":
-        return left, L.rotation_part * L.rotation_part
+        return left, rotation_square(L)
     raise ValueError(f"unknown row {row!r}")
 
 
-def action_op(row: str, field_role: str, L: LorentzElement, f: Frame) -> RealLinearOp:
+def action_op(row: str, field_role: str, L: Biquaternion, f: Frame) -> RealLinearOp:
     """The table action of L on one field type, as a real-linear operator."""
     return monomial(*action_factors(row, field_role, L, f))
 
 
-def act(row: str, field_role: str, L: LorentzElement, x: Biquaternion, f: Frame):
+def act(row: str, field_role: str, L: Biquaternion, x: Biquaternion, f: Frame):
     """The table action of L on one field value."""
     left, right = action_factors(row, field_role, L, f)
     return left * x * right
@@ -128,24 +108,16 @@ def act(row: str, field_role: str, L: LorentzElement, x: Biquaternion, f: Frame)
 def row_subspaces(row: str, f: Frame):
     """Real bases of the A- and B-field value subspaces of one table row."""
     f = f.to_float()
-    sigma, sigma_bar, tau, nu = f.sigma, f.sigma_bar, f.tau, f.nu
-    i = 1j
-    e_basis = [nu, tau, tau * nu]
-    bireal = [_ONE] + [v * i for v in e_basis]
-    scalars = [_ONE, _ONE * i]
-    vectors = e_basis + [v * i for v in e_basis]
-    spinor_p = [sigma, sigma * i, tau * sigma, tau * sigma * i]
-    spinor_m = [sigma_bar, sigma_bar * i, tau * sigma_bar, tau * sigma_bar * i]
-    full = bireal + [v * i for v in bireal]
+    bireal = [_ONE] + [v * 1j for v in (f.nu, f.tau, f.tau * f.nu)]
     if row == "zero":
-        return bireal, scalars
-    if row == "half_plus":
-        return spinor_p, spinor_p
-    if row == "half_minus":
-        return spinor_m, spinor_m
+        return bireal, [_ONE, _ONE * 1j]
+    if row in ("half_plus", "half_minus"):
+        spinors = subspace_basis(SpinLabel(row), f)
+        return spinors, spinors
     if row == "one":
-        return bireal, vectors
+        return bireal, subspace_basis(SpinLabel.ONE, f)
     if row == "three_half_L":
+        full = subspace_basis(SpinLabel.THREE_HALF, f)
         return full, full
     raise ValueError(f"unknown row {row!r}")
 
@@ -282,8 +254,7 @@ def _family_matrices(params, tables):
     sin_th, sinh_rho = np.sin(half_th) + 0j, 1j * np.sinh(half_rho)
     r = Biquaternion(np.cos(half_th) + 0j, *(c * sin_th for c in axes[:, 0].T))
     b = Biquaternion(np.cosh(half_rho) + 0j, *(c * sinh_rho for c in axes[:, 1].T))
-    L = LorentzElement(l=b * r, boost_part=b, rotation_part=r)
-    left, right = action_factors("three_half_L", "A", L, DEFAULT_FRAME)
+    left, right = action_factors("three_half_L", "A", b * r, DEFAULT_FRAME)
     left_tab, right_tab = tables
     return (np.einsum("nk,kij->nij", np.stack(left.real_coords(), axis=1), left_tab)
             @ np.einsum("nk,kij->nij", np.stack(right.real_coords(), axis=1), right_tab))

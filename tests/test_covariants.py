@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -24,8 +25,9 @@ from bqspin.fields import (
     random_linear_potential,
     random_poly_field,
 )
-from bqspin.lorentz import random_lorentz
+from bqspin.lorentz import make_lorentz, random_lorentz
 from bqspin.scalars import gr
+from bqspin.spin import rotation_factor
 
 
 P = Momentum(Fraction(5), (Fraction(3), Fraction(0), Fraction(0)), Fraction(4))
@@ -33,6 +35,12 @@ P = Momentum(Fraction(5), (Fraction(3), Fraction(0), Fraction(0)), Fraction(4))
 
 def _const(q):
     return Field.constant(q)
+
+
+def _rand_axis(rng):
+    v = [rng.gauss(0, 1) for _ in range(3)]
+    n = math.sqrt(sum(c * c for c in v))
+    return [c / n for c in v]
 
 
 def test_singular_pair_annihilation():
@@ -151,11 +159,12 @@ def test_amplitude_values_and_invariance():
     assert abs(complex(amplitude(sg, sg)) - 0.5) < 1e-15
     rng = random.Random(76)
     for _ in range(10):
-        L = random_lorentz(rng)
+        axis, theta = _rand_axis(rng), rng.uniform(-math.pi, math.pi)
+        L = make_lorentz(axis, theta, _rand_axis(rng), rng.uniform(-1.5, 1.5))
         a0 = Biquaternion(*(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)))
         b0 = Biquaternion(*(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)))
-        r2 = L.rotation_part * L.rotation_part
-        t = amplitude(L.l * a0 * r2, L.l.star() * b0 * r2)
+        r = rotation_factor(axis, theta)
+        t = amplitude(L * a0 * r * r, L.star() * b0 * r * r)
         assert abs(complex(t - amplitude(a0, b0))) < 1e-12
 
 
@@ -172,7 +181,6 @@ def test_covariance_characters():
 
 
 def test_covariance_characters_identity():
-    from bqspin.lorentz import make_lorentz
     rng = random.Random(78)
     ident = make_lorentz((0, 0, 1), 0.0, (0, 0, 1), 0.0)
     values = [(Biquaternion(*(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4))),

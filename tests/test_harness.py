@@ -1,10 +1,12 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from bqspin import harness
 from bqspin.cli import emit, main
 from bqspin.errors import UnknownSuite
+from bqspin.fields import Field
 from bqspin.harness import (
     COVERAGE,
     OUT_OF_SCOPE,
@@ -70,6 +72,34 @@ def test_expected_rejection_lets_other_errors_through(monkeypatch):
     monkeypatch.setattr(harness.rs, "g1_chain", chain)
     with pytest.raises(TypeError):
         run("rs.g1_chain", seed=0)
+
+
+def _fail_row(suite_id):
+    (row,) = run(suite_id, seed=0)
+    assert row.status == "fail"
+    return row
+
+
+def test_lagrangian_failure_reports_a_nonzero_residual(monkeypatch):
+    # a density that vanishes on every pair passes the solution check and
+    # fails the off-shell one
+    monkeypatch.setattr(harness.cov, "lagrangian_density", lambda *args: Field.zero())
+    assert _fail_row("covariants.lagrangian").max_residual == 1.0
+
+
+def test_current_failure_reports_a_nonzero_residual(monkeypatch):
+    # the negated current is still conserved, but its density is negative
+    current = harness.flds.current
+    monkeypatch.setattr(harness.flds, "current", lambda psi: -current(psi))
+    assert _fail_row("dirac.current").max_residual == 1.0
+
+
+def test_g1_chain_failure_reports_a_nonzero_residual(monkeypatch):
+    # a chain that accepts the zero mass misses the expected rejection
+    chain = harness.rs.g1_chain
+    monkeypatch.setattr(harness.rs, "g1_chain",
+                        lambda ext, m, frame, fields: chain(ext, m or Fraction(2), frame, fields))
+    assert _fail_row("rs.g1_chain").max_residual == 1.0
 
 
 # fake lorentz reports: every quantity a suite bounds is the given violation

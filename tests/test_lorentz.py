@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,12 +23,13 @@ from bqspin.lorentz import (
     invariance_report,
     l32_invariance_report,
     make_lorentz,
-    polar_split,
     random_lorentz,
     rotation_closure,
+    rotation_square,
     subspace_closure,
 )
-from bqspin.spin import SpinLabel, eigenstates, rotate
+from bqspin.scalars import gr
+from bqspin.spin import SpinLabel, eigenstates, rotate, rotation_factor
 
 
 def _rand_axis(rng):
@@ -41,34 +43,68 @@ def test_make_lorentz_invariants():
     one = Biquaternion.scalar(1.0)
     for _ in range(25):
         L = random_lorentz(rng)
-        # unit norm, real rotation part, bireal boost part, L = B R
-        assert (L.l * L.l.bar() - one).max_abs() < 1e-12
-        assert (L.rotation_part.star() - L.rotation_part).max_abs() < 1e-12
-        assert (L.rotation_part * L.rotation_part.bar() - one).max_abs() < 1e-12
-        assert (L.boost_part.plus() - L.boost_part).max_abs() < 1e-12
-        assert (L.boost_part * L.rotation_part - L.l).max_abs() < 1e-12
+        r2 = rotation_square(L)
+        # unit norm, and a real unit-norm squared rotation factor
+        assert (L * L.bar() - one).max_abs() < 1e-12
+        assert (r2.star() - r2).max_abs() < 1e-12
+        assert (r2 * r2.bar() - one).max_abs() < 1e-12
 
 
 def test_make_lorentz_pure_cases():
     rng = random.Random(61)
     axis = _rand_axis(rng)
     ident = make_lorentz(axis, 0.0, axis, 0.0)
-    assert (ident.l - Biquaternion.scalar(1.0)).max_abs() < 1e-15
+    assert (ident - Biquaternion.scalar(1.0)).max_abs() < 1e-15
     rot = make_lorentz(axis, 1.1, axis, 0.0)
-    assert (rot.l.star() - rot.l).max_abs() < 1e-13
+    assert (rot.star() - rot).max_abs() < 1e-13
     boo = make_lorentz(axis, 0.0, axis, 0.8)
-    assert (boo.l.plus() - boo.l).max_abs() < 1e-13
+    assert (boo.plus() - boo).max_abs() < 1e-13
 
 
-def test_polar_split_recovers_factors():
+def test_rotation_square_matches_the_rotation_factor():
     rng = random.Random(62)
     for _ in range(25):
-        L = random_lorentz(rng)
-        split = polar_split(L.l)
-        assert (split.boost_part - L.boost_part).max_abs() < 1e-10
-        r2a = split.rotation_part * split.rotation_part
-        r2b = L.rotation_part * L.rotation_part
-        assert (r2a - r2b).max_abs() < 1e-10
+        axis, boost_axis = _rand_axis(rng), _rand_axis(rng)
+        theta, rho = rng.uniform(-math.pi, math.pi), rng.uniform(-1.5, 1.5)
+        r = rotation_factor(axis, theta)
+        L = make_lorentz(axis, theta, boost_axis, rho)
+        assert (rotation_square(L) - r * r).max_abs() <= 1e-14
+
+
+# exact boosts with Pythagorean factors: cosh(rho/2) = 5/4 and 13/12
+_B1 = Biquaternion(gr(Fraction(5, 4)), gr(0, Fraction(3, 4)), gr(0), gr(0))
+_B2 = Biquaternion(gr(Fraction(13, 12)), gr(0), gr(0, Fraction(5, 12)), gr(0))
+# an exact rotation factor, and two Pythagorean rotations about e3
+_R = Biquaternion(*(gr(Fraction(c, 5)) for c in (1, 2, 2, 4)))
+_R3 = Biquaternion(gr(Fraction(3, 5)), gr(0), gr(0), gr(Fraction(4, 5)))
+_R13 = Biquaternion(gr(Fraction(5, 13)), gr(0), gr(0), gr(Fraction(12, 13)))
+
+
+def test_rotation_square_is_exact():
+    # scal R(B1 B2)^2 is the cosine of the Thomas-Wigner angle,
+    # (g1 + g2) / (1 + g1 g2) for the Lorentz factors 17/8 and 97/72
+    assert rotation_square(_B1 * _B2).scalar_part() == gr(Fraction(80, 89))
+    assert rotation_square(_B1) == Biquaternion.one()
+    assert rotation_square(_R) == _R * _R
+    assert rotation_square(_B1 * _R) == _R * _R
+
+
+def _composes_exactly(row, role, L1, L2):
+    ops = [action_op(row, role, L, DEFAULT_FRAME) for L in (L1, L2, L1 * L2)]
+    assert all(op.matrix.dtype == object for op in ops)
+    return (ops[0] @ ops[1]).equal(ops[2], tol=0.0)
+
+
+@pytest.mark.parametrize("row,role", [("one", "A"), ("one", "B"), ("zero", "A")])
+def test_exact_rows_compose_exactly(row, role):
+    assert _composes_exactly(row, role, _B1 * _R, _B2 * _R3)
+    assert _composes_exactly(row, role, _B2, _B1 * _R13)
+
+
+def test_three_half_row_composes_exactly_only_for_rotations_about_e3():
+    assert _composes_exactly("three_half_L", "A", _R3, _R13)
+    assert _composes_exactly("three_half_L", "A", _R13 * _R3, _R3)
+    assert not _composes_exactly("three_half_L", "A", _B1, _B2)
 
 
 def test_invalid_axis():
@@ -98,7 +134,7 @@ def test_actions_are_group_actions(row):
     for _ in range(10):
         L1 = random_lorentz(rng)
         L2 = random_lorentz(rng)
-        L12 = polar_split(L1.l * L2.l)
+        L12 = L1 * L2
         for role in ("A", "B"):
             lhs = action_op(row, role, L1, f) @ action_op(row, role, L2, f)
             rhs = action_op(row, role, L12, f)
@@ -127,8 +163,8 @@ def test_four_vector_and_six_vector_laws():
     for _ in range(10):
         L = random_lorentz(rng)
         x = Biquaternion(*(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)))
-        assert (act("one", "A", L, x, f) - L.l * x * L.l.plus()).max_abs() < 1e-12
-        assert (act("one", "B", L, x, f) - L.l.star() * x * L.l.plus()).max_abs() < 1e-12
+        assert (act("one", "A", L, x, f) - L * x * L.plus()).max_abs() < 1e-12
+        assert (act("one", "B", L, x, f) - L.star() * x * L.plus()).max_abs() < 1e-12
 
 
 def test_act_is_the_table_operator_applied():
