@@ -18,7 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidFrame, MixedBackend, SingularOperand
-from .scalars import GR_I, GR_ONE, GR_ZERO, GaussianIntArray, GaussianRational, gr, is_exact
+from .scalars import (GR_I, GR_ONE, GR_ZERO, GaussianIntArray, GaussianRational, _hamilton, gr,
+                      is_exact)
 
 
 def _lift(*values):
@@ -41,6 +42,12 @@ class Biquaternion:
     never make one.  Components that are numpy float or complex arrays, one
     sample per entry (the eq. (48) fit in ``lorentz``), are of the float
     backend.
+
+    When all eight components of a product are ``GaussianRational``, the
+    product is the fused integer kernel ``scalars._hamilton``: four values
+    and four gcds.  Every other product (``complex``, numpy-array and
+    ``GaussianIntArray`` components, or a mix from the plain constructor)
+    is the component-wise formula on the scalars' own operators.
     """
 
     w: object
@@ -128,8 +135,14 @@ class Biquaternion:
 
     def __mul__(self, other):
         if isinstance(other, Biquaternion):
-            aw, ax, ay, az = self.components()
-            bw, bx, by, bz = other.components()
+            a = self.components()
+            b = other.components()
+            if type(self.w) is GaussianRational:
+                prod = _hamilton(a, b)
+                if prod is not None:
+                    return Biquaternion(*prod)
+            aw, ax, ay, az = a
+            bw, bx, by, bz = b
             return Biquaternion(
                 aw * bw - ax * bx - ay * by - az * bz,
                 aw * bx + ax * bw + ay * bz - az * by,
@@ -201,7 +214,7 @@ class Biquaternion:
     # -- comparisons ----------------------------------------------------------
 
     def is_zero(self):
-        return not any(bool(c) for c in self.components())
+        return not (self.w or self.x or self.y or self.z)
 
     def max_abs(self):
         return max(abs(complex(c)) for c in self.components())

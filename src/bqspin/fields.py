@@ -44,6 +44,9 @@ class Poly:
     The constructor does not check that the coefficients share one backend,
     because it runs on every product and sum; ``Field.polynomial`` and
     ``Field.trig`` are the checks, and raise ``MixedBackend`` on a mix.
+    No stored coefficient is zero.  The constructor drops zeros; sums,
+    negation, ``map_coeffs`` and ``derivative`` drop them themselves or
+    cannot make one, so they build through ``_of``, which skips that check.
     """
 
     __slots__ = ("terms",)
@@ -54,6 +57,13 @@ class Poly:
             for exps, coeff in terms.items():
                 if not coeff.is_zero():
                     self.terms[tuple(exps)] = coeff
+
+    @staticmethod
+    def _of(terms):
+        """The Poly of a dict of tuple exponents to coefficients known to be nonzero."""
+        p = object.__new__(Poly)
+        p.terms = terms
+        return p
 
     @staticmethod
     def constant(q: Biquaternion):
@@ -70,15 +80,18 @@ class Poly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             s = out.get(e)
-            s = c if s is None else s + c
+            if s is None:
+                out[e] = c
+                continue
+            s = s + c
             if s.is_zero():
-                out.pop(e, None)
+                del out[e]
             else:
                 out[e] = s
-        return Poly(out)
+        return Poly._of(out)
 
     def __neg__(self):
-        return Poly({e: -c for e, c in self.terms.items()})
+        return Poly._of({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -108,7 +121,7 @@ class Poly:
             v = fn(c)
             if not v.is_zero():
                 out[e] = v
-        return Poly(out)
+        return Poly._of(out)
 
     def derivative(self, var: int):
         out = {}
@@ -119,7 +132,7 @@ class Poly:
             ne = list(e)
             ne[var] = n - 1
             out[tuple(ne)] = c * n
-        return Poly(out)
+        return Poly._of(out)
 
     def eval_float(self, point):
         total = Biquaternion.scalar(0.0)

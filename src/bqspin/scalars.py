@@ -11,7 +11,10 @@ A :class:`GaussianRational` stores (a + i*b)/d as three Python ints in
 canonical form: d > 0 and gcd(a, b, d) = 1, so zero is (0, 0, 1) and two
 values are equal exactly when their ints are.  Each operation is integer
 arithmetic and one three-way gcd; ``re`` and ``im`` are ``Fraction`` values
-derived from the ints on demand.
+derived from the ints on demand.  The Hamilton product of two quaternions of
+Gaussian rationals is fused into one such operation per output component
+(:func:`_hamilton`), so it makes four values and four gcds where sixteen
+products and twelve sums would make 28.
 
 A :class:`GaussianIntArray` is a third, exact scalar: one Gaussian rational
 per sample of a batch, so the unchanged algebra layer checks an identity on
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -60,6 +63,56 @@ def _reduced(a, b, d):
     if g != 1:
         return _made(a // g, b // g, d // g)
     return _made(a, b, d)
+
+
+def _hamilton(p, q):
+    """The Hamilton product of quaternions p and q, as four Gaussian rationals.
+
+    p and q are (w, x, y, z) tuples; None unless all eight components are
+    GaussianRational.  Each operand is brought to one common denominator, so
+    every output component is a sum of Gaussian-integer products over one
+    denominator and is reduced once.  Canonical values do not depend on the
+    order of evaluation, so the result equals the component-wise formula.
+    """
+    pw, px, py, pz = p
+    qw, qx, qy, qz = q
+    if not (type(pw) is type(px) is type(py) is type(pz) is type(qw) is type(qx)
+            is type(qy) is type(qz) is GaussianRational):
+        return None
+    # p = (A + iB)/dp and q = (C + iE)/dq, component by component
+    dp = lcm(pw._d, px._d, py._d, pz._d)
+    s = dp // pw._d
+    aw, bw = pw._a * s, pw._b * s
+    s = dp // px._d
+    ax, bx = px._a * s, px._b * s
+    s = dp // py._d
+    ay, by = py._a * s, py._b * s
+    s = dp // pz._d
+    az, bz = pz._a * s, pz._b * s
+    dq = lcm(qw._d, qx._d, qy._d, qz._d)
+    s = dq // qw._d
+    cw, ew = qw._a * s, qw._b * s
+    s = dq // qx._d
+    cx, ex = qx._a * s, qx._b * s
+    s = dq // qy._d
+    cy, ey = qy._a * s, qy._b * s
+    s = dq // qz._d
+    cz, ez = qz._a * s, qz._b * s
+    d = dp * dq
+    return (
+        _reduced(aw * cw - bw * ew - ax * cx + bx * ex - ay * cy + by * ey - az * cz + bz * ez,
+                 aw * ew + bw * cw - ax * ex - bx * cx - ay * ey - by * cy - az * ez - bz * cz,
+                 d),
+        _reduced(aw * cx - bw * ex + ax * cw - bx * ew + ay * cz - by * ez - az * cy + bz * ey,
+                 aw * ex + bw * cx + ax * ew + bx * cw + ay * ez + by * cz - az * ey - bz * cy,
+                 d),
+        _reduced(aw * cy - bw * ey + ay * cw - by * ew + az * cx - bz * ex - ax * cz + bx * ez,
+                 aw * ey + bw * cy + ay * ew + by * cw + az * ex + bz * cx - ax * ez - bx * cz,
+                 d),
+        _reduced(aw * cz - bw * ez + az * cw - bz * ew + ax * cy - bx * ey - ay * cx + by * ex,
+                 aw * ez + bw * cz + az * ew + bz * cw + ax * ey + bx * cy - ay * ex - by * cx,
+                 d),
+    )
 
 
 class GaussianRational:

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from test_oracle import _load_oracle
 
 from bqspin.biquaternion import (
     Biquaternion,
@@ -17,9 +19,9 @@ from bqspin.biquaternion import (
     random_real_quaternion,
     unitary_product,
 )
-from bqspin.errors import InvalidFrame, SingularOperand
+from bqspin.errors import InvalidFrame, MixedBackend, SingularOperand
 from bqspin.exactlinalg import solve
-from bqspin.scalars import gr
+from bqspin.scalars import GaussianIntArray, GaussianRational, gr
 
 
 ONE, E1, E2, E3, I, IE1, IE2, IE3 = basis_elements(exact=True)
@@ -112,6 +114,69 @@ def test_norm_product_has_zero_vector_part():
         prod = q * q.bar()
         assert prod.vector_part().is_zero()
         assert prod.scalar_part() == q.norm()
+
+
+def _componentwise(a, b):
+    """The Hamilton product written out with the scalars' own operators."""
+    aw, ax, ay, az = a.components()
+    bw, bx, by, bz = b.components()
+    return Biquaternion(aw * bw - ax * bx - ay * by - az * bz,
+                        aw * bx + ax * bw + ay * bz - az * by,
+                        aw * by + ay * bw + az * bx - ax * bz,
+                        aw * bz + az * bw + ax * by - ay * bx)
+
+
+def _wide_biquaternion(rng):
+    """Exact components with numerators above 2**64 over coprime denominators."""
+    def comp():
+        return gr(Fraction(rng.randint(-2 ** 70, 2 ** 70), rng.choice((1, 7, 11, 13))),
+                  Fraction(rng.randint(-2 ** 70, 2 ** 70), rng.choice((1, 7, 11, 13))))
+    return Biquaternion(comp(), comp(), comp(), comp())
+
+
+def test_exact_product_matches_the_componentwise_formula_and_the_oracle():
+    rng = random.Random(57)
+    sparse = [E1, E2, E3, IE1, IE2, IE3, DEFAULT_FRAME.nu, Biquaternion.zero()]
+    wide = [_wide_biquaternion(rng) for _ in range(40)]
+    small = [random_rational_biquaternion(rng) for _ in range(20)]
+    pairs = list(zip(wide[::2], wide[1::2])) + list(zip(small[::2], small[1::2]))
+    pairs += [(a, b) for a in sparse for b in sparse]
+    pairs += [(a, b) for a in sparse for b in wide[:4]]
+    pairs += [(b, a) for a in sparse for b in wide[:4]]
+    assert any(c._d == 7 * 11 * 13 for c in (wide[0] * wide[1]).components())
+    for a, b in pairs:
+        prod = a * b
+        assert all(type(c) is GaussianRational for c in prod.components())
+        assert prod == _componentwise(a, b)
+    checks, problems = _load_oracle().check(sparse + wide + small, pairs)
+    assert checks > 0
+    assert problems == []
+
+
+def test_mixed_element_takes_the_componentwise_product():
+    mixed = Biquaternion(gr(1), 0.5j, gr(0), gr(Fraction(1, 3)))
+    q = Biquaternion(gr(2, 1), gr(Fraction(1, 7)), gr(0, -1), gr(3))
+    for a, b in ((mixed, q), (q, mixed), (mixed, mixed)):
+        assert a * b == _componentwise(a, b)
+    with pytest.raises(MixedBackend):
+        mixed.is_exact()
+    # every output component has a term with the complex x, as exact with float gives float
+    assert not (mixed * q).is_exact()
+
+
+@pytest.mark.parametrize("slot", range(4))
+def test_is_zero_reads_every_component(slot):
+    zero_batch = GaussianIntArray(np.zeros(5, dtype=np.int64), np.zeros(5, dtype=np.int64))
+    one_sample = GaussianIntArray([0, 0, 0, -2, 0], np.zeros(5, dtype=np.int64))
+    batch = [zero_batch] * 4
+    assert Biquaternion(*batch).is_zero()
+    batch[slot] = one_sample
+    assert not Biquaternion(*batch).is_zero()
+    for zero, nonzero in ((gr(0), gr(0, Fraction(1, 9))), (0j, 1e-300j)):
+        parts = [zero] * 4
+        assert Biquaternion(*parts).is_zero()
+        parts[slot] = nonzero
+        assert not Biquaternion(*parts).is_zero()
 
 
 def test_associativity_float_mode():

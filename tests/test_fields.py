@@ -17,6 +17,7 @@ from bqspin.fields import (
     FROZEN_NABLA,
     Momentum,
     NablaSpec,
+    Poly,
     box,
     build_doublet,
     current,
@@ -76,6 +77,39 @@ def test_derivative_product_rule_and_mode_closure():
     # derivative of a single-mode field keeps the same wave vector
     df = f.derivative(0)
     assert set(df.modes.keys()) == set(f.modes.keys())
+
+
+def _no_zero_coefficient(p: Poly):
+    return not any(c.is_zero() for c in p.terms.values())
+
+
+def test_poly_stores_no_zero_coefficient():
+    rng = random.Random(34)
+    p = Poly({(1, 0, 2, 0): random_rational_biquaternion(rng),
+              (0, 0, 0, 0): random_rational_biquaternion(rng),
+              (0, 3, 0, 1): random_rational_biquaternion(rng)})
+    q = Poly({(1, 0, 2, 0): -p.terms[(1, 0, 2, 0)],
+              (2, 0, 0, 0): random_rational_biquaternion(rng)})
+    one = Biquaternion.one()
+    e1 = Biquaternion.vector(1, 0, 0)
+    cases = {
+        "p + (-p)": p + (-p),
+        "p - p": p - p,
+        "zero map": p.map_coeffs(lambda c: c * 0),
+        "constant derivative": Poly.constant(e1).derivative(0),
+        "partial cancellation": p + q,
+        "derivative": p.derivative(3),
+        "product": Poly({(0, 0, 0, 0): one, (1, 0, 0, 0): e1})
+        * Poly({(0, 0, 0, 0): one, (1, 0, 0, 0): -e1}),
+    }
+    for name, r in cases.items():
+        assert _no_zero_coefficient(r), name
+    for name in ("p + (-p)", "p - p", "zero map", "constant derivative"):
+        assert cases[name].terms == {}, name
+    assert set(cases["partial cancellation"].terms) == {(0, 0, 0, 0), (0, 3, 0, 1), (2, 0, 0, 0)}
+    assert cases["derivative"].terms == {(0, 3, 0, 0): p.terms[(0, 3, 0, 1)]}
+    # (1 + e1 t)(1 - e1 t) = 1 - e1 e1 t^2 = 1 + t^2: the t term cancels and is dropped
+    assert cases["product"].terms == {(0, 0, 0, 0): one, (2, 0, 0, 0): one}
 
 
 def test_constant_derivative_zero():
