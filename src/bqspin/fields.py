@@ -31,8 +31,6 @@ from .linops import RealLinearOp
 from .scalars import GR_I, gr
 
 
-_VARS = ("t", "x1", "x2", "x3")
-
 _E_UNITS = (Biquaternion.vector(1, 0, 0), Biquaternion.vector(0, 1, 0),
             Biquaternion.vector(0, 0, 1))
 _HALF = gr(Fraction(1, 2))
@@ -68,10 +66,6 @@ class Poly:
     @staticmethod
     def constant(q: Biquaternion):
         return Poly({(0, 0, 0, 0): q})
-
-    @staticmethod
-    def zero():
-        return Poly()
 
     def is_zero(self):
         return not self.terms
@@ -150,22 +144,26 @@ class Poly:
         return f"Poly({len(self.terms)} terms)"
 
 
-def _neg_k(k):
-    return tuple(-c for c in k)
-
-
-def _k_is_zero(k):
-    return all(c == 0 for c in k)
-
-
-def _k_canonical(k):
-    """Sign-canonical representative: first nonzero component positive."""
+def _canonical_mode(k, ps):
+    """k with its first nonzero entry made positive, and the sin Poly ps over
+    that vector: negated on a sign flip, empty for the zero vector."""
     for c in k:
         if c > 0:
-            return k, 1
+            return k, ps
         if c < 0:
-            return _neg_k(k), -1
-    return k, 1
+            return tuple(-c for c in k), -ps
+    return k, Poly()
+
+
+def _merge(modes, k, pc, ps):
+    """Add (pc, ps) into modes at the canonical key k; a zero sum leaves the dict."""
+    old = modes.get(k)
+    if old is not None:
+        pc, ps = old[0] + pc, old[1] + ps
+    if pc.terms or ps.terms:
+        modes[k] = (pc, ps)
+    elif old is not None:
+        del modes[k]
 
 
 def _one_backend(coeffs):
@@ -175,17 +173,29 @@ def _one_backend(coeffs):
 
 
 class Field:
-    """Biquaternion-valued function of spacetime, closed under exact calculus."""
+    """Biquaternion-valued function of spacetime, closed under exact calculus.
+
+    ``modes`` maps a wave vector k to its (cos_poly, sin_poly) pair; the zero
+    vector holds the polynomial part.  By construction every key is
+    sign-canonical (first nonzero entry positive), no pair is zero, and the
+    zero vector's sin Poly is empty.  Only ``trig`` and ``__mul__`` make wave
+    vectors, through ``_canonical_mode``; the linear operations keep their
+    operands' keys.
+    """
 
     __slots__ = ("modes",)
 
-    def __init__(self, modes=None):
-        # modes: {k: (cos_poly, sin_poly)}; k == (0,0,0,0) holds the plain
-        # polynomial part in its cos slot.
+    def __init__(self):
         self.modes = {}
-        if modes:
-            for k, (pc, ps) in modes.items():
-                self._accumulate(k, pc, ps)
+
+    @staticmethod
+    def _of(modes):
+        """The Field of a dict of canonical modes; drops zero pairs in place."""
+        for k in [k for k, (pc, ps) in modes.items() if not (pc.terms or ps.terms)]:
+            del modes[k]
+        f = object.__new__(Field)
+        f.modes = modes
+        return f
 
     # -- construction ----------------------------------------------------------
 
@@ -200,9 +210,7 @@ class Field:
     @staticmethod
     def polynomial(poly: Poly):
         _one_backend(poly.terms.values())
-        f = Field()
-        f._accumulate((0, 0, 0, 0), poly, None)
-        return f
+        return Field._of({(0, 0, 0, 0): (poly, Poly())})
 
     @staticmethod
     def trig(k, cos_coeff: Biquaternion, sin_coeff: Biquaternion):
@@ -214,37 +222,19 @@ class Field:
         # derivatives multiply the coefficients by k, so a float k is float data
         if any(isinstance(c, float) for c in k) and any(q.is_exact() for q in coeffs):
             raise MixedBackend("a float wave vector with exact field coefficients")
-        f = Field()
-        f._accumulate(k, pc, ps)
-        return f
-
-    def _accumulate(self, k, pc, ps):
-        k, sign = _k_canonical(tuple(k))
-        if ps is not None and sign < 0:
-            ps = -ps
-        if _k_is_zero(k):
-            ps = None  # sin(0) == 0
-        old = self.modes.get(k)
-        oc, os_ = old if old is not None else (Poly(), Poly())
-        nc = oc + pc if pc is not None else oc
-        ns = os_ + ps if ps is not None else os_
-        if nc.is_zero() and ns.is_zero():
-            self.modes.pop(k, None)
-        else:
-            self.modes[k] = (nc, ns)
+        k, ps = _canonical_mode(k, ps)
+        return Field._of({k: (pc, ps)})
 
     # -- linear structure --------------------------------------------------------
 
     def __add__(self, other):
-        out = Field()
-        for k, (pc, ps) in self.modes.items():
-            out._accumulate(k, pc, ps)
+        out = dict(self.modes)
         for k, (pc, ps) in other.modes.items():
-            out._accumulate(k, pc, ps)
-        return out
+            _merge(out, k, pc, ps)
+        return Field._of(out)
 
     def __neg__(self):
-        return Field({k: (-pc, -ps) for k, (pc, ps) in self.modes.items()})
+        return Field._of({k: (-pc, -ps) for k, (pc, ps) in self.modes.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -260,10 +250,8 @@ class Field:
         return self.map_coeffs(lambda c: c * q)
 
     def map_coeffs(self, fn):
-        out = Field()
-        for k, (pc, ps) in self.modes.items():
-            out._accumulate(k, pc.map_coeffs(fn), ps.map_coeffs(fn))
-        return out
+        return Field._of({k: (pc.map_coeffs(fn), ps.map_coeffs(fn))
+                          for k, (pc, ps) in self.modes.items()})
 
     # -- products ------------------------------------------------------------------
 
@@ -272,25 +260,28 @@ class Field:
             return self.rmul(other)
         if not isinstance(other, Field):
             return self.scale(other)
-        out = Field()
+        out = {}
         for ka, (ca, sa) in self.modes.items():
             for kb, (cb, sb) in other.modes.items():
                 cacb = ca * cb
-                if _k_is_zero(ka):
+                if not any(ka):
                     # plain polynomial times mode b
-                    out._accumulate(kb, cacb, ca * sb)
+                    _merge(out, kb, cacb, ca * sb)
                     continue
-                if _k_is_zero(kb):
-                    out._accumulate(ka, cacb, sa * cb)
+                if not any(kb):
+                    _merge(out, ka, cacb, sa * cb)
                     continue
                 sasb = sa * sb
                 sacb = sa * cb
                 casb = ca * sb
+                # the sum of two canonical keys is canonical: at the first
+                # index where either is nonzero, both entries are >= 0
                 kp = tuple(a + b for a, b in zip(ka, kb))
-                km = tuple(a - b for a, b in zip(ka, kb))
-                out._accumulate(kp, (cacb - sasb) * _HALF, (sacb + casb) * _HALF)
-                out._accumulate(km, (cacb + sasb) * _HALF, (sacb - casb) * _HALF)
-        return out
+                _merge(out, kp, (cacb - sasb) * _HALF, (sacb + casb) * _HALF)
+                km, sm = _canonical_mode(tuple(a - b for a, b in zip(ka, kb)),
+                                         (sacb - casb) * _HALF)
+                _merge(out, km, (cacb + sasb) * _HALF, sm)
+        return Field._of(out)
 
     def __rmul__(self, q):
         if isinstance(q, Biquaternion):
@@ -325,17 +316,16 @@ class Field:
 
     def derivative(self, var: int):
         """Partial derivative with respect to t, x1, x2, or x3 (var = 0..3)."""
-        out = Field()
+        out = {}
         for k, (pc, ps) in self.modes.items():
             dpc = pc.derivative(var)
-            dps = ps.derivative(var)
-            if _k_is_zero(k):
-                out._accumulate(k, dpc, None)
+            if not any(k):
+                out[k] = (dpc, ps)
                 continue
             dphi = k[0] if var == 0 else -k[var]
             # d(P cos) = P' cos - P dphi sin ; d(Q sin) = Q' sin + Q dphi cos
-            out._accumulate(k, dpc + ps * dphi, dps - pc * dphi)
-        return out
+            out[k] = (dpc + ps * dphi, ps.derivative(var) - pc * dphi)
+        return Field._of(out)
 
     def dt(self):
         return self.derivative(0)
@@ -416,10 +406,8 @@ FROZEN_NABLA = NablaSpec(i_on_time=True, space_sign=1)
 
 def _apply_gradient(f: Field, units, from_right=False):
     derivs = [f.dt(), f.dx(1), f.dx(2), f.dx(3)]
-    out = Field.zero()
-    for u, d in zip(units, derivs):
-        out = out + (d.rmul(u) if from_right else d.lmul(u))
-    return out
+    terms = (d.rmul(u) if from_right else d.lmul(u) for u, d in zip(units, derivs))
+    return sum(terms, Field.zero())
 
 
 def nabla(f: Field, spec: NablaSpec = FROZEN_NABLA) -> Field:
@@ -544,8 +532,7 @@ def _dl_symbol_op_for_spec(spec, p0, p, m, frame) -> RealLinearOp:
 
 
 def _extract_mode_cos(f: Field, k):
-    k = tuple(Fraction(c) for c in k)
-    kc, _ = _k_canonical(k)
+    kc, _ = _canonical_mode(tuple(Fraction(c) for c in k), Poly())
     pair = f.modes.get(kc)
     if pair is None:
         return Biquaternion.zero()

@@ -612,8 +612,8 @@ def _s_rs_identities(rng, tol):
     ebu = units["bar_upper"]
     x = random_poly_field(rng, n_terms=3, max_deg=4)
     terms = [ctx.pi_lower(mu, x) for mu in range(4)]
-    acc_bar = rs._sum_fields(t.lmul(ebu[mu]) for mu, t in enumerate(terms))
-    acc_star = rs._sum_fields(t.lmul(eu[mu]) for mu, t in enumerate(terms))
+    acc_bar = sum((t.lmul(ebu[mu]) for mu, t in enumerate(terms)), Field.zero())
+    acc_star = sum((t.lmul(eu[mu]) for mu, t in enumerate(terms)), Field.zero())
     ok = (acc_bar - ctx.pibar(x)).is_zero() and (acc_star - ctx.pibar_star(x)).is_zero()
     total = Biquaternion.zero()
     for mu in range(4):

@@ -112,6 +112,56 @@ def test_poly_stores_no_zero_coefficient():
     assert cases["product"].terms == {(0, 0, 0, 0): one, (2, 0, 0, 0): one}
 
 
+def _assert_canonical(f: Field, name):
+    for k, (pc, ps) in f.modes.items():
+        lead = next((c for c in k if c != 0), None)
+        assert lead is None or lead > 0, (name, k)
+        assert not (pc.is_zero() and ps.is_zero()), (name, k)
+        if lead is None:
+            assert ps.is_zero(), (name, k)
+
+
+def test_field_modes_stay_canonical():
+    rng = random.Random(35)
+    a, b = random_rational_biquaternion(rng), random_rational_biquaternion(rng)
+    k = (Fraction(1), Fraction(2), Fraction(0), Fraction(1))
+    # a negative leading entry flips the key and the sign of the sin part
+    flipped = Field.trig((-2, 1, 0, 3), a, b)
+    assert list(flipped.modes) == [(2, -1, 0, -3)]
+    assert flipped.modes[(2, -1, 0, -3)][1].terms == {(0, 0, 0, 0): -b}
+    wave = Field.trig(k, a, b)
+    poly = random_poly_field(rng, n_terms=3, max_deg=2)
+    f = wave + poly + flipped
+    g = Field.trig((0, 0, -1, 2), b, a) * poly - wave
+    # the difference vector of trig(k) * trig(k) is zero: its sin part must go
+    square = wave * wave
+    assert (0, 0, 0, 0) in square.modes
+    cases = {
+        "trig": flipped,
+        "f + g": f + g,
+        "f - g": f - g,
+        "-f": -f,
+        "map_coeffs": f.map_coeffs(lambda c: c.vector_part()),
+        "f * g": f * g,
+        "square": square,
+        "f + (-f)": f + (-f),
+        # the constant and the k2 = 0 trig modes have no x2 dependence
+        "killing derivative": (Field.constant(a) + wave.dt()).dx(2),
+    }
+    for var in range(4):
+        cases[f"derivative {var}"] = f.derivative(var)
+    for name, r in cases.items():
+        _assert_canonical(r, name)
+    assert cases["f + (-f)"].is_zero()
+    assert cases["killing derivative"].is_zero()
+    # a sum leaves its operands' modes unchanged
+    f_modes = {k: (dict(pc.terms), dict(ps.terms)) for k, (pc, ps) in f.modes.items()}
+    g_modes = {k: (dict(pc.terms), dict(ps.terms)) for k, (pc, ps) in g.modes.items()}
+    f + g
+    assert {k: (pc.terms, ps.terms) for k, (pc, ps) in f.modes.items()} == f_modes
+    assert {k: (pc.terms, ps.terms) for k, (pc, ps) in g.modes.items()} == g_modes
+
+
 def test_constant_derivative_zero():
     c = Field.constant(Biquaternion.one())
     for var in range(4):

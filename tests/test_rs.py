@@ -9,6 +9,7 @@ from bqspin.biquaternion import (
     random_rational_biquaternion,
     random_rational_frame,
 )
+from bqspin import rs
 from bqspin.errors import DegenerateMass, OffShell
 from bqspin.fields import (
     ExternalField,
@@ -296,6 +297,26 @@ def test_chains_build_the_rows_once_per_sample(monkeypatch):
     out = g1_chain(ext, M, FRAME, samples)
     assert all(v == 0.0 for v in out.values())
     assert len(calls) == len(samples)
+
+
+def test_chains_report_a_nonzero_residual_below_float_range(monkeypatch):
+    # an exact residual of 1e-400 is nonzero but its float norm underflows;
+    # each step is judged with is_zero(), so it must not read 0.0
+    tiny = Field.constant(Biquaternion.scalar(gr(Fraction(1, 10**400))))
+    assert not tiny.is_zero() and tiny.max_abs() == 0.0
+    rng = random.Random(125)
+    ext = _nonlorenz_potential()
+    samples = [_rand_psi(rng)]
+    contraction = rs.eps_contraction
+    monkeypatch.setattr(rs, "eps_contraction", lambda rows: contraction(rows) + tiny)
+    assert contraction_chain(Fraction(1, 3), ext, M, FRAME, samples)["eps_residual"] > 0.0
+    out = g1_chain(ext, M, FRAME, samples)
+    assert out["e27_is_eps_contraction"] > 0.0
+    assert out["e28_is_pi_contraction"] == 0.0
+    dual = rs.dual_tensor
+    monkeypatch.setattr(rs, "dual_tensor",
+                        lambda e: lambda x, phi=dual(e): phi(x) + tiny)
+    assert commutator_identity(ext, FRAME, [samples[0][0]], M) > 0.0
 
 
 def test_second_order_defect_structure():
