@@ -112,9 +112,10 @@ ONSHELL = Momentum(Fraction(5), (Fraction(3), Fraction(0), Fraction(0)), Fractio
 # -- algebra ---------------------------------------------------------------------
 
 
-# samples drawn and checked at once by a batched sweep: enough that the cost
-# of each numpy call is small next to the draws, few enough that the arrays
-# add well under 1 MB to the peak memory of a 10^4-sample sweep
+# samples drawn and checked at once by a batched sweep: enough that each
+# numpy call of the batched products and involutions works on thousands of
+# entries, so its fixed cost is small next to its work, and few enough that
+# the arrays add well under 1 MB to the peak memory of a 10^4-sample sweep
 _BATCH = 2000
 
 

@@ -259,15 +259,21 @@ def gr(re=0, im=0) -> GaussianRational:
 _INT_LIMIT = 1 << 62
 
 
-def _magnitude(a):
-    """The largest absolute value of an entry of a (0 for an empty batch)."""
-    return max(int(a.re.max(initial=0)), -int(a.re.min(initial=0)),
-               int(a.im.max(initial=0)), -int(a.im.min(initial=0)))
-
-
 def _headroom(bound):
     if bound >= _INT_LIMIT:
         raise OverflowError(f"a GaussianIntArray entry could reach {bound} >= 2**62")
+
+
+def _entries(x):
+    """x as an int64 array, and the largest absolute value of its entries."""
+    a = np.asarray(x)
+    if a.dtype.kind == "O" and a.size and all(isinstance(v, int) for v in a.flat):
+        raise OverflowError("a GaussianIntArray entry does not fit in 64 bits")
+    if a.dtype.kind not in "biu" and a.size:
+        raise TypeError(f"cannot build a GaussianIntArray from {a.dtype} entries")
+    bound = max(int(a.max(initial=0)), -int(a.min(initial=0)))
+    _headroom(bound)
+    return a.astype(np.int64, copy=False), bound
 
 
 class GaussianIntArray:
@@ -276,19 +282,34 @@ class GaussianIntArray:
     ``re`` and ``im`` are int64 arrays with one entry per sample and
     ``scale`` is one positive integer shared by the batch.  Sums and
     differences need equal scales and products multiply them, which is all a
-    homogeneous identity needs, so nothing is ever rescaled.  Every
-    operation bounds its result from the operands' largest entries and
-    raises OverflowError before an entry could reach 2**62; int64 would
-    wrap silently.  Truth means "nonzero on some sample", so an identity
+    homogeneous identity needs, so nothing is ever rescaled.  Each batch
+    keeps a bound on the absolute value of its entries, measured once when it
+    is built from data; an operation derives its result's bound from its
+    operands' bounds, so it reduces no array to check its headroom.  Every
+    operation raises OverflowError before that bound could reach 2**62;
+    int64 would wrap silently.  Truth means "nonzero on some sample", so an identity
     holds on the whole batch exactly when its residual is false.
     """
 
-    __slots__ = ("re", "im", "scale")
+    __slots__ = ("re", "im", "scale", "_bound")
 
     def __init__(self, re, im, scale=1):
-        self.re = np.asarray(re, dtype=np.int64)
-        self.im = np.asarray(im, dtype=np.int64)
+        if type(scale) is not int or scale <= 0:
+            raise ValueError(f"the scale of a GaussianIntArray must be a positive int, not {scale!r}")
+        self.re, re_bound = _entries(re)
+        self.im, im_bound = _entries(im)
         self.scale = scale
+        self._bound = max(re_bound, im_bound)
+
+    @staticmethod
+    def _of(re, im, scale, bound):
+        """The batch of int64 arrays whose entries are at most bound in absolute value."""
+        z = object.__new__(GaussianIntArray)
+        z.re = re
+        z.im = im
+        z.scale = scale
+        z._bound = bound
+        return z
 
     def _operand(self, other, same_scale):
         """other as a batch; None for a type that is no scalar at all."""
@@ -305,23 +326,26 @@ class GaussianIntArray:
         o = self._operand(other, True)
         if o is None:
             return NotImplemented
-        _headroom(_magnitude(self) + _magnitude(o))
-        return GaussianIntArray(self.re + o.re, self.im + o.im, self.scale)
+        bound = self._bound + o._bound
+        _headroom(bound)
+        return GaussianIntArray._of(self.re + o.re, self.im + o.im, self.scale, bound)
 
     def __sub__(self, other):
         o = self._operand(other, True)
         if o is None:
             return NotImplemented
-        _headroom(_magnitude(self) + _magnitude(o))
-        return GaussianIntArray(self.re - o.re, self.im - o.im, self.scale)
+        bound = self._bound + o._bound
+        _headroom(bound)
+        return GaussianIntArray._of(self.re - o.re, self.im - o.im, self.scale, bound)
 
     def __mul__(self, other):
         o = self._operand(other, False)
         if o is None:
             return NotImplemented
-        _headroom(2 * _magnitude(self) * _magnitude(o))
-        return GaussianIntArray(self.re * o.re - self.im * o.im,
-                                self.re * o.im + self.im * o.re, self.scale * o.scale)
+        bound = 2 * self._bound * o._bound
+        _headroom(bound)
+        return GaussianIntArray._of(self.re * o.re - self.im * o.im,
+                                    self.re * o.im + self.im * o.re, self.scale * o.scale, bound)
 
     def _reflected(self, other):
         # reached only for another type: a scalar raises MixedBackend
@@ -331,10 +355,10 @@ class GaussianIntArray:
     __radd__ = __rsub__ = __rmul__ = _reflected
 
     def __neg__(self):
-        return GaussianIntArray(-self.re, -self.im, self.scale)
+        return GaussianIntArray._of(-self.re, -self.im, self.scale, self._bound)
 
     def conjugate(self):
-        return GaussianIntArray(self.re, -self.im, self.scale)
+        return GaussianIntArray._of(self.re, -self.im, self.scale, self._bound)
 
     def nonzero(self):
         """Boolean mask of the samples that are not zero."""

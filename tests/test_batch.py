@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bqspin import harness
+from bqspin import biquaternion, harness
 from bqspin.biquaternion import (
     Biquaternion,
     random_rational_batch,
@@ -37,17 +37,67 @@ def _sample(q, i):
 # -- the draws -------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n, k, span", [(50, 3, 9), (40, 2, 6), (1, 1, 2)])
+class _WordCounting(random.Random):
+    """A generator that counts the 32-bit words its draws read."""
+
+    words = 0
+
+    def getrandbits(self, k):
+        self.words += (k + 31) // 32
+        return super().getrandbits(k)
+
+
+# 1200 elements of 16 draws read about 47 000 words: a dozen chunks at every span
+@pytest.mark.parametrize("span", [0, 1, 2, 6, 9, 12, 2 ** 20])
+@pytest.mark.parametrize("n, k", [(1, 1), (40, 2), (50, 3), (400, 3)])
 def test_batch_sample_is_the_scalar_draw(n, k, span):
-    batch = random_rational_batch(random.Random(7), n, k, span)
     rng = random.Random(7)
+    batch = random_rational_batch(rng, n, k, span)
+    scalar = random.Random(7)
     for i in range(n):
         for element in batch:
-            assert _sample(element, i) == random_rational_biquaternion(rng, span)
+            assert _sample(element, i) == random_rational_biquaternion(scalar, span)
     # the batch consumed the generator exactly as the scalar draws did
-    after = random.Random(7)
-    random_rational_batch(after, n, k, span)
-    assert after.random() == rng.random()
+    assert rng.getstate() == scalar.getstate()
+
+
+def test_a_chunk_can_end_between_a_numerator_and_its_denominator():
+    # the first chunk of the (400, 3, span 6) draw from seed 7 ends after an
+    # odd count of draws, so the batch must carry a numerator into the next chunk
+    rng = _WordCounting(7)
+    done = 0
+    while rng.words < biquaternion._CHUNK:
+        if done % 2 == 0:
+            rng.randint(-6, 6)
+        else:
+            rng.randint(1, 3)
+        done += rng.words <= biquaternion._CHUNK
+    assert done % 2 == 1
+
+
+def test_the_draw_never_calls_randint(monkeypatch):
+    want = random_rational_batch(random.Random(2), 30, 2, 9)
+
+    def refuse(self, a, b):
+        raise AssertionError("randint called")
+
+    monkeypatch.setattr(random.Random, "randint", refuse)
+    got = random_rational_batch(random.Random(2), 30, 2, 9)
+    for g, w in zip(got, want):
+        for cg, cw in zip(g.components(), w.components()):
+            assert cg.re.tolist() == cw.re.tolist() and cg.im.tolist() == cw.im.tolist()
+
+
+def test_a_span_wider_than_one_word_is_refused():
+    # width 2**32 - 1 still fits in one 32-bit word
+    rng, scalar = random.Random(4), random.Random(4)
+    (q,) = random_rational_batch(rng, 3, 1, 2 ** 31 - 1)
+    for i in range(3):
+        assert _sample(q, i) == random_rational_biquaternion(scalar, 2 ** 31 - 1)
+    assert rng.getstate() == scalar.getstate()
+    for span in (2 ** 31, -1):
+        with pytest.raises(ValueError):
+            random_rational_batch(random.Random(4), 3, 1, span)
 
 
 def test_batch_operations_agree_with_gaussian_rationals():
@@ -94,6 +144,24 @@ def test_headroom_guard_raises_before_int64_could_wrap():
     half = GaussianIntArray([2 ** 30], [2 ** 30])
     square = half * half
     assert square.re.tolist() == [0] and square.im.tolist() == [2 ** 61]
+    # no entry is taken in at or beyond the guard
+    for re in ([2 ** 62], [-(2 ** 62)], [2 ** 63], [2 ** 64], np.array([2 ** 63], dtype=np.uint64)):
+        with pytest.raises(OverflowError):
+            GaussianIntArray(re, [0])
+        with pytest.raises(OverflowError):
+            GaussianIntArray([0], re)
+    assert GaussianIntArray([2 ** 62 - 1], [-(2 ** 62 - 1)]).re.tolist() == [2 ** 62 - 1]
+
+
+def test_kept_bound_covers_every_entry():
+    a, b, c = random_rational_batch(random.Random(13), 200, 3, span=9)
+    for q in (a * b, (a * b) * c - a * (b * c), a.norm(), (a * b).reverse() - b.reverse() * a.reverse(),
+              -a.bar() + a.star().plus()):
+        for comp in (q.components() if isinstance(q, Biquaternion) else (q,)):
+            assert max(np.abs(comp.re).max(), np.abs(comp.im).max()) <= comp._bound
+    # a product can reach twice the product of its operands' bounds
+    z = GaussianIntArray([5], [5]) * GaussianIntArray([5], [-5])
+    assert z.re.tolist() == [50] and z._bound >= 50
 
 
 def test_array_scalar_is_exact_and_never_mixes():
@@ -112,6 +180,13 @@ def test_array_scalar_is_exact_and_never_mixes():
             other * c
     with pytest.raises(ValueError):
         c + c * c  # scales 6 and 36: a sum must be homogeneous
+    # only integer data is taken in, never truncated
+    for re, im in (([0.5, 2.7], [0, 3]), ([1, 2], [0.0, 3.0]), ([1j], [0]), ([Fraction(1, 2)], [0])):
+        with pytest.raises(TypeError):
+            GaussianIntArray(re, im)
+    for scale in (0, -6, 1.5, Fraction(6), True):
+        with pytest.raises(ValueError):
+            GaussianIntArray([1], [0], scale)
 
 
 # -- the sweeps ------------------------------------------------------------------
