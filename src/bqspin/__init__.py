@@ -20,6 +20,7 @@ from .errors import (
     InvalidFrame,
     MixedBackend,
     NoConsistentConvention,
+    NotAPlaneWave,
     OffShell,
     SingularOperand,
     UnknownSuite,

@@ -39,3 +39,7 @@ class ConfigError(BqspinError):
 
 class MixedBackend(BqspinError):
     """A value mixes exact (Gaussian-rational) and float components."""
+
+
+class NotAPlaneWave(BqspinError):
+    """A field read as one plane-wave mode has another mode or a non-constant term."""

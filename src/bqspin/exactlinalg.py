@@ -1,18 +1,35 @@
 """Exact rational linear algebra: row reduction, rank, nullspace.
 
 Small dense systems only (the constraint-counting and plane-wave symbol
-computations never exceed 48x32), so plain fraction-pivoting Gauss-Jordan
-is both exact and fast enough.
+computations never exceed 48x32).  ``rref`` is a fraction-free
+Gauss-Jordan elimination: each row is cleared of denominators once, rows
+are combined by integer cross-multiplication and divided by their content
+(the gcd of their entries), and Fractions are built only for the rows it
+returns.  The reduced row echelon form is unique, so the result equals that
+of Gauss-Jordan over the rationals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+
+
+def _integer_row(row):
+    """The row times the lcm of its denominators, divided by its content."""
+    vals = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+    den = lcm(*(v.denominator for v in vals))
+    ints = [v.numerator * (den // v.denominator) for v in vals]
+    g = gcd(*ints)
+    return [a // g for a in ints] if g > 1 else ints
 
 
 def rref(matrix):
-    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
-    rows = [[Fraction(x) for x in row] for row in matrix]
+    """Reduced row echelon form.  Returns (rows, pivot_columns).
+
+    The rows are lists of Fractions, as many as the matrix has.
+    """
+    rows = [_integer_row(row) for row in matrix]
     if not rows:
         return rows, []
     ncols = len(rows[0])
@@ -21,23 +38,30 @@ def rref(matrix):
     for c in range(ncols):
         pivot_row = None
         for i in range(r, len(rows)):
-            if rows[i][c] != 0:
+            if rows[i][c]:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        prow = rows[r]
+        pv = prow[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i == r or not f:
+                continue
+            # row * pv - f * prow clears column c and stays integral
+            new = [a * pv - f * b for a, b in zip(row, prow)]
+            g = gcd(*new)
+            rows[i] = [a // g for a in new] if g > 1 else new
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
-    return rows, pivots
+    # rows below the rank are zero; each pivot row is divided by its pivot
+    out = [[Fraction(a, rows[i][c]) for a in rows[i]] for i, c in enumerate(pivots)]
+    out += [[Fraction(0)] * ncols for _ in range(len(rows) - len(pivots))]
+    return out, pivots
 
 
 def rank(matrix) -> int:

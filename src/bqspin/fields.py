@@ -25,7 +25,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .biquaternion import DEFAULT_FRAME, Biquaternion, Frame, random_rational_biquaternion
-from .errors import DegenerateMass, MixedBackend, NoConsistentConvention, OffShell
+from .errors import (
+    DegenerateMass,
+    MixedBackend,
+    NoConsistentConvention,
+    NotAPlaneWave,
+    OffShell,
+)
 from .exactlinalg import nullspace
 from .linops import RealLinearOp
 from .scalars import GR_I, gr
@@ -144,6 +150,23 @@ class Poly:
         return f"Poly({len(self.terms)} terms)"
 
 
+def _wave_vector(k):
+    """k as a mode key: a rational wave vector stays exact, like the scalars.
+
+    An integral rational entry becomes an int, a non-integral one a Fraction
+    and a float stays a float.  Equal numbers hash alike, so keys of either
+    kind merge; int keys hash and multiply faster.
+    """
+    out = []
+    for c in k:
+        if not isinstance(c, float):
+            c = Fraction(c)
+            if c.denominator == 1:
+                c = c.numerator
+        out.append(c)
+    return tuple(out)
+
+
 def _canonical_mode(k, ps):
     """k with its first nonzero entry made positive, and the sin Poly ps over
     that vector: negated on a sign flip, empty for the zero vector."""
@@ -214,8 +237,7 @@ class Field:
 
     @staticmethod
     def trig(k, cos_coeff: Biquaternion, sin_coeff: Biquaternion):
-        # a rational wave vector stays exact, like the scalars
-        k = tuple(c if isinstance(c, float) else Fraction(c) for c in k)
+        k = _wave_vector(k)
         pc, ps = Poly.constant(cos_coeff), Poly.constant(sin_coeff)
         coeffs = [*pc.terms.values(), *ps.terms.values()]
         _one_backend(coeffs)
@@ -532,12 +554,22 @@ def _dl_symbol_op_for_spec(spec, p0, p, m, frame) -> RealLinearOp:
 
 
 def _extract_mode_cos(f: Field, k):
-    kc, _ = _canonical_mode(tuple(Fraction(c) for c in k), Poly())
-    pair = f.modes.get(kc)
-    if pair is None:
+    """The constant cos coefficient of a field that is one plane-wave mode at k.
+
+    The zero field gives zero.  Raises NotAPlaneWave if the field has a mode
+    at another wave vector or a non-constant coefficient, which this
+    amplitude would drop.
+    """
+    if not f.modes:
         return Biquaternion.zero()
-    coeff = pair[0].terms.get((0, 0, 0, 0))
-    return coeff if coeff is not None else Biquaternion.zero()
+    kc, _ = _canonical_mode(_wave_vector(k), Poly())
+    pair = f.modes.get(kc)
+    if pair is None or len(f.modes) != 1:
+        raise NotAPlaneWave(f"expected one mode at {kc}, got modes {list(f.modes)}")
+    pc, ps = pair
+    if any(e != (0, 0, 0, 0) for e in (*pc.terms, *ps.terms)):
+        raise NotAPlaneWave("the plane-wave mode has a non-constant coefficient")
+    return pc.terms.get((0, 0, 0, 0), Biquaternion.zero())
 
 
 def _plane_wave_amplitudes_for_spec(spec, p0, p, m, frame):

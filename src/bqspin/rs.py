@@ -371,67 +371,68 @@ def g1_chain(ext: ExternalField, m, frame: Frame, sample_fields):
 # -- constraint counting at fixed momentum -----------------------------------------------
 
 
-def _rs_plane_wave(amps, k, frame):
-    return tuple(plane_wave_field(a, k, frame) for a in amps)
+def _free_symbol(p: Momentum, m, frame: Frame):
+    """The real symbol of the free system at momentum p, built from blocks.
+
+    Returns the rows (dl, alg, diff): 32 rows for the four Dirac equations
+    and 8 for each constraint, over 32 columns, where column 8*mu + a is the
+    real amplitude coordinate a of the component psi_mu.  The Dirac operator
+    acts on each component alone, so dl is block-diagonal with the same 8x8
+    block four times, read from 8 plane-wave evaluations.  The constraints
+    see psi_mu only through eps_bar^mu psi_mu and pi^mu psi_mu, so each of
+    their columns is one operator applied to one plane wave.
+    """
+    if not p.on_shell():
+        raise OffShell("counting requires an on-shell momentum")
+    k = p.k_tuple()
+    ctx = RSContext(ExternalField.zero(), m, frame)
+    ebu = eps_units()["bar_upper"]
+    waves = [plane_wave_field(Biquaternion.from_real_coords([int(i == a) for i in range(8)]),
+                              k, frame) for a in range(8)]
+
+    def column(f):
+        return _extract_mode_cos(f, k).real_coords()
+
+    block = [column(ctx.dirac(x)) for x in waves]
+    dl = [[0] * (8 * mu) + [col[i] for col in block] + [0] * (8 * (3 - mu))
+          for mu in range(4) for i in range(8)]
+    alg = [list(row) for row in zip(*(column(x.lmul(ebu[mu]))
+                                      for mu in range(4) for x in waves))]
+    diff = [list(row) for row in zip(*(column(ctx.pi_upper(mu, x))
+                                       for mu in range(4) for x in waves))]
+    return dl, alg, diff
 
 
 def constraint_counting(p: Momentum, m, frame: Frame):
     """Momentum-space rank analysis of the free constrained system.
 
     Reports the real dimension before constraints, after imposing the two
-    constraint groups, and the real dimension of the full solution space.
+    constraint groups, and the real dimension of the full solution space,
+    with a basis of it.  The symbol is built by ``_free_symbol``: the four
+    Dirac equations form a block-diagonal 32x32 matrix with one 8x8 block
+    repeated, and each of the two 8x32 constraint groups takes component
+    psi_mu through eps_bar^mu and pi^mu alone.
     """
-    if not p.on_shell():
-        raise OffShell("counting requires an on-shell momentum")
-    k = p.k_tuple()
-    ext = ExternalField.zero()
-
-    def filled(j):
-        amps = []
-        for mu in range(4):
-            coords = [0] * 8
-            if j // 8 == mu:
-                coords[j % 8] = 1
-            amps.append(Biquaternion.from_real_coords(coords))
-        return _rs_plane_wave(amps, k, frame)
-
-    dl_rows = [[] for _ in range(32)]
-    alg_rows = [[] for _ in range(8)]
-    diff_rows = [[] for _ in range(8)]
-    for j in range(32):
-        psi = filled(j)
-        sysout = rs_free_system(psi, ext, m, frame)
-        for mu in range(4):
-            col = _extract_mode_cos(sysout["eq_residuals"][mu], k).real_coords()
-            for i in range(8):
-                dl_rows[8 * mu + i].append(col[i])
-        col = _extract_mode_cos(sysout["algebraic_constraint"], k).real_coords()
-        for i in range(8):
-            alg_rows[i].append(col[i])
-        col = _extract_mode_cos(sysout["differential_constraint"], k).real_coords()
-        for i in range(8):
-            diff_rows[i].append(col[i])
-
-    rank_alg = rank(alg_rows)
-    rank_diff = rank(diff_rows)
-    rank_constraints = rank(alg_rows + diff_rows)
-    full = dl_rows + alg_rows + diff_rows
-    sol_basis = nullspace(full)
+    dl, alg, diff = _free_symbol(p, m, frame)
+    sol_basis = nullspace(dl + alg + diff)
     return {
         "total_real_dim": 32,
-        "constraint_ranks": (rank_alg, rank_diff),
-        "after_constraints": 32 - rank_constraints,
+        "constraint_ranks": (rank(alg), rank(diff)),
+        "after_constraints": 32 - rank(alg + diff),
         "solution_dim": len(sol_basis),
         "solution_basis": sol_basis,
     }
 
 
 def free_rs_solutions(p: Momentum, m, frame: Frame):
-    """Plane-wave vector-spinor solutions of the full free system."""
-    out = constraint_counting(p, m, frame)
-    sols = []
-    for vec in out["solution_basis"]:
-        amps = [Biquaternion.from_real_coords(vec[8 * mu: 8 * mu + 8])
-                for mu in range(4)]
-        sols.append(_rs_plane_wave(amps, p.k_tuple(), frame))
-    return sols
+    """Plane-wave vector-spinor solutions of the full free system.
+
+    One solution per basis vector of the nullspace of the stacked symbol of
+    ``_free_symbol`` (the block-diagonal Dirac rows over the two constraint
+    groups); no ranks are computed.
+    """
+    dl, alg, diff = _free_symbol(p, m, frame)
+    k = p.k_tuple()
+    return [tuple(plane_wave_field(Biquaternion.from_real_coords(vec[8 * mu: 8 * mu + 8]),
+                                   k, frame) for mu in range(4))
+            for vec in nullspace(dl + alg + diff)]

@@ -10,7 +10,7 @@ from bqspin.biquaternion import (
     random_rational_frame,
 )
 from bqspin import fields
-from bqspin.errors import OffShell
+from bqspin.errors import NotAPlaneWave, OffShell
 from bqspin.fields import (
     ExternalField,
     Field,
@@ -160,6 +160,61 @@ def test_field_modes_stay_canonical():
     f + g
     assert {k: (pc.terms, ps.terms) for k, (pc, ps) in f.modes.items()} == f_modes
     assert {k: (pc.terms, ps.terms) for k, (pc, ps) in g.modes.items()} == g_modes
+
+
+def test_wave_vector_keys_are_ints_when_integral():
+    rng = random.Random(36)
+    a, b = random_rational_biquaternion(rng), random_rational_biquaternion(rng)
+    given = [(5, 3, 0, 0),
+             tuple(Fraction(c) for c in (5, 3, 0, 0)),
+             (Fraction(5), 3, Fraction(0), 0)]
+    waves = [Field.trig(k, a, b) for k in given]
+    for wave in waves:
+        assert list(wave.modes) == [(5, 3, 0, 0)]
+        assert all(type(c) is int for c in next(iter(wave.modes)))
+    total = waves[0] + waves[1] + waves[2]
+    assert len(total.modes) == 1
+    assert total.modes[(5, 3, 0, 0)][0].terms == {(0, 0, 0, 0): a * 3}
+    # a product can key a mode by Fractions of integral value; it still
+    # merges with the int key of the same wave vector
+    h = Fraction(1, 2)
+    square = Field.trig((h, h, 0, 0), a, b) * Field.trig((h, h, 0, 0), a, b)
+    assert any(type(c) is Fraction for key in square.modes for c in key)
+    merged = square + Field.trig((1, 1, 0, 0), a, b)
+    assert len(merged.modes) == len(square.modes)
+    want = square.modes[(1, 1, 0, 0)][0] + Poly.constant(a)
+    assert (merged.modes[(1, 1, 0, 0)][0] - want).is_zero()
+    half = Field.trig((Fraction(1, 2), 1, 0, 0), a, b)
+    (key,) = half.modes
+    assert key == (Fraction(1, 2), 1, 0, 0)
+    assert type(key[0]) is Fraction and type(key[1]) is int
+    # d/dx1 of the phase 5t - 3x1 is -3, whatever the type of the key
+    for wave in waves:
+        assert wave.dx(1).modes[(5, 3, 0, 0)][0].terms == {(0, 0, 0, 0): b * -3}
+    assert half.dt().equal(Field.trig((Fraction(1, 2), 1, 0, 0), b * Fraction(1, 2),
+                                      -a * Fraction(1, 2)))
+
+
+def test_extract_mode_cos_reads_one_constant_mode():
+    rng = random.Random(37)
+    a, b = random_rational_biquaternion(rng), random_rational_biquaternion(rng)
+    k = (5, 3, 0, 0)
+    assert fields._extract_mode_cos(Field.trig(k, a, b), k) == a
+    # the canonical key of -k holds the same mode
+    assert fields._extract_mode_cos(Field.trig(k, a, b), (-5, -3, 0, 0)) == a
+    assert fields._extract_mode_cos(Field.trig(k, a, b), tuple(map(Fraction, k))) == a
+    assert fields._extract_mode_cos(Field.zero(), k) == Biquaternion.zero()
+    zero = Biquaternion.zero()
+    assert fields._extract_mode_cos(Field.trig(k, zero, b), k) == zero
+    two_modes = Field.trig(k, a, b) + Field.trig((4, 3, 0, 0), a, b)
+    with_constant = Field.trig(k, a, b) + Field.constant(a)
+    other_mode = Field.trig((4, 3, 0, 0), a, b)
+    x1 = Field.polynomial(Poly({(0, 1, 0, 0): Biquaternion.one()}))
+    non_constant_cos = Field.trig(k, a, zero) * x1
+    non_constant_sin = Field.trig(k, zero, b) * x1
+    for f in (two_modes, with_constant, other_mode, non_constant_cos, non_constant_sin):
+        with pytest.raises(NotAPlaneWave):
+            fields._extract_mode_cos(f, k)
 
 
 def test_constant_derivative_zero():

@@ -16,7 +16,9 @@ from bqspin.fields import (
     Field,
     Momentum,
     Poly,
+    _extract_mode_cos,
     nabla_bar,
+    plane_wave_field,
     random_linear_potential,
     random_poly_field,
     random_quadratic_potential,
@@ -393,6 +395,66 @@ def test_constraint_counting_other_frames_and_momenta():
         assert out["constraint_ranks"] == (8, 8)
         assert out["after_constraints"] == 16
         assert out["solution_dim"] == 8
+
+
+def _symbol_from_full_evaluations(p, m, frame):
+    """The free symbol column by column: one rs_free_system call per real
+    amplitude coordinate of the vector-spinor, the construction that
+    rs._free_symbol replaces with blocks."""
+    k = p.k_tuple()
+    dl_rows = [[] for _ in range(32)]
+    alg_rows = [[] for _ in range(8)]
+    diff_rows = [[] for _ in range(8)]
+    for j in range(32):
+        amps = []
+        for mu in range(4):
+            coords = [0] * 8
+            if j // 8 == mu:
+                coords[j % 8] = 1
+            amps.append(Biquaternion.from_real_coords(coords))
+        psi = tuple(plane_wave_field(a, k, frame) for a in amps)
+        sysout = rs_free_system(psi, ExternalField.zero(), m, frame)
+        for mu in range(4):
+            col = _extract_mode_cos(sysout["eq_residuals"][mu], k).real_coords()
+            for i in range(8):
+                dl_rows[8 * mu + i].append(col[i])
+        for rows, key in ((alg_rows, "algebraic_constraint"),
+                          (diff_rows, "differential_constraint")):
+            col = _extract_mode_cos(sysout[key], k).real_coords()
+            for i in range(8):
+                rows[i].append(col[i])
+    return dl_rows, alg_rows, diff_rows
+
+
+def test_block_symbol_matches_full_evaluations():
+    rng = random.Random(126)
+    cases = [(P, P.m, FRAME),
+             (P, P.m, random_rational_frame(rng)),
+             (Momentum(Fraction(5), (Fraction(1), Fraction(2), Fraction(2)), Fraction(4)),
+              Fraction(4), FRAME),
+             (Momentum(Fraction(5, 2), (Fraction(3, 2), 0, 0), Fraction(2)),
+              Fraction(2), FRAME)]
+    for p, m, frame in cases:
+        assert rs._free_symbol(p, m, frame) == _symbol_from_full_evaluations(p, m, frame)
+    with pytest.raises(OffShell):
+        rs._free_symbol(Momentum(Fraction(5), (Fraction(1), 0, 0), Fraction(4)),
+                        Fraction(4), FRAME)
+
+
+def test_free_solutions_are_the_counting_basis():
+    out = constraint_counting(P, P.m, FRAME)
+    assert out["constraint_ranks"] == (8, 8)
+    assert out["after_constraints"] == 16
+    assert out["solution_dim"] == 8
+    sols = free_rs_solutions(P, P.m, FRAME)
+    assert len(sols) == len(out["solution_basis"])
+    for psi, vec in zip(sols, out["solution_basis"]):
+        want = [plane_wave_field(Biquaternion.from_real_coords(vec[8 * mu: 8 * mu + 8]),
+                                 P.k_tuple(), FRAME) for mu in range(4)]
+        assert all(a.equal(b) for a, b in zip(psi, want))
+    with pytest.raises(OffShell):
+        free_rs_solutions(Momentum(Fraction(5), (Fraction(1), 0, 0), Fraction(4)),
+                          Fraction(4), FRAME)
 
 
 def test_chain_machinery_in_random_frame():
