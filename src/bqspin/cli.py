@@ -94,10 +94,7 @@ def main(argv=None):
     try:
         results = run(args.suite, seed=seed, backend=args.backend, tol=args.tol)
         report = emit(results, fmt=args.format, seed=seed, backend=args.backend)
-    except UnknownSuite as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
+    except (UnknownSuite, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,7 +24,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .biquaternion import DEFAULT_FRAME, Biquaternion, Frame, random_rational_biquaternion
+from .biquaternion import (
+    DEFAULT_FRAME,
+    Biquaternion,
+    Frame,
+    basis_elements,
+    random_rational_biquaternion,
+)
 from .errors import (
     DegenerateMass,
     MixedBackend,
@@ -33,7 +39,6 @@ from .errors import (
     OffShell,
 )
 from .exactlinalg import nullspace
-from .linops import RealLinearOp
 from .scalars import GR_I, gr
 
 
@@ -529,28 +534,19 @@ def _conserves_current(spec) -> bool:
     # a moving momentum is essential: in the rest frame every candidate
     # conserves the current trivially (cyclicity of the scalar part)
     frame = DEFAULT_FRAME
-    p0, p, m = Fraction(5), (Fraction(3), Fraction(0), Fraction(0)), Fraction(4)
-    basis = _plane_wave_amplitudes_for_spec(spec, p0, p, m, frame)
+    k, m = (Fraction(5), Fraction(3), Fraction(0), Fraction(0)), Fraction(4)
+    free = ExternalField.zero()
+    symbol = _plane_wave_symbol(
+        lambda x: dirac_lanczos_residual(x, free, m, frame, spec=spec), k, _unit_waves(k, frame))
+    basis = nullspace(symbol)
     if len(basis) != 4:
         return False
-    for amp in basis:
-        psi = plane_wave_field(amp, (p0,) + p, frame)
+    for v in basis:
+        psi = plane_wave_field(Biquaternion.from_real_coords(v), k, frame)
         cur = psi * psi.plus()
         if not nabla_bar(cur, spec).scalar_part().is_zero():
             return False
     return True
-
-
-def _dl_symbol_op_for_spec(spec, p0, p, m, frame) -> RealLinearOp:
-    """Real-linear symbol of the free minimally-coupled equation on the
-    amplitude of psi = X * exp(-nu*phi)."""
-    def residual_amp(x):
-        psi = plane_wave_field(x, (p0,) + tuple(p), frame)
-        res = nabla_bar(psi, spec).rmul(frame.i_nu) - psi.star().scale(m)
-        # the residual is again a single plane-wave mode; extract its cos part
-        return _extract_mode_cos(res, (p0,) + tuple(p))
-
-    return RealLinearOp.from_function(residual_amp)
 
 
 def _extract_mode_cos(f: Field, k):
@@ -572,10 +568,19 @@ def _extract_mode_cos(f: Field, k):
     return pc.terms.get((0, 0, 0, 0), Biquaternion.zero())
 
 
-def _plane_wave_amplitudes_for_spec(spec, p0, p, m, frame):
-    op = _dl_symbol_op_for_spec(spec, p0, p, m, frame)
-    basis = nullspace(op.matrix.tolist())
-    return [Biquaternion.from_real_coords(v) for v in basis]
+def _unit_waves(k, frame: Frame):
+    """The eight plane waves at k whose amplitudes are the real basis units."""
+    return [plane_wave_field(b, k, frame) for b in basis_elements()]
+
+
+def _plane_wave_symbol(op, k, waves):
+    """The real matrix of op on plane-wave amplitudes at k, as a list of rows.
+
+    Column a holds the real coordinates of the amplitude of op(waves[a]);
+    op must map each wave to one plane-wave mode at k.
+    """
+    cols = [_extract_mode_cos(op(w), k).real_coords() for w in waves]
+    return [list(row) for row in zip(*cols)]
 
 
 # -- momenta and plane waves ------------------------------------------------------------
@@ -613,7 +618,11 @@ def plane_wave_solutions(p: Momentum, frame: Frame):
         raise DegenerateMass("massive plane-wave construction requires m > 0")
     if not p.on_shell():
         raise OffShell("momentum is not on the mass shell")
-    return _plane_wave_amplitudes_for_spec(FROZEN_NABLA, p.p0, p.p, p.m, frame)
+    k = p.k_tuple()
+    free = ExternalField.zero()
+    symbol = _plane_wave_symbol(lambda x: dirac_lanczos_residual(x, free, p.m, frame), k,
+                                _unit_waves(k, frame))
+    return [Biquaternion.from_real_coords(v) for v in nullspace(symbol)]
 
 
 def lanczos_plane_wave(p: Momentum, frame: Frame, a0: Biquaternion):
@@ -680,10 +689,22 @@ def lanczos_residual(a: Field, b: Field, ext: ExternalField, m):
     return ra, rb
 
 
-def dirac_lanczos_residual(psi: Field, ext: ExternalField, m, frame: Frame) -> Field:
-    """Residual of the minimally coupled four-component spinor equation."""
-    return (nabla_bar(psi).rmul(frame.i_nu) - (ext.phi_bar() * psi).scale(ext.e)
-            - psi.star().scale(m))
+def pibar(x: Field, ext: ExternalField, frame: Frame, spec: NablaSpec = FROZEN_NABLA) -> Field:
+    """The minimally coupled spinor operator nabla_bar(x) i nu - e phi_bar x.
+
+    The coupling term is skipped when e is zero.
+    """
+    out = nabla_bar(x, spec).rmul(frame.i_nu)
+    if bool(ext.e):
+        out = out - (ext.phi_bar() * x).scale(ext.e)
+    return out
+
+
+def dirac_lanczos_residual(psi: Field, ext: ExternalField, m, frame: Frame,
+                           spec: NablaSpec = FROZEN_NABLA) -> Field:
+    """Residual Pibar(psi) - m psi* of the minimally coupled four-component
+    spinor equation."""
+    return pibar(psi, ext, frame, spec) - psi.star().scale(m)
 
 
 def build_doublet(a: Field, b: Field, frame: Frame):

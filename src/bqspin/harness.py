@@ -680,13 +680,12 @@ def _s_rs_extra(rng, tol):
     if not rs.extra_constraint_derivation_residual(
             psi, ext, Fraction(2), DEFAULT_FRAME).is_zero():
         return False, 0.0, None
-    if not rs.extra_constraint(psi, ExternalField.zero(), Fraction(2),
-                               DEFAULT_FRAME).is_zero():
+    if not rs.extra_constraint(psi, ExternalField.zero(), DEFAULT_FRAME).is_zero():
         return False, 0.0, None
     witness = 0.0
     payload = None
     for sol in rs.free_rs_solutions(ONSHELL, ONSHELL.m, DEFAULT_FRAME):
-        w = rs.extra_constraint(sol, ext, ONSHELL.m, DEFAULT_FRAME)
+        w = rs.extra_constraint(sol, ext, DEFAULT_FRAME)
         val = w.eval_float((0.3, 0.1, -0.2, 0.5)).max_abs()
         if val > witness:
             witness = val
@@ -722,7 +721,8 @@ def _s_rs_g1(rng, tol):
 @_suite("rs.constraint_counting", "eq.18", "exact", 0.0)
 def _s_rs_counting(rng, tol):
     out = rs.constraint_counting(ONSHELL, ONSHELL.m, DEFAULT_FRAME)
-    ok = (out["total_real_dim"] == 32 and out["constraint_ranks"] == (8, 8)
+    ok = (out["total_real_dim"] == 32 and out["dirac_rank"] == 16
+          and out["constraint_ranks"] == (8, 8)
           and out["after_constraints"] == 16 and out["solution_dim"] == 8)
     return ok, 0.0 if ok else 1.0, {
         "after_constraints": out["after_constraints"],
@@ -908,7 +908,6 @@ def run(suite_filter="*", seed=0, backend=None, tol=None):
     results = []
     for sid in matched:
         spec = _REGISTRY[sid]
-        effective_backend = spec.backend
         # tol overrides the identity tolerances only, never a witness margin
         effective_tol = spec.tol if tol is None or spec.kind == "witness" else tol
         rng = _rng_for(seed, sid)
@@ -924,7 +923,7 @@ def run(suite_filter="*", seed=0, backend=None, tol=None):
             max_residual=float(residual),
             witness_payload=payload,
             seed=seed,
-            backend=effective_backend,
+            backend=spec.backend,
         ))
     return results
 

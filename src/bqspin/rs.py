@@ -32,9 +32,11 @@ from .fields import (
     ExternalField,
     Field,
     Momentum,
-    _extract_mode_cos,
+    _plane_wave_symbol,
+    _unit_waves,
     nabla_bar,
     nabla_bar_from_right,
+    pibar,
     plane_wave_field,
 )
 from .scalars import GR_I, gr
@@ -91,10 +93,7 @@ class RSContext:
         return p if ETA[mu] > 0 else -p
 
     def pibar(self, x: Field) -> Field:
-        out = nabla_bar(x).rmul(self.frame.i_nu)
-        if bool(self.ext.e):
-            out = out - (self.ext.phi_bar() * x).scale(self.ext.e)
-        return out
+        return pibar(x, self.ext, self.frame)
 
     def pibar_star(self, x: Field) -> Field:
         return self.pibar(x.star()).star()
@@ -175,7 +174,7 @@ def commutator_identity(ext: ExternalField, frame: Frame, fields, m=Fraction(1))
     return worst
 
 
-def extra_constraint(psi, ext: ExternalField, m, frame: Frame) -> Field:
+def extra_constraint(psi, ext: ExternalField, frame: Frame) -> Field:
     """The field whose vanishing the coupled system forces on solutions."""
     phi_map = dual_tensor(ext)
     ebu = eps_units()["bar_upper"]
@@ -193,7 +192,7 @@ def extra_constraint_derivation_residual(psi, ext: ExternalField, m, frame: Fram
     ctx = RSContext(ext, m, frame)
     lhs = ctx.differential([ctx.dirac(p) for p in psi])
     rhs = (ctx.dirac(ctx.differential(psi))
-           + extra_constraint(psi, ext, m, frame).scale(ext.e))
+           + extra_constraint(psi, ext, frame).scale(ext.e))
     return lhs - rhs
 
 
@@ -241,11 +240,6 @@ def eps_contraction_closed_form(system: CoupledSystem, psi) -> Field:
             + ctx.pibar_star(u).scale(3 * g - 1))
 
 
-def pi_contraction(ctx: RSContext, rows) -> Field:
-    """sum_mu pi^mu applied to the mu-th row."""
-    return ctx.differential(rows)
-
-
 def pi_contraction_closed_form(system: CoupledSystem, psi) -> Field:
     """m(g Pibar(eps^lam (.)*) - pi^lam((.)*)) + pi^lam(Pibar(.))
     - g Pibar(pi^lam(.)), contracted over lam, plus the second-order
@@ -280,7 +274,7 @@ def contraction_chain(g, ext: ExternalField, m, frame: Frame, sample_fields):
     for psi in sample_fields:
         rows = system.rows(psi)
         d1 = eps_contraction(rows) - eps_contraction_closed_form(system, psi)
-        d2 = pi_contraction(system.ctx, rows) - pi_contraction_closed_form(system, psi)
+        d2 = system.ctx.differential(rows) - pi_contraction_closed_form(system, psi)
         worst_eps = max(worst_eps, _residual(d1))
         worst_pi = max(worst_pi, _residual(d2))
     return {"eps_residual": worst_eps, "pi_residual": worst_pi}
@@ -311,7 +305,7 @@ def g1_chain(ext: ExternalField, m, frame: Frame, sample_fields):
     for psi in sample_fields:
         u = ctx.algebraic(psi)
         w3 = ctx.differential(psi)
-        w23 = extra_constraint(psi, ext, m, frame)
+        w23 = extra_constraint(psi, ext, frame)
         rows = system.rows(psi)
         pibar_star_u = ctx.pibar_star(u)
         # the curvature source of the secondary constraints (30)-(32)
@@ -333,7 +327,7 @@ def g1_chain(ext: ExternalField, m, frame: Frame, sample_fields):
             for lam in range(4)), Field.zero())
         out["e28_is_pi_contraction"] = max(
             out["e28_is_pi_contraction"],
-            _residual(pi_contraction(ctx, rows) - (e28 - second_order_defect(ctx, u))))
+            _residual(ctx.differential(rows) - (e28 - second_order_defect(ctx, u))))
 
         # (29): complex conjugation of (28) after inserting the commutator;
         # the pointwise star already negates the trailing i nu factor, so the
@@ -376,47 +370,50 @@ def _free_symbol(p: Momentum, m, frame: Frame):
 
     Returns the rows (dl, alg, diff): 32 rows for the four Dirac equations
     and 8 for each constraint, over 32 columns, where column 8*mu + a is the
-    real amplitude coordinate a of the component psi_mu.  The Dirac operator
-    acts on each component alone, so dl is block-diagonal with the same 8x8
-    block four times, read from 8 plane-wave evaluations.  The constraints
-    see psi_mu only through eps_bar^mu psi_mu and pi^mu psi_mu, so each of
-    their columns is one operator applied to one plane wave.
+    real amplitude coordinate a of the component psi_mu.  Every 8x8 block is
+    read by ``fields._plane_wave_symbol`` from the same eight unit plane
+    waves.  The Dirac operator acts on each component alone, so dl is
+    block-diagonal with the block of ``RSContext.dirac`` four times.  The
+    constraints see psi_mu only through eps_bar^mu psi_mu and pi^mu psi_mu,
+    so each of their row groups is four blocks side by side, one per mu.
     """
     if not p.on_shell():
         raise OffShell("counting requires an on-shell momentum")
     k = p.k_tuple()
     ctx = RSContext(ExternalField.zero(), m, frame)
     ebu = eps_units()["bar_upper"]
-    waves = [plane_wave_field(Biquaternion.from_real_coords([int(i == a) for i in range(8)]),
-                              k, frame) for a in range(8)]
+    waves = _unit_waves(k, frame)
 
-    def column(f):
-        return _extract_mode_cos(f, k).real_coords()
+    def row_group(op):
+        blocks = [_plane_wave_symbol(functools.partial(op, mu), k, waves) for mu in range(4)]
+        return [sum(rows, []) for rows in zip(*blocks)]
 
-    block = [column(ctx.dirac(x)) for x in waves]
-    dl = [[0] * (8 * mu) + [col[i] for col in block] + [0] * (8 * (3 - mu))
-          for mu in range(4) for i in range(8)]
-    alg = [list(row) for row in zip(*(column(x.lmul(ebu[mu]))
-                                      for mu in range(4) for x in waves))]
-    diff = [list(row) for row in zip(*(column(ctx.pi_upper(mu, x))
-                                       for mu in range(4) for x in waves))]
+    block = _plane_wave_symbol(ctx.dirac, k, waves)
+    dl = [[0] * (8 * mu) + row + [0] * (8 * (3 - mu)) for mu in range(4) for row in block]
+    alg = row_group(lambda mu, x: x.lmul(ebu[mu]))
+    diff = row_group(ctx.pi_upper)
     return dl, alg, diff
 
 
 def constraint_counting(p: Momentum, m, frame: Frame):
     """Momentum-space rank analysis of the free constrained system.
 
-    Reports the real dimension before constraints, after imposing the two
-    constraint groups, and the real dimension of the full solution space,
-    with a basis of it.  The symbol is built by ``_free_symbol``: the four
-    Dirac equations form a block-diagonal 32x32 matrix with one 8x8 block
-    repeated, and each of the two 8x32 constraint groups takes component
-    psi_mu through eps_bar^mu and pi^mu alone.
+    Reports the rank of the 32 Dirac rows alone, the real dimension before
+    constraints, after imposing the two constraint groups, and the real
+    dimension of the full solution space, with a basis of it.  The symbol
+    is built by ``_free_symbol``: the four Dirac equations form a
+    block-diagonal 32x32 matrix with one 8x8 block repeated, and each of
+    the two 8x32 constraint groups takes component psi_mu through
+    eps_bar^mu and pi^mu alone.  On shell each Dirac block has rank 4, so
+    ``dirac_rank`` is 16; the constraints make one block redundant, so the
+    other counts alone would not notice a block that is missing or sits
+    over another component's columns.
     """
     dl, alg, diff = _free_symbol(p, m, frame)
     sol_basis = nullspace(dl + alg + diff)
     return {
         "total_real_dim": 32,
+        "dirac_rank": rank(dl),
         "constraint_ranks": (rank(alg), rank(diff)),
         "after_constraints": 32 - rank(alg + diff),
         "solution_dim": len(sol_basis),

@@ -123,6 +123,21 @@ def test_g1_chain_failure_reports_a_nonzero_residual(monkeypatch):
     assert _fail_row("rs.g1_chain").max_residual == 1.0
 
 
+def test_counting_failure_on_a_misplaced_dirac_block(monkeypatch):
+    # psi_3's Dirac rows over psi_2's columns: the constraint ranks, the
+    # count after the constraints and the solution count stay as they were,
+    # so only the rank of the Dirac rows (12, not 16) shows the fault
+    symbol = harness.rs._free_symbol
+
+    def misplaced(p, m, frame):
+        dl, alg, diff = symbol(p, m, frame)
+        dl = dl[:24] + [row[:16] + row[24:] + row[16:24] for row in dl[24:]]
+        return dl, alg, diff
+
+    monkeypatch.setattr(harness.rs, "_free_symbol", misplaced)
+    assert _fail_row("rs.constraint_counting").max_residual == 1.0
+
+
 # fake lorentz reports: every quantity a suite bounds is the given violation
 def _fake_invariance(violation):
     def report(*args, seed):

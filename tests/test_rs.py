@@ -17,6 +17,7 @@ from bqspin.fields import (
     Momentum,
     Poly,
     _extract_mode_cos,
+    dirac_lanczos_residual,
     nabla_bar,
     plane_wave_field,
     random_linear_potential,
@@ -91,6 +92,28 @@ def test_pi_recombination_lemmas():
             lhs_star = ts if lhs_star is None else lhs_star + ts
         assert (lhs_bar - ctx.pibar(x)).is_zero()
         assert (lhs_star - ctx.pibar_star(x)).is_zero()
+
+
+def test_coupled_spinor_operator_value():
+    # fields.dirac_lanczos_residual and RSContext.dirac both equal the
+    # hand-expanded nabla_bar(x) i nu - e phi_bar x - m x*, with
+    # nabla_bar = -i d/dt - e_n d/dx_n, on polynomial and plane-wave fields
+    rng = random.Random(127)
+    ext = _nonlorenz_potential()
+    frame = random_rational_frame(rng)
+    ctx = RSContext(ext, M, frame)
+    units = [Biquaternion.vector(*v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    for _ in range(3):
+        x = (random_poly_field(rng, n_terms=3, max_deg=3)
+             + plane_wave_field(random_rational_biquaternion(rng), P.k_tuple(), frame))
+        grad_bar = x.dt().scale(gr(0, -1))
+        for n, u in enumerate(units, start=1):
+            grad_bar = grad_bar - x.dx(n).lmul(u)
+        expected = (grad_bar.rmul(frame.i_nu) - (ext.phi.bar() * x).scale(ext.e)
+                    - x.star().scale(M))
+        assert not expected.is_zero()
+        assert (dirac_lanczos_residual(x, ext, M, frame) - expected).is_zero()
+        assert (ctx.dirac(x) - expected).is_zero()
 
 
 def test_pi_component_recovery():
@@ -231,20 +254,20 @@ def test_zero_field_trivia():
     out = rs_free_system(zero_psi, ExternalField.zero(), M, FRAME)
     assert all(r.is_zero() for r in out["eq_residuals"])
     assert rs_current(zero_psi).is_zero()
-    assert extra_constraint(zero_psi, ExternalField.zero(), M, FRAME).is_zero()
+    assert extra_constraint(zero_psi, ExternalField.zero(), FRAME).is_zero()
 
 
 def test_extra_constraint_dichotomy():
     rng = random.Random(117)
     # no coupling: identically zero for every field
     psi = _rand_psi(rng)
-    assert extra_constraint(psi, ExternalField.zero(), M, FRAME).is_zero()
+    assert extra_constraint(psi, ExternalField.zero(), FRAME).is_zero()
     # generic coupling on an exact solution of the free system: a certified
     # nonzero witness, so the coupled constraint genuinely cuts solutions
     ext = _nonlorenz_potential()
     witness = 0.0
     for psi in free_rs_solutions(P, P.m, FRAME):
-        w = extra_constraint(psi, ext, P.m, FRAME)
+        w = extra_constraint(psi, ext, FRAME)
         val = w.eval_float((0.3, 0.1, -0.2, 0.5)).max_abs()
         witness = max(witness, val)
     assert witness > 1e-3
@@ -353,7 +376,7 @@ def test_g1_chain_reduces_to_free_system_without_coupling():
     ext = ExternalField.zero()
     ctx = RSContext(ext, M, FRAME)
     system = coupled_equation(Fraction(1), ext, M, FRAME)
-    w23 = extra_constraint(psi, ext, M, FRAME)
+    w23 = extra_constraint(psi, ext, FRAME)
     assert w23.is_zero()
     out = g1_chain(ext, M, FRAME, [psi])
     assert all(v == 0.0 for v in out.values())
@@ -368,6 +391,7 @@ def test_g1_chain_rejects_massless():
 def test_constraint_counting_values():
     out = constraint_counting(P, P.m, FRAME)
     assert out["total_real_dim"] == 32
+    assert out["dirac_rank"] == 16
     assert out["constraint_ranks"] == (8, 8)
     assert out["after_constraints"] == 16
     assert out["solution_dim"] == 8
@@ -380,9 +404,10 @@ def test_constraint_counting_other_frames_and_momenta():
     rng = random.Random(125)
     f2 = random_rational_frame(rng)
     out = constraint_counting(P, P.m, f2)
-    assert out["solution_dim"] == 8
+    assert out["dirac_rank"] == 16 and out["solution_dim"] == 8
     rest = Momentum(Fraction(3), (Fraction(0), Fraction(0), Fraction(0)), Fraction(3))
     out2 = constraint_counting(rest, Fraction(3), FRAME)
+    assert out2["dirac_rank"] == 16
     assert out2["after_constraints"] == 16 and out2["solution_dim"] == 8
     # Johnson-Sudarshan counting at further exact on-shell momenta: off axis,
     # along e3, and with a non-integer energy
@@ -392,6 +417,7 @@ def test_constraint_counting_other_frames_and_momenta():
         p = Momentum(energy, tuple(Fraction(c) for c in k), m)
         out = constraint_counting(p, m, FRAME)
         assert out["total_real_dim"] == 32
+        assert out["dirac_rank"] == 16
         assert out["constraint_ranks"] == (8, 8)
         assert out["after_constraints"] == 16
         assert out["solution_dim"] == 8
