@@ -39,7 +39,7 @@ from .errors import (
     OffShell,
 )
 from .exactlinalg import nullspace
-from .scalars import GR_I, gr
+from .scalars import GR_I, GR_ZERO, GaussianRational, gr, monomial_product
 
 
 _E_UNITS = (Biquaternion.vector(1, 0, 0), Biquaternion.vector(0, 1, 0),
@@ -54,8 +54,13 @@ class Poly:
     because it runs on every product and sum; ``Field.polynomial`` and
     ``Field.trig`` are the checks, and raise ``MixedBackend`` on a mix.
     No stored coefficient is zero.  The constructor drops zeros; sums,
-    negation, ``map_coeffs`` and ``derivative`` drop them themselves or
-    cannot make one, so they build through ``_of``, which skips that check.
+    differences, negation, ``map_coeffs`` and ``derivative`` drop them
+    themselves or cannot make one, so they build through ``_of``, which
+    skips that check.  ``lmul``, ``rmul`` and ``scale`` read their constant
+    once per call (see ``_multiplier``): an exact constant with one nonzero
+    component maps each coefficient by the signed-permutation kernel of
+    ``scalars.monomial_product``, and such a map, like the four
+    involutions, sends no nonzero coefficient to zero, so it checks none.
     """
 
     __slots__ = ("terms",)
@@ -82,13 +87,20 @@ class Poly:
         return not self.terms
 
     def __add__(self, other):
+        return self._combine(other, False)
+
+    def __sub__(self, other):
+        return self._combine(other, True)
+
+    def _combine(self, other, subtract):
+        """self + other, or self - other term by term when subtract is True."""
         out = dict(self.terms)
         for e, c in other.terms.items():
             s = out.get(e)
             if s is None:
-                out[e] = c
+                out[e] = -c if subtract else c
                 continue
-            s = s + c
+            s = s - c if subtract else s + c
             if s.is_zero():
                 del out[e]
             else:
@@ -97,9 +109,6 @@ class Poly:
 
     def __neg__(self):
         return Poly._of({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
@@ -112,13 +121,23 @@ class Poly:
                     s = c if s is None else s + c
                     out[e] = s
             return Poly(out)
-        return self.map_coeffs(lambda c: c * other)
+        if isinstance(other, Biquaternion):
+            return self.rmul(other)
+        return self.scale(other)
+
+    def scale(self, c):
+        """Multiply by a commuting scalar; an exact 1 returns the Poly itself."""
+        return self if _is_exact_one(c) else self._times(c, False)
 
     def lmul(self, q: Biquaternion):
-        return self.map_coeffs(lambda c: q * c)
+        return self._times(q, True)
 
     def rmul(self, q: Biquaternion):
-        return self.map_coeffs(lambda c: c * q)
+        return self._times(q, False)
+
+    def _times(self, q, left):
+        fn, invertible = _multiplier(q, left, _exact_coefficients((self,)))
+        return self._map(fn) if invertible else self.map_coeffs(fn)
 
     def map_coeffs(self, fn):
         out = {}
@@ -128,6 +147,10 @@ class Poly:
                 out[e] = v
         return Poly._of(out)
 
+    def _map(self, fn):
+        """map_coeffs for an fn that sends no nonzero coefficient to zero."""
+        return Poly._of({e: fn(c) for e, c in self.terms.items()})
+
     def derivative(self, var: int):
         out = {}
         for e, c in self.terms.items():
@@ -136,7 +159,7 @@ class Poly:
                 continue
             ne = list(e)
             ne[var] = n - 1
-            out[tuple(ne)] = c * n
+            out[tuple(ne)] = c if n == 1 else c * n
         return Poly._of(out)
 
     def eval_float(self, point):
@@ -153,6 +176,47 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({len(self.terms)} terms)"
+
+
+def _is_exact_one(c):
+    """True for an exact scalar equal to 1, by which a product changes nothing."""
+    return isinstance(c, (int, Fraction, GaussianRational)) and c == 1
+
+
+def _exact_coefficients(polys):
+    """True when the first coefficient of the Polys is exact.
+
+    The coefficients of a Poly or a Field share one backend, so the first
+    one decides; a later one of the other backend makes the monomial kernel
+    raise MixedBackend.
+    """
+    for p in polys:
+        for c in p.terms.values():
+            return type(c.w) is GaussianRational
+    return False
+
+
+def _multiplier(q, left, exact):
+    """The coefficient map c -> q*c (left) or c*q, and whether it is invertible.
+
+    q is a Biquaternion or a commuting scalar, read once per call.  When the
+    coefficients are exact and q is an exact constant with one nonzero
+    component (a nonzero exact scalar is one), the map is the signed
+    permutation of ``scalars.monomial_product``, which sends no nonzero
+    coefficient to zero.  Any other q is the plain product, which may.
+    """
+    product = None
+    if exact:
+        if isinstance(q, Biquaternion):
+            product = monomial_product(q.components(), left)
+        elif isinstance(q, (int, Fraction, GaussianRational)):
+            c = q if isinstance(q, GaussianRational) else gr(q)
+            product = monomial_product((c, GR_ZERO, GR_ZERO, GR_ZERO), left)
+    if product is not None:
+        return (lambda c: Biquaternion(*product(c.components()))), True
+    if left:
+        return (lambda c: q * c), False
+    return (lambda c: c * q), False
 
 
 def _wave_vector(k):
@@ -183,11 +247,14 @@ def _canonical_mode(k, ps):
     return k, Poly()
 
 
-def _merge(modes, k, pc, ps):
-    """Add (pc, ps) into modes at the canonical key k; a zero sum leaves the dict."""
+def _merge(modes, k, pc, ps, subtract=False):
+    """Add (pc, ps) into modes at the canonical key k, or subtract it when
+    subtract is True; a zero result leaves the dict."""
     old = modes.get(k)
     if old is not None:
-        pc, ps = old[0] + pc, old[1] + ps
+        pc, ps = (old[0] - pc, old[1] - ps) if subtract else (old[0] + pc, old[1] + ps)
+    elif subtract:
+        pc, ps = -pc, -ps
     if pc.terms or ps.terms:
         modes[k] = (pc, ps)
     elif old is not None:
@@ -208,7 +275,10 @@ class Field:
     sign-canonical (first nonzero entry positive), no pair is zero, and the
     zero vector's sin Poly is empty.  Only ``trig`` and ``__mul__`` make wave
     vectors, through ``_canonical_mode``; the linear operations keep their
-    operands' keys.
+    operands' keys.  A difference is taken mode by mode, with no negated
+    copy of the subtrahend.  ``lmul``, ``rmul`` and ``scale`` read their
+    constant once per call, as ``Poly``'s do; when that map is invertible,
+    and for the four involutions, every mode is kept and no zero is checked.
     """
 
     __slots__ = ("modes",)
@@ -264,21 +334,36 @@ class Field:
         return Field._of({k: (-pc, -ps) for k, (pc, ps) in self.modes.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        out = dict(self.modes)
+        for k, (pc, ps) in other.modes.items():
+            _merge(out, k, pc, ps, subtract=True)
+        return Field._of(out)
 
     def scale(self, c):
-        """Multiply by a commuting scalar."""
-        return self.map_coeffs(lambda q: q * c)
+        """Multiply by a commuting scalar; an exact 1 returns the field itself."""
+        return self if _is_exact_one(c) else self._times(c, False)
 
     def lmul(self, q: Biquaternion):
-        return self.map_coeffs(lambda c: q * c)
+        return self._times(q, True)
 
     def rmul(self, q: Biquaternion):
-        return self.map_coeffs(lambda c: c * q)
+        return self._times(q, False)
+
+    def _times(self, q, left):
+        fn, invertible = _multiplier(
+            q, left, _exact_coefficients(p for pair in self.modes.values() for p in pair))
+        return self._map(fn) if invertible else self.map_coeffs(fn)
 
     def map_coeffs(self, fn):
         return Field._of({k: (pc.map_coeffs(fn), ps.map_coeffs(fn))
                           for k, (pc, ps) in self.modes.items()})
+
+    def _map(self, fn):
+        """map_coeffs for an fn that sends no nonzero coefficient to zero:
+        every mode stays and no zero is checked."""
+        f = object.__new__(Field)
+        f.modes = {k: (pc._map(fn), ps._map(fn)) for k, (pc, ps) in self.modes.items()}
+        return f
 
     # -- products ------------------------------------------------------------------
 
@@ -318,16 +403,16 @@ class Field:
     # -- conjugations -----------------------------------------------------------------
 
     def bar(self):
-        return self.map_coeffs(lambda c: c.bar())
+        return self._map(Biquaternion.bar)
 
     def star(self):
-        return self.map_coeffs(lambda c: c.star())
+        return self._map(Biquaternion.star)
 
     def plus(self):
-        return self.map_coeffs(lambda c: c.plus())
+        return self._map(Biquaternion.plus)
 
     def reverse(self):
-        return self.map_coeffs(lambda c: c.reverse())
+        return self._map(Biquaternion.reverse)
 
     def scalar_part(self):
         return self.map_coeffs(lambda c: Biquaternion.scalar(c.w))
@@ -350,6 +435,10 @@ class Field:
                 out[k] = (dpc, ps)
                 continue
             dphi = k[0] if var == 0 else -k[var]
+            if not dphi:
+                # the phase does not depend on this variable
+                out[k] = (dpc, ps.derivative(var))
+                continue
             # d(P cos) = P' cos - P dphi sin ; d(Q sin) = Q' sin + Q dphi cos
             out[k] = (dpc + ps * dphi, ps.derivative(var) - pc * dphi)
         return Field._of(out)

@@ -16,6 +16,13 @@ Gaussian rationals is fused into one such operation per output component
 (:func:`_hamilton`), so it makes four values and four gcds where sixteen
 products and twelve sums would make 28.
 
+A quaternion with one nonzero component, c*e_j (a monomial), multiplies
+another by a signed permutation of its components times c
+(:func:`monomial_product`): four scalar products and no sums.  Multiplying
+by a unit c (1, -1, i or -i) keeps (a + i*b)/d in lowest terms, so then no
+gcd is taken at all, and a component that the permutation passes through
+unchanged is the operand's own value.
+
 A :class:`GaussianIntArray` is a third, exact scalar: one Gaussian rational
 per sample of a batch, so the unchanged algebra layer checks an identity on
 every sample of a sweep at once.  It never mixes with the other two.
@@ -65,20 +72,119 @@ def _reduced(a, b, d):
     return _made(a, b, d)
 
 
+# e_j * q (_LEFT_UNITS[j]) and q * e_j (_RIGHT_UNITS[j]) for q = (w, x, y, z),
+# with e_0 = 1: component k of the product is sign * q[index], one
+# (index, sign) pair per k.  From e1 e2 = e3, e2 e3 = e1, e3 e1 = e2, e_n**2 = -1.
+_LEFT_UNITS = (
+    ((0, 1), (1, 1), (2, 1), (3, 1)),
+    ((1, -1), (0, 1), (3, -1), (2, 1)),
+    ((2, -1), (3, 1), (0, 1), (1, -1)),
+    ((3, -1), (2, -1), (1, 1), (0, 1)),
+)
+_RIGHT_UNITS = (
+    ((0, 1), (1, 1), (2, 1), (3, 1)),
+    ((1, -1), (0, 1), (3, 1), (2, -1)),
+    ((2, -1), (3, -1), (0, 1), (1, 1)),
+    ((3, -1), (2, 1), (1, -1), (0, 1)),
+)
+
+
+def _monomial(p, left):
+    """The kernel of q -> p*q (left) or q*p for p = c*e_j, a quaternion of
+    GaussianRational components with exactly one nonzero component c = p[j].
+
+    The kernel is (terms, unit, d): one (index, re, im) triple per output
+    component k, so that component k is (re + i*im) * q[index] / d; unit is
+    True when c is 1, -1, i or -i.  None for p with no or several nonzero
+    components.
+    """
+    j = -1
+    for k in range(4):
+        if p[k]._a or p[k]._b:
+            if j >= 0:
+                return None
+            j = k
+    if j < 0:
+        return None
+    c = p[j]
+    a, b, d = c._a, c._b, c._d
+    terms = tuple((index, sign * a, sign * b)
+                  for index, sign in (_LEFT_UNITS if left else _RIGHT_UNITS)[j])
+    return terms, d == 1 and a * a + b * b == 1, d
+
+
+def _permuted(kernel, q):
+    """The kernel's product with the GaussianRational quaternion q, as a list
+    of four components.  A unit changes no gcd, so its values are made
+    unreduced, and a component it passes through unchanged is q's own."""
+    terms, unit, d = kernel
+    out = []
+    if unit:
+        for index, re, im in terms:
+            v = q[index]
+            if re == 1:
+                out.append(v)
+            elif re:
+                out.append(_made(-v._a, -v._b, v._d))
+            elif im == 1:
+                # i * (a + i*b) = -b + i*a
+                out.append(_made(-v._b, v._a, v._d))
+            else:
+                out.append(_made(v._b, -v._a, v._d))
+    else:
+        for index, re, im in terms:
+            v = q[index]
+            a, b = v._a, v._b
+            out.append(_reduced(re * a - im * b, re * b + im * a, d * v._d))
+    return out
+
+
+def monomial_product(p, left=True):
+    """The map q -> p*q (left) or q*p for a quaternion p = c*e_j, or None.
+
+    p and q are (w, x, y, z) tuples, and the map returns the four product
+    components as a list.  None unless p's components are all
+    GaussianRational and exactly one of them is nonzero; the map is then
+    invertible, so it sends no nonzero q to zero.  It raises MixedBackend
+    for a q whose components are not all GaussianRational.
+    """
+    if not (type(p[0]) is type(p[1]) is type(p[2]) is type(p[3]) is GaussianRational):
+        return None
+    kernel = _monomial(p, left)
+    if kernel is None:
+        return None
+
+    def product(q):
+        if not (type(q[0]) is type(q[1]) is type(q[2]) is type(q[3]) is GaussianRational):
+            raise MixedBackend(f"an exact monomial does not multiply "
+                               f"{', '.join(type(c).__name__ for c in q)} components")
+        return _permuted(kernel, q)
+
+    return product
+
+
 def _hamilton(p, q):
     """The Hamilton product of quaternions p and q, as four Gaussian rationals.
 
     p and q are (w, x, y, z) tuples; None unless all eight components are
-    GaussianRational.  Each operand is brought to one common denominator, so
-    every output component is a sum of Gaussian-integer products over one
-    denominator and is reduced once.  Canonical values do not depend on the
-    order of evaluation, so the result equals the component-wise formula.
+    GaussianRational.  When either operand is a monomial c*e_j, the product
+    is the signed permutation of :func:`_permuted`.  Otherwise each operand
+    is brought to one common denominator, so every output component is a
+    sum of Gaussian-integer products over one denominator and is reduced
+    once.  Canonical values do not depend on the order of evaluation, so
+    the result equals the component-wise formula.
     """
     pw, px, py, pz = p
     qw, qx, qy, qz = q
     if not (type(pw) is type(px) is type(py) is type(pz) is type(qw) is type(qx)
             is type(qy) is type(qz) is GaussianRational):
         return None
+    kernel = _monomial(p, True)
+    if kernel is not None:
+        return _permuted(kernel, q)
+    kernel = _monomial(q, False)
+    if kernel is not None:
+        return _permuted(kernel, p)
     # p = (A + iB)/dp and q = (C + iE)/dq, component by component
     dp = lcm(pw._d, px._d, py._d, pz._d)
     s = dp // pw._d
@@ -138,10 +244,13 @@ class GaussianRational:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        o = _operand(other)
-        if o is None:
-            return complex(self) + other
-        c, e, f = o
+        if type(other) is GaussianRational:
+            c, e, f = other._a, other._b, other._d
+        else:
+            o = _operand(other)
+            if o is None:
+                return complex(self) + other
+            c, e, f = o
         d = self._d
         if d == f:
             return _reduced(self._a + c, self._b + e, d)
@@ -150,10 +259,13 @@ class GaussianRational:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = _operand(other)
-        if o is None:
-            return complex(self) - other
-        c, e, f = o
+        if type(other) is GaussianRational:
+            c, e, f = other._a, other._b, other._d
+        else:
+            o = _operand(other)
+            if o is None:
+                return complex(self) - other
+            c, e, f = o
         d = self._d
         if d == f:
             return _reduced(self._a - c, self._b - e, d)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from bqspin.biquaternion import (
 )
 from bqspin.errors import InvalidFrame, MixedBackend, SingularOperand
 from bqspin.exactlinalg import solve
-from bqspin.scalars import GaussianIntArray, GaussianRational, gr
+from bqspin.scalars import GaussianIntArray, GaussianRational, gr, monomial_product
 
 
 ONE, E1, E2, E3, I, IE1, IE2, IE3 = basis_elements(exact=True)
@@ -151,6 +152,65 @@ def test_exact_product_matches_the_componentwise_formula_and_the_oracle():
     checks, problems = _load_oracle().check(sparse + wide + small, pairs)
     assert checks > 0
     assert problems == []
+
+
+def _monomial(j, c):
+    comps = [gr(0)] * 4
+    comps[j] = c
+    return Biquaternion(*comps)
+
+
+def _canonical(c):
+    return c._d > 0 and math.gcd(c._a, c._b, c._d) == 1
+
+
+def test_monomial_products_match_the_componentwise_formula_and_the_oracle():
+    # c * e_j times q, and q times c * e_j, take the signed-permutation kernel
+    rng = random.Random(58)
+    elements, pairs = [], []
+    for j in range(4):
+        general = gr(Fraction(rng.randint(2, 9), rng.randint(2, 7)),
+                     Fraction(rng.randint(-9, -1), rng.randint(2, 7)))
+        for c in (gr(1), gr(-1), gr(0, 1), gr(0, -1), general):
+            m = _monomial(j, c)
+            elements.append(m)
+            for q in (random_rational_biquaternion(rng), _wide_biquaternion(rng)):
+                elements.append(q)
+                for a, b in ((m, q), (q, m)):
+                    prod = a * b
+                    assert all(type(x) is GaussianRational and _canonical(x)
+                               for x in prod.components())
+                    assert prod == _componentwise(a, b), (j, c)
+                    pairs.append((a, b))
+    checks, problems = _load_oracle().check(elements, pairs)
+    assert checks >= len(pairs)
+    assert problems == []
+
+
+def test_unit_products_pass_components_through():
+    rng = random.Random(59)
+    q = random_rational_biquaternion(rng)
+    for prod in (ONE * q, q * ONE):
+        assert all(x is y for x, y in zip(prod.components(), q.components()))
+    # e1 * (w, x, y, z) = (-x, w, -z, y): w and y are q's own values
+    prod = E1 * q
+    assert prod.x is q.w and prod.z is q.y
+    assert prod == Biquaternion(-q.x, q.w, -q.z, q.y)
+
+
+def test_monomial_product_map():
+    rng = random.Random(60)
+    q = random_rational_biquaternion(rng).components()
+    for j in range(4):
+        for c in (gr(0, -1), gr(Fraction(-3, 4), 2)):
+            m = _monomial(j, c)
+            assert Biquaternion(*monomial_product(m.components(), True)(q)) == m * Biquaternion(*q)
+            assert Biquaternion(*monomial_product(m.components(), False)(q)) == Biquaternion(*q) * m
+    # no kernel for the zero element, two nonzero components or float components
+    for p in (Biquaternion.zero(), E1 + E2, E1.to_float()):
+        assert monomial_product(p.components()) is None
+    with pytest.raises(MixedBackend):
+        monomial_product(E2.components())(Biquaternion(gr(1), 0.5j, gr(0), gr(2)).components())
 
 
 def test_mixed_element_takes_the_componentwise_product():

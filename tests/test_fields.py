@@ -10,7 +10,7 @@ from bqspin.biquaternion import (
     random_rational_frame,
 )
 from bqspin import fields
-from bqspin.errors import NotAPlaneWave, OffShell
+from bqspin.errors import MixedBackend, NotAPlaneWave, OffShell
 from bqspin.fields import (
     ExternalField,
     Field,
@@ -160,6 +160,94 @@ def test_field_modes_stay_canonical():
     f + g
     assert {k: (pc.terms, ps.terms) for k, (pc, ps) in f.modes.items()} == f_modes
     assert {k: (pc.terms, ps.terms) for k, (pc, ps) in g.modes.items()} == g_modes
+
+
+def _snapshot(f: Field):
+    """The modes of a field as plain dicts, to compare two fields term by term."""
+    return {k: (dict(pc.terms), dict(ps.terms)) for k, (pc, ps) in f.modes.items()}
+
+
+def _assert_stores_no_zero(f: Field, name):
+    for k, (pc, ps) in f.modes.items():
+        assert pc.terms or ps.terms, (name, k)
+        assert _no_zero_coefficient(pc) and _no_zero_coefficient(ps), (name, k)
+
+
+def test_difference_is_the_sum_of_the_negation():
+    rng = random.Random(38)
+    k1 = (Fraction(2), Fraction(1), Fraction(0), Fraction(0))
+    k2 = (Fraction(1), Fraction(0), Fraction(-1), Fraction(3))
+    for _ in range(10):
+        a = (random_poly_field(rng) + Field.trig(k1, random_rational_biquaternion(rng),
+                                                  random_rational_biquaternion(rng)))
+        b = random_poly_field(rng) * Field.trig(k2, random_rational_biquaternion(rng),
+                                                random_rational_biquaternion(rng))
+        cases = {
+            "a - b": (a, b),
+            # whole modes cancel: the k1 mode and the polynomial part of a
+            "a - (a + b)": (a, a + b),
+            "(a + b) - a": (a + b, a),
+            "a - a": (a, a),
+            "zero - a": (Field.zero(), a),
+        }
+        for name, (x, y) in cases.items():
+            diff = x - y
+            assert _snapshot(diff) == _snapshot(x + (-y)), name
+            _assert_stores_no_zero(diff, name)
+            _assert_canonical(diff, name)
+        assert (a - a).modes == {}
+        assert _snapshot(a - (a + b)) == _snapshot(-b)
+        pa, pb = a.modes[(0, 0, 0, 0)][0], b.modes[k2][0]
+        assert (pa - pb).terms == (pa + (-pb)).terms
+        assert (pa - pa).terms == {}
+
+
+def test_products_by_constants_keep_their_operand():
+    rng = random.Random(39)
+    k = (Fraction(1), Fraction(2), Fraction(0), Fraction(1))
+    f = random_poly_field(rng) + Field.trig(k, random_rational_biquaternion(rng),
+                                            random_rational_biquaternion(rng))
+    before = _snapshot(f)
+    sigma = DEFAULT_FRAME.sigma
+    constants = [Biquaternion.vector(0, -1, 0), Biquaternion.scalar(gr(0, 1)),
+                 Biquaternion.vector(Fraction(3, 5), 0, 0), random_rational_biquaternion(rng),
+                 sigma, Biquaternion.zero()]
+    results = {}
+    for n, q in enumerate(constants):
+        results[f"lmul {n}"] = (f.lmul(q), lambda c, q=q: q * c)
+        results[f"rmul {n}"] = (f.rmul(q), lambda c, q=q: c * q)
+    for c in (gr(-1), gr(Fraction(2, 3), -1), Fraction(-5, 2), 3, gr(0), 1):
+        results[f"scale {c}"] = (f.scale(c), lambda x, c=c: x * c)
+    for name in ("bar", "star", "plus", "reverse"):
+        results[name] = (getattr(f, name)(), getattr(Biquaternion, name))
+    for name, (got, fn) in results.items():
+        assert _snapshot(f) == before, name
+        assert _snapshot(got) == _snapshot(f.map_coeffs(fn)), name
+        _assert_stores_no_zero(got, name)
+    # sigma is a zero divisor: sigma_bar * sigma = 0 drops every coefficient
+    assert f.lmul(DEFAULT_FRAME.sigma_bar).lmul(sigma).is_zero()
+    assert f.scale(1) is f and f.scale(gr(1)) is f
+    p = f.modes[(0, 0, 0, 0)][0]
+    assert p.scale(1) is p
+    assert (p * gr(0, 1)).terms == p.map_coeffs(lambda c: c * gr(0, 1)).terms
+
+
+def test_float_fields_take_the_plain_product():
+    k = (1.0, 0.5, 0.0, 0.0)
+    amplitude = Biquaternion(0.5 + 1j, -2.0, 0.25j, 1.5)
+    f = Field.trig(k, amplitude, amplitude.bar())
+    e2 = Biquaternion.vector(0, 1, 0)
+    for got, fn in ((f.lmul(e2), lambda c: e2 * c), (f.rmul(e2), lambda c: c * e2),
+                    (f.scale(gr(0, -1)), lambda c: c * gr(0, -1))):
+        assert not got.is_zero()
+        assert _snapshot(got) == _snapshot(f.map_coeffs(fn))
+    assert nabla(f).eval_float((0.1, 0.2, 0.3, 0.4)).max_abs() > 0
+    # an exact field holding a float coefficient is malformed: the kernel refuses it
+    mixed = Field.polynomial(Poly({(0, 0, 0, 0): Biquaternion.one(),
+                                   (1, 0, 0, 0): Biquaternion.vector(1, 0, 0)}))
+    mixed.modes[(0, 0, 0, 0)][0].terms[(1, 0, 0, 0)] = amplitude
+    with pytest.raises(MixedBackend):
+        mixed.lmul(e2)
 
 
 def test_wave_vector_keys_are_ints_when_integral():

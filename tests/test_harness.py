@@ -1,15 +1,18 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from bqspin import harness
+from bqspin import harness, spin
 from bqspin.cli import emit, main
 from bqspin.errors import UnknownSuite
 from bqspin.fields import Field
+from bqspin.linops import RealLinearOp
 from bqspin.harness import (
     COVERAGE,
     OUT_OF_SCOPE,
@@ -136,6 +139,18 @@ def test_counting_failure_on_a_misplaced_dirac_block(monkeypatch):
 
     monkeypatch.setattr(harness.rs, "_free_symbol", misplaced)
     assert _fail_row("rs.constraint_counting").max_residual == 1.0
+
+
+def test_boost_fails_with_generators_that_are_not_the_columns(monkeypatch):
+    # boost(rho) boost(-rho) = 1 holds for any generator; footnote 8's
+    # closed form on the HALF_PLUS subspace does not
+    gen = np.random.default_rng(7)
+    triples = {label: spin.GeneratorTriple(
+        *(RealLinearOp(0.5 * gen.standard_normal((8, 8))) for _ in range(3)))
+        for label in spin.SpinLabel}
+    monkeypatch.setattr(spin, "generators", lambda s, f: triples[s])
+    row = _fail_row("rotations.boost")
+    assert row.max_residual > 1e-3
 
 
 # fake lorentz reports: every quantity a suite bounds is the given violation
@@ -275,3 +290,17 @@ def test_cli_same_seed_byte_identical(tmp_path):
         assert main(["--suite", "peirce.*", "--seed", "9", "--format", "json",
                      "--out", str(path)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of `bqspin-verify --backend exact --seed 1 --format json`.  Exact
+# values are canonical whatever order they were computed in, so a change to
+# the arithmetic that keeps every value keeps this report byte for byte.  A
+# change that means to alter the report updates the digest and says why.
+EXACT_REPORT_SEED_1_SHA256 = "6412a988fd2d49ad608e560ff1d8a78297a78042fa1b1ef7a158e8db766755ba"
+
+
+def test_exact_report_is_pinned():
+    results = run("*", seed=1, backend="exact")
+    assert len(results) == 27
+    report = emit(results, fmt="json", seed=1, backend="exact")
+    assert hashlib.sha256(report.encode()).hexdigest() == EXACT_REPORT_SEED_1_SHA256
