@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .biquaternion import Biquaternion
-from .fields import ExternalField, Field, lanczos_residual, nabla, nabla_bar
+from .biquaternion import Biquaternion, unitary_product
+from .fields import ExternalField, Field, lanczos_residual, nabla_bar
 from .lorentz import act
 
 
@@ -97,21 +97,17 @@ def transition_current_divergences(a: Field, b: Field, ext: ExternalField, m):
 
 
 def lagrangian_density(a: Field, b: Field, ext: ExternalField, m) -> Field:
-    """Real scalar density whose variation gives the coupled system;
-    vanishes identically on solutions."""
-    e = ext.e
-    phi = ext.phi
-    phib = ext.phi_bar()
-    inner = (a.plus() * (nabla_bar(a) - (phib * a).scale(e))
-             - (a.plus() * b).scale(m)
-             + b.plus() * (nabla(b) - (phi * b).scale(e))
-             - (b.plus() * a).scale(m)).scalar_part()
-    return inner.re_scalar()
+    """Real scalar density Re scal(a.plus() r_a + b.plus() r_b) of the
+    residual pair of ``fields.lanczos_residual``; its variation gives the
+    coupled system, and it vanishes identically on solutions."""
+    ra, rb = lanczos_residual(a, b, ext, m)
+    return (a.plus() * ra + b.plus() * rb).scalar_part().re_scalar()
 
 
 def amplitude(a1: Biquaternion, b2: Biquaternion):
-    """Invariant pairing of two states: the scalar part of a1 * b2.plus()."""
-    return (a1 * b2.plus()).scalar_part()
+    """Invariant pairing of two states: the scalar part of a1 * b2.plus(),
+    which by cyclicity is the unitary product of b2 and a1."""
+    return unitary_product(b2, a1)
 
 
 def covariance_characters(L, f, rng_values):

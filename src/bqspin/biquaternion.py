@@ -344,16 +344,17 @@ DEFAULT_FRAME = make_frame((0, 0, 1), (1, 0, 0))
 def peirce_decompose(q: Biquaternion, f: Frame):
     """Complex coordinates (x1, x2, x3, x4) of q in the Peirce basis.
 
-    Closed form: sandwiching with sigma / sigma.bar() isolates each basis
-    element, e.g. sigma*q*sigma = x1*sigma.
+    Sandwiching with sigma / sigma.bar() isolates each basis element, e.g.
+    sigma*q*sigma = x1*sigma.  The scalar part is cyclic and
+    tau*sigma.bar() = sigma*tau, so each sandwich is one pairing:
+    x = (2, -2, 2, -2) * scal(d q) for d = sigma, sigma*tau, sigma.bar(),
+    sigma.bar()*tau.  Since scal(d q) = minkowski_product(d.bar(), q) and
+    (sigma*tau).bar() = -sigma*tau, each coordinate is twice the pairing of
+    q with the partner basis element: sigma.bar(), tau*sigma.bar(), sigma,
+    tau*sigma.
     """
-    s, sb, t = f.sigma, f.sigma_bar, f.tau
-    two = 2
-    x1 = two * (s * q * s).scalar_part()
-    x2 = -two * (t * (sb * q * s)).scalar_part()
-    x3 = two * (sb * q * sb).scalar_part()
-    x4 = -two * (t * (s * q * sb)).scalar_part()
-    return (x1, x2, x3, x4)
+    s, ts, sb, tsb = f.basis()
+    return tuple(2 * minkowski_product(d, q) for d in (sb, tsb, s, ts))
 
 
 def peirce_compose(coords, f: Frame) -> Biquaternion:
@@ -484,8 +485,7 @@ def random_rational_frame(rng):
         if bool(n):
             break
     qinv = q.bar() / n
-    e3 = Biquaternion.vector(0, 0, 1)
-    e1 = Biquaternion.vector(1, 0, 0)
+    _, e1, _, e3, *_ = basis_elements()
     nu = q * e3 * qinv
     tau = q * e1 * qinv
     nv = [c.re for c in (nu.x, nu.y, nu.z)]

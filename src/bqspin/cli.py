@@ -99,8 +99,13 @@ def main(argv=None):
         return 2
 
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(report)
+        except OSError as exc:
+            print(f"config error: cannot write --out {args.out!r}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(report)
 

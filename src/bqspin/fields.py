@@ -42,8 +42,7 @@ from .exactlinalg import nullspace
 from .scalars import GR_I, GR_ZERO, GaussianRational, gr, monomial_product
 
 
-_E_UNITS = (Biquaternion.vector(1, 0, 0), Biquaternion.vector(0, 1, 0),
-            Biquaternion.vector(0, 0, 1))
+_E_UNITS = tuple(basis_elements()[1:4])
 _HALF = gr(Fraction(1, 2))
 
 
@@ -622,18 +621,13 @@ def _composes_to_minus_box(spec) -> bool:
 def _conserves_current(spec) -> bool:
     # a moving momentum is essential: in the rest frame every candidate
     # conserves the current trivially (cyclicity of the scalar part)
-    frame = DEFAULT_FRAME
-    k, m = (Fraction(5), Fraction(3), Fraction(0), Fraction(0)), Fraction(4)
-    free = ExternalField.zero()
-    symbol = _plane_wave_symbol(
-        lambda x: dirac_lanczos_residual(x, free, m, frame, spec=spec), k, _unit_waves(k, frame))
-    basis = nullspace(symbol)
+    p = Momentum(Fraction(5), (Fraction(3), Fraction(0), Fraction(0)), Fraction(4))
+    basis = plane_wave_solutions(p, DEFAULT_FRAME, spec)
     if len(basis) != 4:
         return False
-    for v in basis:
-        psi = plane_wave_field(Biquaternion.from_real_coords(v), k, frame)
-        cur = psi * psi.plus()
-        if not nabla_bar(cur, spec).scalar_part().is_zero():
+    for amp in basis:
+        psi = plane_wave_field(amp, p.k_tuple(), DEFAULT_FRAME)
+        if not nabla_bar(current(psi), spec).scalar_part().is_zero():
             return False
     return True
 
@@ -700,16 +694,18 @@ def plane_wave_field(amplitude: Biquaternion, k, frame: Frame) -> Field:
     return Field.trig(k, amplitude, zero) - Field.trig(k, zero, amplitude * frame.nu)
 
 
-def plane_wave_solutions(p: Momentum, frame: Frame):
-    """Basis of amplitudes X solving the momentum-space equation
-    P.bar() X = m X* (real-linear 8x8 system); real dimension 4 on shell."""
+def plane_wave_solutions(p: Momentum, frame: Frame, spec: NablaSpec = FROZEN_NABLA):
+    """Basis of amplitudes X of the plane waves at p that solve the free
+    spinor equation of the gradient convention spec (for the frozen one,
+    P.bar() X = m X*): the nullspace of its real-linear 8x8 symbol, of real
+    dimension 4 on shell."""
     if not bool(p.m):
         raise DegenerateMass("massive plane-wave construction requires m > 0")
     if not p.on_shell():
         raise OffShell("momentum is not on the mass shell")
     k = p.k_tuple()
     free = ExternalField.zero()
-    symbol = _plane_wave_symbol(lambda x: dirac_lanczos_residual(x, free, p.m, frame), k,
+    symbol = _plane_wave_symbol(lambda x: dirac_lanczos_residual(x, free, p.m, frame, spec), k,
                                 _unit_waves(k, frame))
     return [Biquaternion.from_real_coords(v) for v in nullspace(symbol)]
 

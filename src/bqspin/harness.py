@@ -775,8 +775,7 @@ def _s_proca(rng, tol):
 def _s_maxwell(rng, tol):
     e_f = [random_poly_field(rng).scalar_part().re_scalar() for _ in range(3)]
     b_f = [random_poly_field(rng).scalar_part().re_scalar() for _ in range(3)]
-    units = [Biquaternion.vector(1, 0, 0), Biquaternion.vector(0, 1, 0),
-             Biquaternion.vector(0, 0, 1)]
+    units = basis_elements()[1:4]
     six = Field.zero()
     for n in range(3):
         six = six + (e_f[n] + b_f[n].scale(GR_I)).lmul(units[n])

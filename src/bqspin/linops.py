@@ -128,13 +128,9 @@ def _basis_of(*factors):
     return _BASIS_EXACT if exact else _BASIS_FLOAT
 
 
-def left_mul(a: Biquaternion):
-    return RealLinearOp.from_function(lambda x: a * x, _basis_of(a))
-
-
 # multiplication by i, built on the float basis so that composing it with
 # the float generators stays in complex arithmetic
-MUL_I = left_mul(Biquaternion.scalar(1j))
+MUL_I = monomial(Biquaternion.scalar(1j), Biquaternion.scalar(1.0))
 
 
 def op_exp(f: RealLinearOp) -> RealLinearOp:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
-from .biquaternion import Biquaternion, Frame
+from .biquaternion import Biquaternion, Frame, basis_elements
 from .errors import DegenerateMass, OffShell
 from .exactlinalg import nullspace, rank
 from .fields import (
@@ -34,12 +34,14 @@ from .fields import (
     Momentum,
     _plane_wave_symbol,
     _unit_waves,
+    current,
+    dirac_lanczos_residual,
     nabla_bar,
     nabla_bar_from_right,
     pibar,
     plane_wave_field,
 )
-from .scalars import GR_I, gr
+from .scalars import gr
 
 
 @functools.cache
@@ -48,10 +50,10 @@ def eps_units():
 
     Built once; the mapping is read-only and every entry is a tuple.
     """
-    one = Biquaternion.one()
-    ie = tuple(Biquaternion.vector(*v) * GR_I for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    lower = (one,) + ie
-    upper = (one,) + tuple(-u for u in ie)
+    basis = basis_elements()
+    one, ie = basis[0], basis[5:]
+    lower = (one, *ie)
+    upper = (one, *(-u for u in ie))
     return MappingProxyType({
         "lower": lower,
         "upper": upper,
@@ -99,8 +101,9 @@ class RSContext:
         return self.pibar(x.star()).star()
 
     def dirac(self, x: Field) -> Field:
-        """The spinor operator D(x) = Pibar(x) - m x*."""
-        return self.pibar(x) - x.star().scale(self.m)
+        """The spinor operator D(x) = Pibar(x) - m x*, as
+        ``fields.dirac_lanczos_residual`` defines it."""
+        return dirac_lanczos_residual(x, self.ext, self.m, self.frame)
 
     def algebraic(self, psi) -> Field:
         """The algebraic contraction u = eps_bar^lam psi_lam."""
@@ -127,7 +130,7 @@ def rs_free_system(psi, ext: ExternalField, m, frame: Frame):
 
 def rs_current(psi) -> Field:
     """Summed probability current of the four component fields."""
-    return sum((p * p.plus() for p in psi), Field.zero())
+    return sum((current(p) for p in psi), Field.zero())
 
 
 def _residual(f: Field) -> float:
@@ -158,12 +161,17 @@ def dual_tensor(ext: ExternalField):
     return apply
 
 
+def _curvature(ext: ExternalField):
+    """The four curvature multipliers Phi(eps_bar^mu) of eqs. (21)-(23)."""
+    phi_map = dual_tensor(ext)
+    return [phi_map(u) for u in eps_units()["bar_upper"]]
+
+
 def commutator_identity(ext: ExternalField, frame: Frame, fields, m=Fraction(1)):
     """Max residual of [pi^mu, Pibar] = e Phi(eps_bar^mu) [.] i nu over the
     supplied sample fields, per index; exact zero in the rational backend."""
     ctx = RSContext(ext, m, frame)
-    phi_map = dual_tensor(ext)
-    curvature = [phi_map(u) for u in eps_units()["bar_upper"]]
+    curvature = _curvature(ext)
     worst = 0.0
     for x in fields:
         pibar_x = ctx.pibar(x)
@@ -176,9 +184,7 @@ def commutator_identity(ext: ExternalField, frame: Frame, fields, m=Fraction(1))
 
 def extra_constraint(psi, ext: ExternalField, frame: Frame) -> Field:
     """The field whose vanishing the coupled system forces on solutions."""
-    phi_map = dual_tensor(ext)
-    ebu = eps_units()["bar_upper"]
-    return sum(((phi_map(ebu[mu]) * psi[mu]).rmul(frame.i_nu) for mu in range(4)),
+    return sum(((phi * x).rmul(frame.i_nu) for phi, x in zip(_curvature(ext), psi)),
                Field.zero())
 
 
@@ -240,22 +246,26 @@ def eps_contraction_closed_form(system: CoupledSystem, psi) -> Field:
             + ctx.pibar_star(u).scale(3 * g - 1))
 
 
-def pi_contraction_closed_form(system: CoupledSystem, psi) -> Field:
-    """m(g Pibar(eps^lam (.)*) - pi^lam((.)*)) + pi^lam(Pibar(.))
-    - g Pibar(pi^lam(.)), contracted over lam, plus the second-order
-    curvature correction g*(sum pi^mu pi_mu - Pibar Pibar_star) applied to
-    the algebraic contraction."""
-    ctx = system.ctx
-    g = system.g
-    m = ctx.m
+def _pi_contraction_terms(ctx: RSContext, g, psi) -> Field:
+    """The four terms of eq. (28): m(g Pibar(eps^lam psi_lam*) - pi^lam(psi_lam*))
+    + pi^lam(Pibar psi_lam) - g Pibar(pi^lam psi_lam), contracted over lam."""
     eu = eps_units()["upper"]
-    first = sum((
+    return sum((
         (ctx.pibar(psi[lam].star().lmul(eu[lam])).scale(g)
-         - ctx.pi_upper(lam, psi[lam].star())).scale(m)
+         - ctx.pi_upper(lam, psi[lam].star())).scale(ctx.m)
         + ctx.pi_upper(lam, ctx.pibar(psi[lam]))
         - ctx.pibar(ctx.pi_upper(lam, psi[lam])).scale(g)
         for lam in range(4)), Field.zero())
-    return first - second_order_defect(ctx, ctx.algebraic(psi)).scale(g)
+
+
+def pi_contraction_closed_form(system: CoupledSystem, psi) -> Field:
+    """The four terms of eq. (28) plus the second-order curvature correction
+    g*(sum pi^mu pi_mu - Pibar Pibar_star) applied to the algebraic
+    contraction."""
+    ctx = system.ctx
+    g = system.g
+    return (_pi_contraction_terms(ctx, g, psi)
+            - second_order_defect(ctx, ctx.algebraic(psi)).scale(g))
 
 
 def second_order_defect(ctx: RSContext, x: Field) -> Field:
@@ -294,7 +304,6 @@ def g1_chain(ext: ExternalField, m, frame: Frame, sample_fields):
         raise DegenerateMass("the reduction chain requires m != 0")
     ctx = RSContext(ext, m, frame)
     system = CoupledSystem(g=Fraction(1), ctx=ctx)
-    eu = eps_units()["upper"]
     ebl = eps_units()["bar_lower"]
     e = ext.e
     coeff = 2 * e / (3 * m * m)
@@ -319,12 +328,7 @@ def g1_chain(ext: ExternalField, m, frame: Frame, sample_fields):
             _residual(eps_contraction(rows) - e27))
 
         # (28): the pi contraction at g = 1 (with curvature correction)
-        e28 = sum((
-            (ctx.pibar(psi[lam].star().lmul(eu[lam]))
-             - ctx.pi_upper(lam, psi[lam].star())).scale(m)
-            + ctx.pi_upper(lam, ctx.pibar(psi[lam]))
-            - ctx.pibar(ctx.pi_upper(lam, psi[lam]))
-            for lam in range(4)), Field.zero())
+        e28 = _pi_contraction_terms(ctx, system.g, psi)
         out["e28_is_pi_contraction"] = max(
             out["e28_is_pi_contraction"],
             _residual(ctx.differential(rows) - (e28 - second_order_defect(ctx, u))))

@@ -374,19 +374,22 @@ def test_peirce_complex_linearity():
 
 
 def test_peirce_linear_solve_oracle():
-    # independent check: solve the 8x8 real system for the coordinates
+    # independent check: solve the 8x8 real system for the coordinates, on
+    # the default frame and on random exact frames
     rng = random.Random(10)
-    f = random_rational_frame(rng)
-    q = random_rational_biquaternion(rng)
-    cols = []
-    for b in f.basis():
-        cols.append(b.real_coords())
-        cols.append((b * gr(0, 1)).real_coords())
-    matrix = [[cols[j][i] for j in range(8)] for i in range(8)]
-    sol = solve(matrix, q.real_coords())
-    assert sol is not None
-    oracle = [gr(sol[0], sol[1]), gr(sol[2], sol[3]), gr(sol[4], sol[5]), gr(sol[6], sol[7])]
-    assert tuple(oracle) == peirce_decompose(q, f)
+    for f in [DEFAULT_FRAME] + [random_rational_frame(rng) for _ in range(4)]:
+        cols = []
+        for b in f.basis():
+            cols.append(b.real_coords())
+            cols.append((b * gr(0, 1)).real_coords())
+        matrix = [[cols[j][i] for j in range(8)] for i in range(8)]
+        for _ in range(5):
+            q = random_rational_biquaternion(rng)
+            sol = solve(matrix, q.real_coords())
+            assert sol is not None
+            oracle = [gr(sol[0], sol[1]), gr(sol[2], sol[3]), gr(sol[4], sol[5]),
+                      gr(sol[6], sol[7])]
+            assert tuple(oracle) == peirce_decompose(q, f)
 
 
 def test_scalar_products():

@@ -141,6 +141,42 @@ def test_counting_failure_on_a_misplaced_dirac_block(monkeypatch):
     assert _fail_row("rs.constraint_counting").max_residual == 1.0
 
 
+def _rebind_everywhere(monkeypatch, original, replacement):
+    """Rebind a library function in every bqspin module that binds it by
+    name, as the benchmark's layer tracer does, so no caller keeps it."""
+    rebound = 0
+    for name, module in list(sys.modules.items()):
+        if name == "bqspin" or name.startswith("bqspin."):
+            for attr, obj in list(vars(module).items()):
+                if obj is original:
+                    monkeypatch.setattr(module, attr, replacement)
+                    rebound += 1
+    assert rebound
+
+
+def _flipped_pair_mass(residual):
+    return lambda a, b, ext, m: residual(a, b, ext, -m)
+
+
+def _flipped_spinor_mass(residual):
+    return lambda psi, ext, m, frame, spec=harness.flds.FROZEN_NABLA: residual(
+        psi, ext, -m, frame, spec)
+
+
+@pytest.mark.parametrize("name,mutant,suite_ids", [
+    ("lanczos_residual", _flipped_pair_mass, ["covariants.lagrangian"]),
+    ("dirac_lanczos_residual", _flipped_spinor_mass, ["rs.contraction_chain", "rs.g1_chain"]),
+])
+def test_a_flipped_mass_in_an_operator_fails_the_suites_built_on_it(
+        monkeypatch, name, mutant, suite_ids):
+    # each operator is defined once, so the suites verify the definition the
+    # library uses: a wrong mass sign there cannot pass on a private copy
+    original = getattr(harness.flds, name)
+    _rebind_everywhere(monkeypatch, original, mutant(original))
+    for suite_id in suite_ids:
+        _fail_row(suite_id)
+
+
 def test_boost_fails_with_generators_that_are_not_the_columns(monkeypatch):
     # boost(rho) boost(-rho) = 1 holds for any generator; footnote 8's
     # closed form on the HALF_PLUS subspace does not
@@ -271,6 +307,10 @@ def test_cli_exit_codes(tmp_path):
     assert main(["--suite", "no.match.anywhere"]) == 2
     assert main(["--tol", "-1"]) == 2
     assert main(["--list"]) == 0
+    # an unwritable report path is a configuration error, not a failed suite
+    missing = tmp_path / "missing" / "report.json"
+    assert main(["--suite", FAST_GLOB, "--out", str(missing)]) == 2
+    assert not missing.parent.exists()
 
 
 def test_cli_env_seed(monkeypatch, capsys):

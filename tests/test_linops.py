@@ -10,13 +10,18 @@ from bqspin.biquaternion import (
     basis_elements,
     random_rational_biquaternion,
 )
-from bqspin.linops import MUL_I, RealLinearOp, left_mul, monomial, op_exp
+from bqspin.linops import MUL_I, RealLinearOp, monomial, op_exp
 from bqspin.scalars import GR_I, gr
 
 
 ONE = Biquaternion.one()
 STAR = RealLinearOp.from_function(lambda x: x.star())
 PLUS = RealLinearOp.from_function(lambda x: x.plus())
+
+
+def _left_monomial(a):
+    """x -> a x, the monomial with the unit of a's backend on the right."""
+    return monomial(a, ONE if a.is_exact() else ONE.to_float())
 
 
 def test_monomial_identity():
@@ -64,7 +69,7 @@ def test_composition_and_fusion():
     a = random_rational_biquaternion(rng)
     c = random_rational_biquaternion(rng)
     fused = monomial(a, c)
-    composed = left_mul(a) @ monomial(ONE, c)
+    composed = _left_monomial(a) @ monomial(ONE, c)
     assert fused.equal(composed, tol=0.0)
     ident = RealLinearOp.identity()
     assert (fused @ ident).equal(fused, tol=0.0)
@@ -108,8 +113,8 @@ def test_op_exp_matches_rodrigues_closed_form():
         v /= np.linalg.norm(v)
         theta = rng.uniform(-2 * math.pi, 2 * math.pi)
         a = Biquaternion.vector(*(complex(c) for c in v))
-        gen = left_mul(a.to_float()).scale(theta / 2.0)
-        closed = left_mul(
+        gen = _left_monomial(a.to_float()).scale(theta / 2.0)
+        closed = _left_monomial(
             Biquaternion.scalar(complex(math.cos(theta / 2))) + a * math.sin(theta / 2)
         )
         assert op_exp(gen).equal(closed, tol=1e-12)
@@ -117,6 +122,8 @@ def test_op_exp_matches_rodrigues_closed_form():
 
 def test_mul_i_op_square():
     assert (MUL_I @ MUL_I).equal(RealLinearOp.identity().scale(-1), tol=0.0)
+    assert MUL_I.matrix.dtype == np.float64
+    assert MUL_I.equal(RealLinearOp.from_function(lambda x: x * 1j, basis_elements(exact=False)))
 
 
 def _assert_exact_op(op):
@@ -128,7 +135,7 @@ def test_exact_operators_are_object_arrays_of_rationals():
     rng = random.Random(19)
     a, b = random_rational_biquaternion(rng), random_rational_biquaternion(rng)
     ident, zero, star, J = (RealLinearOp.identity(), RealLinearOp.zero(), STAR,
-                            left_mul(Biquaternion.scalar(GR_I)))
+                            _left_monomial(Biquaternion.scalar(GR_I)))
     f = monomial(a, b) @ PLUS
     for op in (ident, zero, star, J, f, J @ f, f + star, f - ident, -f,
                f.scale(Fraction(2, 3)), ident @ zero):
@@ -138,7 +145,7 @@ def test_exact_operators_are_object_arrays_of_rationals():
 def test_any_float_entry_gives_a_float64_operator():
     rng = random.Random(20)
     exact = monomial(random_rational_biquaternion(rng), ONE) @ STAR
-    flt = left_mul(Biquaternion.scalar(0.5j))
+    flt = _left_monomial(Biquaternion.scalar(0.5j))
     rows = [[Fraction(k - j, 3) for k in range(8)] for j in range(8)]
     rows[2][5] = 0.25
     for op in (RealLinearOp(rows), flt, exact @ flt, flt @ exact, exact + flt,
