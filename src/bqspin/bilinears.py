@@ -4,7 +4,9 @@ All quantities are pointwise bilinears of two biquaternion fields.  The
 divergence identities are certified in residual-corrected form: for an
 arbitrary pair the divergence of each current equals its source terms plus
 an explicit bilinear in the equation residuals, exactly; on solutions the
-corrections vanish.
+corrections vanish.  A bilinear that keeps only the scalar part of a
+product, scal(x y), is ``Field.scalar_of_product``, which forms no vector
+part.
 """
 
 from __future__ import annotations
@@ -35,17 +37,17 @@ def covariants(a: Field, b: Field) -> CovariantSet:
     a_ap = a * ap
     b_bp_bar = (b * bp).bar()
     a_bp = a * bp
-    a_a_bar = a * a.bar()
-    b_b_bar = b * b_bar
+    s_aa = a.scalar_of_product(a.bar())
+    s_bb = b.scalar_of_product(b_bar)
     ab_bar = a * b_bar
     ab_bar_plus = ab_bar.plus()
     return CovariantSet(
         polar=a_ap + b_bp_bar,
         axial=a_ap - b_bp_bar,
         six=a_bp - a_bp.bar(),
-        inv=(ap * b).scalar_part(),
-        s_p=(a_a_bar + b_b_bar).scalar_part(),
-        s_a=(a_a_bar - b_b_bar).scalar_part(),
+        inv=ap.scalar_of_product(b),
+        s_p=s_aa + s_bb,
+        s_a=s_aa - s_bb,
         v_p=ab_bar + ab_bar_plus,
         v_a=ab_bar - ab_bar_plus,
     )
@@ -61,7 +63,7 @@ def polar_current_divergence(a: Field, b: Field, ext: ExternalField, m):
     cov = covariants(a, b)
     lhs = nabla_bar(cov.polar).scalar_part()
     ra, rb = lanczos_residual(a, b, ext, m)
-    w = (ra * a.plus() + rb * b.plus()).scalar_part()
+    w = ra.scalar_of_product(a.plus()) + rb.scalar_of_product(b.plus())
     correction = w - w.star()
     return lhs, correction
 
@@ -80,13 +82,13 @@ def transition_current_divergences(a: Field, b: Field, ext: ExternalField, m):
     """
     cov = covariants(a, b)
     ra, rb = lanczos_residual(a, b, ext, m)
-    corr = (ra * b.bar() + a * rb.bar()).scalar_part()
+    corr = ra.scalar_of_product(b.bar()) + a.scalar_of_product(rb.bar())
     e = ext.e
     phib = ext.phi_bar()
     vp_lhs = nabla_bar(cov.v_p).scalar_part()
     va_lhs = nabla_bar(cov.v_a).scalar_part()
-    vp_rhs = (cov.s_p - cov.s_p.star()).scale(m) + (phib * cov.v_a).scalar_part().scale(2 * e)
-    va_rhs = (cov.s_p + cov.s_p.star()).scale(m) + (phib * cov.v_p).scalar_part().scale(2 * e)
+    vp_rhs = (cov.s_p - cov.s_p.star()).scale(m) + phib.scalar_of_product(cov.v_a).scale(2 * e)
+    va_rhs = (cov.s_p + cov.s_p.star()).scale(m) + phib.scalar_of_product(cov.v_p).scale(2 * e)
     return {
         "vp_residual": vp_lhs - vp_rhs - (corr - corr.star()),
         "va_residual": va_lhs - va_rhs - (corr + corr.star()),
@@ -101,7 +103,7 @@ def lagrangian_density(a: Field, b: Field, ext: ExternalField, m) -> Field:
     residual pair of ``fields.lanczos_residual``; its variation gives the
     coupled system, and it vanishes identically on solutions."""
     ra, rb = lanczos_residual(a, b, ext, m)
-    return (a.plus() * ra + b.plus() * rb).scalar_part().re_scalar()
+    return (a.plus().scalar_of_product(ra) + b.plus().scalar_of_product(rb)).re_scalar()
 
 
 def amplitude(a1: Biquaternion, b2: Biquaternion):

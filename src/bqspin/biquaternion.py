@@ -18,8 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidFrame, MixedBackend, SingularOperand
-from .scalars import (GR_I, GR_ONE, GR_ZERO, GaussianIntArray, GaussianRational, _hamilton, gr,
-                      is_exact)
+from .scalars import (GR_I, GR_ONE, GR_ZERO, GaussianIntArray, GaussianRational, _hamilton,
+                      _pairing, gr, is_exact)
 
 
 def _lift(*values):
@@ -240,7 +240,18 @@ _SET_W, _SET_X, _SET_Y, _SET_Z = (Biquaternion.__dict__[name].__set__ for name i
 # Convenience scalar products ------------------------------------------------
 
 def minkowski_product(a: Biquaternion, b: Biquaternion):
-    """Scalar part of a.bar() * b (the relativistic pairing)."""
+    """Scalar part of a.bar() * b (the relativistic pairing).
+
+    When all eight components are ``GaussianRational`` this is the integer
+    kernel ``scalars._pairing``: one sum over a common denominator, reduced
+    once.  Any other components take the formula below.  It sums in the
+    order of the w component of the Hamilton product, and negation is exact
+    in IEEE arithmetic, so in float ``minkowski_product(x.bar(), y)`` is
+    ``(x * y).scalar_part()`` bit for bit, up to the sign of a zero.
+    """
+    s = _pairing(a.components(), b.components())
+    if s is not None:
+        return s
     return a.w * b.w + a.x * b.x + a.y * b.y + a.z * b.z
 
 

@@ -10,6 +10,7 @@ the next.  The JSON document is the stable machine interface.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -54,6 +55,24 @@ def emit(results, fmt="json", seed=0, backend=None):
     raise ConfigError(f"unknown format {fmt!r}")
 
 
+def _write_error(path):
+    """The errno that writing path would fail with, found without writing
+    it; None when its directory exists and the path is writable."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        return errno.ENOENT
+    if os.path.isdir(path):
+        return errno.EISDIR
+    if not os.access(path if os.path.exists(path) else directory, os.W_OK):
+        return errno.EACCES
+    return None
+
+
+def _cannot_write(path, reason):
+    print(f"config error: cannot write --out {path!r}: {reason}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="bqspin-verify",
@@ -90,6 +109,11 @@ def main(argv=None):
     if args.tol is not None and args.tol < 0:
         print("config error: tolerance must be nonnegative", file=sys.stderr)
         return 2
+    # an unwritable report path is found before the suites run, not after
+    if args.out:
+        err = _write_error(args.out)
+        if err is not None:
+            return _cannot_write(args.out, os.strerror(err))
 
     try:
         results = run(args.suite, seed=seed, backend=args.backend, tol=args.tol)
@@ -103,9 +127,7 @@ def main(argv=None):
             with open(args.out, "w") as fh:
                 fh.write(report)
         except OSError as exc:
-            print(f"config error: cannot write --out {args.out!r}: {exc.strerror}",
-                  file=sys.stderr)
-            return 2
+            return _cannot_write(args.out, exc.strerror)
     else:
         sys.stdout.write(report)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +30,7 @@ from .biquaternion import (
     Biquaternion,
     Frame,
     basis_elements,
+    minkowski_product,
     random_rational_biquaternion,
 )
 from .errors import (
@@ -111,18 +113,28 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            out = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                    c = c1 * c2
-                    s = out.get(e)
-                    s = c if s is None else s + c
-                    out[e] = s
-            return Poly(out)
+            return self._product(other, False)
         if isinstance(other, Biquaternion):
             return self.rmul(other)
         return self.scale(other)
+
+    def _product(self, other, pairing):
+        """self * other term by term.  With pairing, the coefficient product
+        is ``biquaternion.minkowski_product`` in place of the Hamilton
+        product: the sums are scalars, and each becomes the scalar part of a
+        coefficient."""
+        mul = minkowski_product if pairing else operator.mul
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
+                c = mul(c1, c2)
+                s = out.get(e)
+                s = c if s is None else s + c
+                out[e] = s
+        if pairing:
+            return Poly._of({e: _scalar_coefficient(s) for e, s in out.items() if s})
+        return Poly(out)
 
     def scale(self, c):
         """Multiply by a commuting scalar; an exact 1 returns the Poly itself."""
@@ -175,6 +187,19 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({len(self.terms)} terms)"
+
+
+def _scalar_coefficient(s):
+    """The coefficient with scalar part s and no vector part, as
+    ``Biquaternion.scalar`` builds it."""
+    if type(s) is GaussianRational:
+        return Biquaternion(s, GR_ZERO, GR_ZERO, GR_ZERO)
+    return Biquaternion.scalar(s)
+
+
+def _poly_pairing(p, q):
+    """The Poly product of p and q with the Minkowski pairing as coefficient product."""
+    return p._product(q, True)
 
 
 def _is_exact_one(c):
@@ -278,6 +303,7 @@ class Field:
     copy of the subtrahend.  ``lmul``, ``rmul`` and ``scale`` read their
     constant once per call, as ``Poly``'s do; when that map is invertible,
     and for the four involutions, every mode is kept and no zero is checked.
+    The product and ``scalar_of_product`` share one mode loop, ``_product``.
     """
 
     __slots__ = ("modes",)
@@ -371,20 +397,45 @@ class Field:
             return self.rmul(other)
         if not isinstance(other, Field):
             return self.scale(other)
+        return self._product(other, False)
+
+    def scalar_of_product(self, other):
+        """The scalar part of self * other, without forming its vector part.
+
+        scal(x y) is the Minkowski pairing of x.bar() with y, so this is the
+        mode loop of the product run on self.bar() and other with
+        ``biquaternion.minkowski_product`` as the coefficient product.  It
+        equals ``(self * other).scalar_part()``: exactly in the exact
+        backend, and in float bit for bit up to the sign of a zero.  Raises
+        MixedBackend when the coefficients mix exact and float scalars.
+        """
+        kinds = {type(c.w) is GaussianRational
+                 for f in (self, other) for pair in f.modes.values()
+                 for p in pair for c in p.terms.values()}
+        if len(kinds) > 1:
+            raise MixedBackend("a pairing of exact and float field coefficients")
+        return self.bar()._product(other, True)
+
+    def _product(self, other, pairing):
+        """The mode loop of the product, or with pairing of the Minkowski
+        pairing of coefficients (``Poly._product``).  The angle sum and
+        difference of two trigonometric modes are bilinear, so either
+        coefficient product runs through the same loop."""
+        mul = _poly_pairing if pairing else operator.mul
         out = {}
         for ka, (ca, sa) in self.modes.items():
             for kb, (cb, sb) in other.modes.items():
-                cacb = ca * cb
+                cacb = mul(ca, cb)
                 if not any(ka):
                     # plain polynomial times mode b
-                    _merge(out, kb, cacb, ca * sb)
+                    _merge(out, kb, cacb, mul(ca, sb))
                     continue
                 if not any(kb):
-                    _merge(out, ka, cacb, sa * cb)
+                    _merge(out, ka, cacb, mul(sa, cb))
                     continue
-                sasb = sa * sb
-                sacb = sa * cb
-                casb = ca * sb
+                sasb = mul(sa, sb)
+                sacb = mul(sa, cb)
+                casb = mul(ca, sb)
                 # the sum of two canonical keys is canonical: at the first
                 # index where either is nonzero, both entries are >= 0
                 kp = tuple(a + b for a, b in zip(ka, kb))

@@ -114,6 +114,19 @@ class RSContext:
         """The differential contraction w3 = pi^lam psi_lam."""
         return sum((self.pi_upper(lam, psi[lam]) for lam in range(4)), Field.zero())
 
+    @functools.cached_property
+    def curvature(self):
+        """The four curvature multipliers Phi(eps_bar^mu) of ``_curvature``,
+        built on first use and kept for the life of the context."""
+        return _curvature(self.ext)
+
+    def extra_constraint(self, psi) -> Field:
+        """The field sum_mu Phi(eps_bar^mu) psi_mu i nu, whose vanishing the
+        coupled system forces on solutions."""
+        i_nu = self.frame.i_nu
+        return sum(((phi * x).rmul(i_nu) for phi, x in zip(self.curvature, psi)),
+                   Field.zero())
+
 
 # -- the free constrained system ---------------------------------------------------
 
@@ -164,14 +177,14 @@ def dual_tensor(ext: ExternalField):
 def _curvature(ext: ExternalField):
     """The four curvature multipliers Phi(eps_bar^mu) of eqs. (21)-(23)."""
     phi_map = dual_tensor(ext)
-    return [phi_map(u) for u in eps_units()["bar_upper"]]
+    return tuple(phi_map(u) for u in eps_units()["bar_upper"])
 
 
 def commutator_identity(ext: ExternalField, frame: Frame, fields, m=Fraction(1)):
     """Max residual of [pi^mu, Pibar] = e Phi(eps_bar^mu) [.] i nu over the
     supplied sample fields, per index; exact zero in the rational backend."""
     ctx = RSContext(ext, m, frame)
-    curvature = _curvature(ext)
+    curvature = ctx.curvature
     worst = 0.0
     for x in fields:
         pibar_x = ctx.pibar(x)
@@ -183,9 +196,12 @@ def commutator_identity(ext: ExternalField, frame: Frame, fields, m=Fraction(1))
 
 
 def extra_constraint(psi, ext: ExternalField, frame: Frame) -> Field:
-    """The field whose vanishing the coupled system forces on solutions."""
-    return sum(((phi * x).rmul(frame.i_nu) for phi, x in zip(_curvature(ext), psi)),
-               Field.zero())
+    """``RSContext.extra_constraint`` of one psi; the mass plays no part.
+
+    Several fields under one potential should share one context, which
+    builds the curvature multipliers once.
+    """
+    return RSContext(ext, None, frame).extra_constraint(psi)
 
 
 def extra_constraint_derivation_residual(psi, ext: ExternalField, m, frame: Frame):
@@ -198,11 +214,61 @@ def extra_constraint_derivation_residual(psi, ext: ExternalField, m, frame: Fram
     ctx = RSContext(ext, m, frame)
     lhs = ctx.differential([ctx.dirac(p) for p in psi])
     rhs = (ctx.dirac(ctx.differential(psi))
-           + extra_constraint(psi, ext, frame).scale(ext.e))
+           + ctx.extra_constraint(psi).scale(ext.e))
     return lhs - rhs
 
 
 # -- the coupled equation and its contractions -----------------------------------------
+
+
+@dataclass(frozen=True)
+class CoupledParts:
+    """The parts of the coupled rows and of both closed forms that do not
+    depend on g, for one vector-spinor psi; ``coupled_parts`` builds them.
+
+    u = eps_bar^lam psi_lam and w3 = pi^lam psi_lam are the two contractions
+    and pibar_star_u is Pibar_star(u).  Row mu of the coupled equation is
+    dirac[mu] + g g_factor[mu] (``coupled_rows``).  eq28 holds the four
+    contractions of eq. (28) from ``_pi_contraction_terms``, and defect is
+    ``second_order_defect`` of u.
+    """
+
+    m: object
+    u: Field
+    w3: Field
+    pibar_star_u: Field
+    dirac: tuple
+    g_factor: tuple
+    eq28: tuple
+    defect: Field
+
+
+def coupled_parts(ctx: RSContext, psi) -> CoupledParts:
+    """The g-free parts of the coupled system at psi, each built once.
+
+    dirac[mu] = D(psi_mu), and the factor of g in row mu is
+    eps_bar_mu (Pibar_star(u) + m u* - w3) - pi_mu(u).
+    """
+    ebl = eps_units()["bar_lower"]
+    u = ctx.algebraic(psi)
+    w3 = ctx.differential(psi)
+    pibar_star_u = ctx.pibar_star(u)
+    head = pibar_star_u + u.star().scale(ctx.m) - w3
+    return CoupledParts(
+        m=ctx.m,
+        u=u,
+        w3=w3,
+        pibar_star_u=pibar_star_u,
+        dirac=tuple(ctx.dirac(p) for p in psi),
+        g_factor=tuple(head.lmul(ebl[mu]) - ctx.pi_lower(mu, u) for mu in range(4)),
+        eq28=_pi_contraction_terms(ctx, psi, u, w3),
+        defect=second_order_defect(ctx, u),
+    )
+
+
+def coupled_rows(parts: CoupledParts, g):
+    """The four rows of the coupled equation at g: D(psi_mu) + g G_mu."""
+    return [d + f.scale(g) for d, f in zip(parts.dirac, parts.g_factor)]
 
 
 @dataclass(frozen=True)
@@ -213,16 +279,7 @@ class CoupledSystem:
     ctx: RSContext
 
     def rows(self, psi):
-        ctx = self.ctx
-        g = self.g
-        ebl = eps_units()["bar_lower"]
-        u = ctx.algebraic(psi)
-        w3 = ctx.differential(psi)
-        head = ctx.pibar_star(u) + u.star().scale(ctx.m)
-        return [ctx.dirac(psi[mu])
-                - (w3.lmul(ebl[mu]) + ctx.pi_lower(mu, u)).scale(g)
-                + head.lmul(ebl[mu]).scale(g)
-                for mu in range(4)]
+        return coupled_rows(coupled_parts(self.ctx, psi), self.g)
 
 
 def coupled_equation(g, ext: ExternalField, m, frame: Frame) -> CoupledSystem:
@@ -235,37 +292,43 @@ def eps_contraction(rows) -> Field:
     return sum((rows[mu].lmul(eu[mu]) for mu in range(4)), Field.zero())
 
 
-def eps_contraction_closed_form(system: CoupledSystem, psi) -> Field:
+def eps_contraction_closed_form(parts: CoupledParts, g) -> Field:
     """(4g-1) eps^lam m psi_lam* - 2(2g-1) pi^lam(psi_lam)
-    + (3g-1) Pibar_star(eps_bar^lam psi_lam)."""
-    ctx = system.ctx
-    g = system.g
-    u = ctx.algebraic(psi)
-    return (u.star().scale(ctx.m * (4 * g - 1))
-            - ctx.differential(psi).scale(2 * (2 * g - 1))
-            + ctx.pibar_star(u).scale(3 * g - 1))
+    + (3g-1) Pibar_star(eps_bar^lam psi_lam), where eps^lam psi_lam* = u*."""
+    return (parts.u.star().scale(parts.m * (4 * g - 1))
+            - parts.w3.scale(2 * (2 * g - 1))
+            + parts.pibar_star_u.scale(3 * g - 1))
 
 
-def _pi_contraction_terms(ctx: RSContext, g, psi) -> Field:
-    """The four terms of eq. (28): m(g Pibar(eps^lam psi_lam*) - pi^lam(psi_lam*))
-    + pi^lam(Pibar psi_lam) - g Pibar(pi^lam psi_lam), contracted over lam."""
-    eu = eps_units()["upper"]
-    return sum((
-        (ctx.pibar(psi[lam].star().lmul(eu[lam])).scale(g)
-         - ctx.pi_upper(lam, psi[lam].star())).scale(ctx.m)
-        + ctx.pi_upper(lam, ctx.pibar(psi[lam]))
-        - ctx.pibar(ctx.pi_upper(lam, psi[lam])).scale(g)
-        for lam in range(4)), Field.zero())
+def _pi_contraction_terms(ctx: RSContext, psi, u: Field, w3: Field):
+    """The four contractions of eq. (28): Pibar(eps^lam psi_lam*),
+    pi^lam(psi_lam*), pi^lam(Pibar psi_lam) and Pibar(pi^lam psi_lam).
+
+    None depends on g; ``_eq28`` weighs them.  The operator acts on the
+    contracted field in the first and the last, so they are Pibar(u*)
+    (eps^lam psi_lam* = (eps_bar^lam psi_lam)*) and Pibar(w3), with u and w3
+    the algebraic and differential contractions of psi.
+    """
+    return (
+        ctx.pibar(u.star()),
+        ctx.differential([p.star() for p in psi]),
+        ctx.differential([ctx.pibar(p) for p in psi]),
+        ctx.pibar(w3),
+    )
 
 
-def pi_contraction_closed_form(system: CoupledSystem, psi) -> Field:
-    """The four terms of eq. (28) plus the second-order curvature correction
+def _eq28(parts: CoupledParts, g) -> Field:
+    """The four terms of eq. (28) at g: m(g Pibar(eps^lam psi_lam*) -
+    pi^lam(psi_lam*)) + pi^lam(Pibar psi_lam) - g Pibar(pi^lam psi_lam)."""
+    s1, s2, s3, s4 = parts.eq28
+    return (s1.scale(g) - s2).scale(parts.m) + s3 - s4.scale(g)
+
+
+def pi_contraction_closed_form(parts: CoupledParts, g) -> Field:
+    """The four terms of eq. (28) minus the second-order curvature correction
     g*(sum pi^mu pi_mu - Pibar Pibar_star) applied to the algebraic
     contraction."""
-    ctx = system.ctx
-    g = system.g
-    return (_pi_contraction_terms(ctx, g, psi)
-            - second_order_defect(ctx, ctx.algebraic(psi)).scale(g))
+    return _eq28(parts, g) - parts.defect.scale(g)
 
 
 def second_order_defect(ctx: RSContext, x: Field) -> Field:
@@ -277,17 +340,28 @@ def second_order_defect(ctx: RSContext, x: Field) -> Field:
 
 def contraction_chain(g, ext: ExternalField, m, frame: Frame, sample_fields):
     """Verify both contractions of the coupled equation on sample
-    vector-spinors; returns the max residuals (exact zeros expected)."""
-    system = coupled_equation(g, ext, m, frame)
-    worst_eps = 0.0
-    worst_pi = 0.0
+    vector-spinors, for one value of g or for each of a tuple or list of them.
+
+    The g-free parts are built once per sample, and the rows and closed
+    forms of every g are read from them.  Returns the max residuals over
+    all g (exact zeros expected), and under "failing_g" the values of g
+    with a nonzero residual, in the order given.
+    """
+    gs = tuple(g) if isinstance(g, (tuple, list)) else (g,)
+    ctx = RSContext(ext, m, frame)
+    worst_eps = dict.fromkeys(gs, 0.0)
+    worst_pi = dict.fromkeys(gs, 0.0)
     for psi in sample_fields:
-        rows = system.rows(psi)
-        d1 = eps_contraction(rows) - eps_contraction_closed_form(system, psi)
-        d2 = system.ctx.differential(rows) - pi_contraction_closed_form(system, psi)
-        worst_eps = max(worst_eps, _residual(d1))
-        worst_pi = max(worst_pi, _residual(d2))
-    return {"eps_residual": worst_eps, "pi_residual": worst_pi}
+        parts = coupled_parts(ctx, psi)
+        for gv in gs:
+            rows = coupled_rows(parts, gv)
+            d1 = eps_contraction(rows) - eps_contraction_closed_form(parts, gv)
+            d2 = ctx.differential(rows) - pi_contraction_closed_form(parts, gv)
+            worst_eps[gv] = max(worst_eps[gv], _residual(d1))
+            worst_pi[gv] = max(worst_pi[gv], _residual(d2))
+    return {"eps_residual": max(worst_eps.values()),
+            "pi_residual": max(worst_pi.values()),
+            "failing_g": [gv for gv in gs if worst_eps[gv] or worst_pi[gv]]}
 
 
 # -- the g = 1 reduction chain ----------------------------------------------------------
@@ -298,12 +372,13 @@ def g1_chain(ext: ExternalField, m, frame: Frame, sample_fields):
 
     Each "arrow" expresses one derived equation as an explicit combination
     of previously established ones, so the identities hold for arbitrary
-    vector-spinors, not only on solutions.  Returns max residuals per step.
+    vector-spinors, not only on solutions.  Each sample's g-free parts are
+    built once (``coupled_parts``).  Returns max residuals per step.
     """
     if not bool(m):
         raise DegenerateMass("the reduction chain requires m != 0")
     ctx = RSContext(ext, m, frame)
-    system = CoupledSystem(g=Fraction(1), ctx=ctx)
+    one = Fraction(1)
     ebl = eps_units()["bar_lower"]
     e = ext.e
     coeff = 2 * e / (3 * m * m)
@@ -312,11 +387,10 @@ def g1_chain(ext: ExternalField, m, frame: Frame, sample_fields):
             "e30_secondary", "e31_secondary", "e32_equation_of_motion")}
 
     for psi in sample_fields:
-        u = ctx.algebraic(psi)
-        w3 = ctx.differential(psi)
-        w23 = extra_constraint(psi, ext, frame)
-        rows = system.rows(psi)
-        pibar_star_u = ctx.pibar_star(u)
+        parts = coupled_parts(ctx, psi)
+        u, w3, pibar_star_u = parts.u, parts.w3, parts.pibar_star_u
+        w23 = ctx.extra_constraint(psi)
+        rows = coupled_rows(parts, one)
         # the curvature source of the secondary constraints (30)-(32)
         cw23 = w23.scale(coeff)
         cw23_star = cw23.star()
@@ -328,10 +402,10 @@ def g1_chain(ext: ExternalField, m, frame: Frame, sample_fields):
             _residual(eps_contraction(rows) - e27))
 
         # (28): the pi contraction at g = 1 (with curvature correction)
-        e28 = _pi_contraction_terms(ctx, system.g, psi)
+        e28 = _eq28(parts, one)
         out["e28_is_pi_contraction"] = max(
             out["e28_is_pi_contraction"],
-            _residual(ctx.differential(rows) - (e28 - second_order_defect(ctx, u))))
+            _residual(ctx.differential(rows) - (e28 - parts.defect)))
 
         # (29): complex conjugation of (28) after inserting the commutator;
         # the pointwise star already negates the trailing i nu factor, so the
@@ -355,7 +429,7 @@ def g1_chain(ext: ExternalField, m, frame: Frame, sample_fields):
 
         # (32): the equation of motion row by row
         for mu in range(4):
-            e32 = (ctx.dirac(psi[mu])
+            e32 = (parts.dirac[mu]
                    - ctx.pi_lower(mu, cw23)
                    - cw23_star.lmul(ebl[mu]).scale(m * Fraction(1, 2)))
             combo32 = (rows[mu] + e31.lmul(ebl[mu]) + ctx.pi_lower(mu, e30)

@@ -14,7 +14,9 @@ arithmetic and one three-way gcd; ``re`` and ``im`` are ``Fraction`` values
 derived from the ints on demand.  The Hamilton product of two quaternions of
 Gaussian rationals is fused into one such operation per output component
 (:func:`_hamilton`), so it makes four values and four gcds where sixteen
-products and twelve sums would make 28.
+products and twelve sums would make 28.  The pairing sum_k p_k q_k of two
+such quaternions, the kernel of ``biquaternion.minkowski_product``, is
+fused the same way (:func:`_pairing`): one value and one gcd.
 
 A quaternion with one nonzero component, c*e_j (a monomial), multiplies
 another by a signed permutation of its components times c
@@ -163,21 +165,36 @@ def monomial_product(p, left=True):
     return product
 
 
+def _integral(p):
+    """A quaternion p of GaussianRational components over one denominator:
+    the ints (A_w, B_w, A_x, B_x, A_y, B_y, A_z, B_z, d) with p = (A + iB)/d
+    component by component, d the lcm of the four denominators."""
+    pw, px, py, pz = p
+    d = lcm(pw._d, px._d, py._d, pz._d)
+    s, t, u, v = d // pw._d, d // px._d, d // py._d, d // pz._d
+    return (pw._a * s, pw._b * s, px._a * t, px._b * t,
+            py._a * u, py._b * u, pz._a * v, pz._b * v, d)
+
+
+def _all_gaussian(p, q):
+    pw, px, py, pz = p
+    qw, qx, qy, qz = q
+    return (type(pw) is type(px) is type(py) is type(pz) is type(qw) is type(qx)
+            is type(qy) is type(qz) is GaussianRational)
+
+
 def _hamilton(p, q):
     """The Hamilton product of quaternions p and q, as four Gaussian rationals.
 
     p and q are (w, x, y, z) tuples; None unless all eight components are
     GaussianRational.  When either operand is a monomial c*e_j, the product
     is the signed permutation of :func:`_permuted`.  Otherwise each operand
-    is brought to one common denominator, so every output component is a
-    sum of Gaussian-integer products over one denominator and is reduced
-    once.  Canonical values do not depend on the order of evaluation, so
-    the result equals the component-wise formula.
+    is brought to one common denominator (:func:`_integral`), so every
+    output component is a sum of Gaussian-integer products over one
+    denominator and is reduced once.  Canonical values do not depend on the
+    order of evaluation, so the result equals the component-wise formula.
     """
-    pw, px, py, pz = p
-    qw, qx, qy, qz = q
-    if not (type(pw) is type(px) is type(py) is type(pz) is type(qw) is type(qx)
-            is type(qy) is type(qz) is GaussianRational):
+    if not _all_gaussian(p, q):
         return None
     kernel = _monomial(p, True)
     if kernel is not None:
@@ -186,24 +203,8 @@ def _hamilton(p, q):
     if kernel is not None:
         return _permuted(kernel, p)
     # p = (A + iB)/dp and q = (C + iE)/dq, component by component
-    dp = lcm(pw._d, px._d, py._d, pz._d)
-    s = dp // pw._d
-    aw, bw = pw._a * s, pw._b * s
-    s = dp // px._d
-    ax, bx = px._a * s, px._b * s
-    s = dp // py._d
-    ay, by = py._a * s, py._b * s
-    s = dp // pz._d
-    az, bz = pz._a * s, pz._b * s
-    dq = lcm(qw._d, qx._d, qy._d, qz._d)
-    s = dq // qw._d
-    cw, ew = qw._a * s, qw._b * s
-    s = dq // qx._d
-    cx, ex = qx._a * s, qx._b * s
-    s = dq // qy._d
-    cy, ey = qy._a * s, qy._b * s
-    s = dq // qz._d
-    cz, ez = qz._a * s, qz._b * s
+    aw, bw, ax, bx, ay, by, az, bz, dp = _integral(p)
+    cw, ew, cx, ex, cy, ey, cz, ez, dq = _integral(q)
     d = dp * dq
     return (
         _reduced(aw * cw - bw * ew - ax * cx + bx * ex - ay * cy + by * ey - az * cz + bz * ez,
@@ -219,6 +220,23 @@ def _hamilton(p, q):
                  aw * ez + bw * cz + az * ew + bz * cw + ax * ey + bx * cy - ay * ex - by * cx,
                  d),
     )
+
+
+def _pairing(p, q):
+    """The sum p_w q_w + p_x q_x + p_y q_y + p_z q_z, as one Gaussian rational.
+
+    p and q are (w, x, y, z) tuples; None unless all eight components are
+    GaussianRational.  As in :func:`_hamilton`, both operands are brought to
+    one denominator each, so the sum is one Gaussian integer over dp*dq,
+    reduced once.
+    """
+    if not _all_gaussian(p, q):
+        return None
+    aw, bw, ax, bx, ay, by, az, bz, dp = _integral(p)
+    cw, ew, cx, ex, cy, ey, cz, ez, dq = _integral(q)
+    return _reduced(aw * cw - bw * ew + ax * cx - bx * ex + ay * cy - by * ey + az * cz - bz * ez,
+                    aw * ew + bw * cw + ax * ex + bx * cx + ay * ey + by * cy + az * ez + bz * cz,
+                    dp * dq)
 
 
 class GaussianRational:

@@ -187,6 +187,26 @@ def test_monomial_products_match_the_componentwise_formula_and_the_oracle():
     assert problems == []
 
 
+def test_exact_minkowski_product_matches_the_componentwise_formula_and_the_oracle():
+    # scal(a.bar() b) is half the trace of adj(M(a)) M(b) in the 2x2 model
+    oracle = _load_oracle()
+    rng = random.Random(60)
+    sparse = [ONE, E1, E2, E3, IE1, IE2, IE3, DEFAULT_FRAME.nu, DEFAULT_FRAME.sigma,
+              Biquaternion.zero(), _monomial(2, gr(Fraction(3, 7), -2))]
+    wide = [_wide_biquaternion(rng) for _ in range(20)]
+    small = [random_rational_biquaternion(rng) for _ in range(20)]
+    pairs = list(zip(wide[::2], wide[1::2])) + list(zip(small[::2], small[1::2]))
+    pairs += [(a, b) for a in sparse for b in sparse + wide[:3] + small[:3]]
+    pairs += [(b, a) for a in sparse for b in wide[:3] + small[:3]]
+    for a, b in pairs:
+        got = minkowski_product(a, b)
+        assert type(got) is GaussianRational and _canonical(got)
+        assert got == a.w * b.w + a.x * b.x + a.y * b.y + a.z * b.z
+        m = oracle._matmul(oracle._adjugate(oracle.to_matrix(a)), oracle.to_matrix(b))
+        half_trace = oracle._add(m[0][0], m[1][1])
+        assert oracle._c(got) == (half_trace[0] / 2, half_trace[1] / 2)
+
+
 def test_unit_products_pass_components_through():
     rng = random.Random(59)
     q = random_rational_biquaternion(rng)

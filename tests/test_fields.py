@@ -250,6 +250,67 @@ def test_float_fields_take_the_plain_product():
         mixed.lmul(e2)
 
 
+def _pairing_operands(rng):
+    """Exact fields with a polynomial part, trig modes, and a product of two
+    trig modes (its angle sum and difference)."""
+    k1 = (Fraction(2), Fraction(1), Fraction(0), Fraction(0))
+    k2 = (Fraction(1), Fraction(0), Fraction(-1), Fraction(3))
+
+    def trig(k):
+        return Field.trig(k, random_rational_biquaternion(rng), random_rational_biquaternion(rng))
+
+    poly = random_poly_field(rng)
+    return [poly, trig(k1), poly + trig(k1), trig(k1) * trig(k2) + random_poly_field(rng),
+            (random_poly_field(rng, n_terms=2, max_deg=2) * trig(k2)) * trig(k1), Field.zero()]
+
+
+def test_scalar_of_product_is_the_scalar_part_of_the_product():
+    rng = random.Random(40)
+    for _ in range(3):
+        xs, ys = _pairing_operands(rng), _pairing_operands(rng)
+        for n, x in enumerate(xs):
+            for m, y in enumerate(ys):
+                got = x.scalar_of_product(y)
+                assert _snapshot(got) == _snapshot((x * y).scalar_part()), (n, m)
+                _assert_stores_no_zero(got, (n, m))
+                _assert_canonical(got, (n, m))
+
+
+def _float_biquaternion(rng):
+    return Biquaternion(*(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(4)))
+
+
+def _bits(f: Field):
+    """Every float of every coefficient of f, as its hex form (signs of zero included)."""
+    return {k: tuple({e: tuple((z.real.hex(), z.imag.hex()) for z in c.components())
+                      for e, c in p.terms.items()} for p in pair)
+            for k, pair in f.modes.items()}
+
+
+def test_float_scalar_of_product_is_bit_identical():
+    rng = random.Random(41)
+    for _ in range(200):
+        a, b = _float_biquaternion(rng), _float_biquaternion(rng)
+        for x, y in ((a, b), (a, a.bar()), (a.plus(), b), (b, a.bar().star())):
+            fx, fy = Field.constant(x), Field.constant(y)
+            assert _bits(fx.scalar_of_product(fy)) == _bits((fx * fy).scalar_part())
+
+
+def test_scalar_of_product_rejects_a_mix_of_backends():
+    rng = random.Random(42)
+    exact = random_poly_field(rng)
+    approx = Field.constant(_float_biquaternion(rng))
+    for x, y in ((exact, approx), (approx, exact)):
+        with pytest.raises(MixedBackend):
+            x.scalar_of_product(y)
+    mixed = Field.polynomial(Poly({(0, 0, 0, 0): Biquaternion.one(),
+                                   (1, 0, 0, 0): Biquaternion.vector(1, 0, 0)}))
+    mixed.modes[(0, 0, 0, 0)][0].terms[(1, 0, 0, 0)] = _float_biquaternion(rng)
+    for x, y in ((mixed, exact), (exact, mixed), (mixed, mixed)):
+        with pytest.raises(MixedBackend):
+            x.scalar_of_product(y)
+
+
 def test_wave_vector_keys_are_ints_when_integral():
     rng = random.Random(36)
     a, b = random_rational_biquaternion(rng), random_rational_biquaternion(rng)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -177,6 +178,41 @@ def test_a_flipped_mass_in_an_operator_fails_the_suites_built_on_it(
         _fail_row(suite_id)
 
 
+def _dropped_eq28_term(index):
+    def mutant(terms):
+        def dropped(*args):
+            out = list(terms(*args))
+            out[index] = Field.zero()
+            return tuple(out)
+        return dropped
+    return mutant
+
+
+def _flipped_defect(defect):
+    return lambda ctx, x: -defect(ctx, x)
+
+
+def _g_squared_rows(rows):
+    # the factor of g in each row scaled by g once more
+    return lambda parts, g: rows(dataclasses.replace(
+        parts, g_factor=tuple(f.scale(g) for f in parts.g_factor)), g)
+
+
+@pytest.mark.parametrize("name,mutant,suite_ids", [
+    *(("_pi_contraction_terms", _dropped_eq28_term(i), ["rs.contraction_chain", "rs.g1_chain"])
+      for i in range(4)),
+    ("second_order_defect", _flipped_defect, ["rs.contraction_chain", "rs.g1_chain"]),
+    ("coupled_rows", _g_squared_rows, ["rs.contraction_chain"]),
+])
+def test_a_wrong_shared_part_fails_the_chains(monkeypatch, name, mutant, suite_ids):
+    # the chains read the g-free parts from one definition each, so a wrong
+    # part cannot pass by being shared between the rows and the closed forms
+    original = getattr(harness.rs, name)
+    _rebind_everywhere(monkeypatch, original, mutant(original))
+    for suite_id in suite_ids:
+        _fail_row(suite_id)
+
+
 def test_boost_fails_with_generators_that_are_not_the_columns(monkeypatch):
     # boost(rho) boost(-rho) = 1 holds for any generator; footnote 8's
     # closed form on the HALF_PLUS subspace does not
@@ -297,7 +333,7 @@ def test_every_suite_has_an_anchor():
         assert sid in covered, f"{sid} not referenced by the coverage table"
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, monkeypatch):
     out = tmp_path / "report.json"
     code = main(["--suite", FAST_GLOB, "--seed", "2", "--format", "json",
                  "--out", str(out)])
@@ -311,6 +347,12 @@ def test_cli_exit_codes(tmp_path):
     missing = tmp_path / "missing" / "report.json"
     assert main(["--suite", FAST_GLOB, "--out", str(missing)]) == 2
     assert not missing.parent.exists()
+    # and it is found before any suite runs
+    calls = []
+    monkeypatch.setattr("bqspin.cli.run", lambda *args, **kwargs: calls.append(args))
+    for bad in (missing, tmp_path):
+        assert main(["--suite", FAST_GLOB, "--out", str(bad)]) == 2
+    assert calls == []
 
 
 def test_cli_env_seed(monkeypatch, capsys):

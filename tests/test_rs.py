@@ -304,24 +304,35 @@ def test_contraction_chain_exact(g):
 
 
 def test_chains_build_the_rows_once_per_sample(monkeypatch):
+    # the g-free parts (the four Dirac rows among them) are built once per
+    # sample, however many values of g the contraction chain checks
     rng = random.Random(127)
     ext = _nonlorenz_potential()
     samples = [_rand_psi(rng) for _ in range(2)]
-    calls = []
-    rows = CoupledSystem.rows
+    dirac_calls, parts_calls = [], []
+    dirac, parts = RSContext.dirac, rs.coupled_parts
 
-    def counted(self, psi):
-        calls.append(psi)
-        return rows(self, psi)
+    def counted_dirac(self, x):
+        dirac_calls.append(x)
+        return dirac(self, x)
 
-    monkeypatch.setattr(CoupledSystem, "rows", counted)
-    out = contraction_chain(Fraction(1, 3), ext, M, FRAME, samples)
-    assert out == {"eps_residual": 0.0, "pi_residual": 0.0}
-    assert len(calls) == len(samples)
-    calls.clear()
+    def counted_parts(ctx, psi):
+        parts_calls.append(psi)
+        return parts(ctx, psi)
+
+    monkeypatch.setattr(RSContext, "dirac", counted_dirac)
+    monkeypatch.setattr(rs, "coupled_parts", counted_parts)
+    gs = (Fraction(1, 3), Fraction(1), Fraction(7, 5))
+    out = contraction_chain(gs, ext, M, FRAME, samples)
+    assert out == {"eps_residual": 0.0, "pi_residual": 0.0, "failing_g": []}
+    assert len(dirac_calls) == 4 * len(samples)
+    assert len(parts_calls) == len(samples)
+    dirac_calls.clear()
+    parts_calls.clear()
     out = g1_chain(ext, M, FRAME, samples)
     assert all(v == 0.0 for v in out.values())
-    assert len(calls) == len(samples)
+    assert len(parts_calls) == len(samples)
+    assert len(dirac_calls) == 4 * len(samples)
 
 
 def test_chains_report_a_nonzero_residual_below_float_range(monkeypatch):
