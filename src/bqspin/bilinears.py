@@ -11,46 +11,91 @@ part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 from .biquaternion import Biquaternion, unitary_product
 from .fields import ExternalField, Field, lanczos_residual, nabla_bar
 from .lorentz import act
 
 
-@dataclass(frozen=True)
 class CovariantSet:
-    polar: Field            # conserved four-vector current
-    axial: Field            # spin-density pseudo four-vector
-    six: Field              # dipole-moment six-vector
-    inv: Field              # complex invariant entering the Lagrangian
-    s_p: Field              # invariant scalar
-    s_a: Field              # invariant pseudoscalar
-    v_p: Field              # polar transition current
-    v_a: Field              # axial transition current
+    """The eight bilinear covariants of a field pair (a, b).
+
+    Each covariant, and each product two of them share, is built on its
+    first read and kept, so a caller pays only for the covariants it reads.
+    The expressions are fixed, so a float value does not depend on which
+    covariants were read before it.
+    """
+
+    def __init__(self, a: Field, b: Field):
+        self._a = a
+        self._b = b
+
+    # the products that two covariants share
+    @cached_property
+    def _a_ap(self):
+        return self._a * self._a.plus()
+
+    @cached_property
+    def _b_bp_bar(self):
+        return (self._b * self._b.plus()).bar()
+
+    @cached_property
+    def _s_aa(self):
+        return self._a.scalar_of_product(self._a.bar())
+
+    @cached_property
+    def _s_bb(self):
+        return self._b.scalar_of_product(self._b.bar())
+
+    @cached_property
+    def _ab_bar(self):
+        return self._a * self._b.bar()
+
+    @cached_property
+    def polar(self) -> Field:
+        """Conserved four-vector current."""
+        return self._a_ap + self._b_bp_bar
+
+    @cached_property
+    def axial(self) -> Field:
+        """Spin-density pseudo four-vector."""
+        return self._a_ap - self._b_bp_bar
+
+    @cached_property
+    def six(self) -> Field:
+        """Dipole-moment six-vector."""
+        a_bp = self._a * self._b.plus()
+        return a_bp - a_bp.bar()
+
+    @cached_property
+    def inv(self) -> Field:
+        """Complex invariant entering the Lagrangian."""
+        return self._a.plus().scalar_of_product(self._b)
+
+    @cached_property
+    def s_p(self) -> Field:
+        """Invariant scalar."""
+        return self._s_aa + self._s_bb
+
+    @cached_property
+    def s_a(self) -> Field:
+        """Invariant pseudoscalar."""
+        return self._s_aa - self._s_bb
+
+    @cached_property
+    def v_p(self) -> Field:
+        """Polar transition current."""
+        return self._ab_bar + self._ab_bar.plus()
+
+    @cached_property
+    def v_a(self) -> Field:
+        """Axial transition current."""
+        return self._ab_bar - self._ab_bar.plus()
 
 
 def covariants(a: Field, b: Field) -> CovariantSet:
-    ap = a.plus()
-    bp = b.plus()
-    b_bar = b.bar()
-    a_ap = a * ap
-    b_bp_bar = (b * bp).bar()
-    a_bp = a * bp
-    s_aa = a.scalar_of_product(a.bar())
-    s_bb = b.scalar_of_product(b_bar)
-    ab_bar = a * b_bar
-    ab_bar_plus = ab_bar.plus()
-    return CovariantSet(
-        polar=a_ap + b_bp_bar,
-        axial=a_ap - b_bp_bar,
-        six=a_bp - a_bp.bar(),
-        inv=ap.scalar_of_product(b),
-        s_p=s_aa + s_bb,
-        s_a=s_aa - s_bb,
-        v_p=ab_bar + ab_bar_plus,
-        v_a=ab_bar - ab_bar_plus,
-    )
+    return CovariantSet(a, b)
 
 
 def polar_current_divergence(a: Field, b: Field, ext: ExternalField, m):

@@ -22,8 +22,10 @@ import functools
 import math
 import operator
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .biquaternion import (
     DEFAULT_FRAME,
@@ -41,51 +43,172 @@ from .errors import (
     OffShell,
 )
 from .exactlinalg import nullspace
-from .scalars import GR_I, GR_ZERO, GaussianRational, gr, monomial_product
+from .scalars import (
+    GR_I,
+    GR_ZERO,
+    GaussianRational,
+    _hamilton_int,
+    _integral,
+    _pairing_int,
+    _reduced,
+    _row_map,
+    _unit_map,
+    gr,
+)
 
 
 _E_UNITS = tuple(basis_elements()[1:4])
 _HALF = gr(Fraction(1, 2))
 
 
+# -- exact coefficient rows ---------------------------------------------------------
+#
+# An exact Poly stores each coefficient as a row of eight ints
+# (A_w, B_w, A_x, B_x, A_y, B_y, A_z, B_z), the components (A + iB)/den over
+# one denominator den > 0 shared by the whole Poly: the format of
+# ``scalars._hamilton_int``.  The form is canonical: no row is zero, the gcd
+# of den and every entry is 1, and the empty Poly has den 1.
+
+
+def _add_rows(p, q):
+    a0, a1, a2, a3, a4, a5, a6, a7 = p
+    b0, b1, b2, b3, b4, b5, b6, b7 = q
+    return (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5, a6 + b6, a7 + b7)
+
+
+def _sub_rows(p, q):
+    a0, a1, a2, a3, a4, a5, a6, a7 = p
+    b0, b1, b2, b3, b4, b5, b6, b7 = q
+    return (a0 - b0, a1 - b1, a2 - b2, a3 - b3, a4 - b4, a5 - b5, a6 - b6, a7 - b7)
+
+
+def _neg_row(p):
+    a0, a1, a2, a3, a4, a5, a6, a7 = p
+    return (-a0, -a1, -a2, -a3, -a4, -a5, -a6, -a7)
+
+
+def _sign_pattern(*signs):
+    return _row_map(list(enumerate(signs)))
+
+
+# the four involutions on rows: bar negates the vector part, star conjugates
+# every component, plus is both, reverse conjugates the vector part
+_BAR_ROW = _sign_pattern(1, 1, -1, -1, -1, -1, -1, -1)
+_STAR_ROW = _sign_pattern(1, -1, 1, -1, 1, -1, 1, -1)
+_PLUS_ROW = _sign_pattern(1, -1, -1, 1, -1, 1, -1, 1)
+_REVERSE_ROW = _sign_pattern(1, 1, 1, -1, 1, -1, 1, -1)
+
+
+def _canonical(rows, den):
+    """The exact Poly of rows (none zero) over den > 0, in lowest terms.
+
+    The gcd of den and the entries is taken once, row by row, and stops at
+    the first row that brings it to 1.
+    """
+    g = den
+    if g != 1:
+        for row in rows.values():
+            g = math.gcd(g, *row)
+            if g == 1:
+                break
+        if g != 1:
+            den //= g
+            rows = {e: tuple([x // g for x in row]) for e, row in rows.items()}
+    return Poly._exact(rows, den)
+
+
+class _Terms(Mapping):
+    """Read-only view of an exact Poly's coefficients: each Biquaternion is
+    built from its row when it is read, and the length costs O(1)."""
+
+    __slots__ = ("_rows", "_den")
+
+    def __init__(self, rows, den):
+        self._rows = rows
+        self._den = den
+
+    def __getitem__(self, e):
+        r, d = self._rows[e], self._den
+        return Biquaternion(_reduced(r[0], r[1], d), _reduced(r[2], r[3], d),
+                            _reduced(r[4], r[5], d), _reduced(r[6], r[7], d))
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __contains__(self, e):
+        return e in self._rows
+
+
 class Poly:
     """Polynomial in (t, x1, x2, x3) with biquaternion coefficients.
 
-    The constructor does not check that the coefficients share one backend,
-    because it runs on every product and sum; ``Field.polynomial`` and
-    ``Field.trig`` are the checks, and raise ``MixedBackend`` on a mix.
-    No stored coefficient is zero.  The constructor drops zeros; sums,
-    differences, negation, ``map_coeffs`` and ``derivative`` drop them
-    themselves or cannot make one, so they build through ``_of``, which
-    skips that check.  ``lmul``, ``rmul`` and ``scale`` read their constant
-    once per call (see ``_multiplier``): an exact constant with one nonzero
-    component maps each coefficient by the signed-permutation kernel of
-    ``scalars.monomial_product``, and such a map, like the four
-    involutions, sends no nonzero coefficient to zero, so it checks none.
+    A Poly is exact or float, by its coefficients; the empty Poly is both.
+    An exact Poly is a dict of exponent tuples to integer rows over one
+    shared denominator (see the row format above), so each operation is
+    integer arithmetic with one reduction per result, and a component that
+    is zero costs an int 0.  A float Poly holds ``Biquaternion``
+    coefficients of complex components and runs the component-wise
+    arithmetic of ``biquaternion``.  ``terms`` reads either as a mapping of
+    exponents to ``Biquaternion``s.  No stored coefficient is zero.
+
+    The constructor picks the form from the coefficients and raises
+    ``MixedBackend`` on a mix, as every sum, difference and product of an
+    exact and a float Poly does.  ``lmul``, ``rmul`` and ``scale`` read
+    their constant once per call (see ``_multiplier``).
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_rows", "_den")
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for exps, coeff in terms.items():
-                if not coeff.is_zero():
-                    self.terms[tuple(exps)] = coeff
+        if not terms:
+            self._rows, self._den = {}, 1
+            return
+        coeffs = {tuple(e): c for e, c in terms.items() if not c.is_zero()}
+        kinds = {c.is_exact() for c in coeffs.values()}
+        if len(kinds) > 1:
+            raise MixedBackend("a Poly mixes exact and float coefficients")
+        if False in kinds:
+            self._rows, self._den = coeffs, None
+            return
+        parts = {e: _integral([x if type(x) is GaussianRational else gr(x) for x in c.components()])
+                 for e, c in coeffs.items()}
+        den = math.lcm(*(d for _, d in parts.values()))
+        p = _canonical({e: row if d == den else tuple([x * (den // d) for x in row])
+                        for e, (row, d) in parts.items()}, den)
+        self._rows, self._den = p._rows, p._den
 
     @staticmethod
-    def _of(terms):
-        """The Poly of a dict of tuple exponents to coefficients known to be nonzero."""
+    def _exact(rows, den):
+        """The exact Poly of canonical rows over den."""
         p = object.__new__(Poly)
-        p.terms = terms
+        p._rows = rows
+        p._den = den
+        return p
+
+    @staticmethod
+    def _float(terms):
+        """The float Poly of a dict of exponents to nonzero float coefficients."""
+        p = object.__new__(Poly)
+        p._rows = terms
+        p._den = None if terms else 1
         return p
 
     @staticmethod
     def constant(q: Biquaternion):
         return Poly({(0, 0, 0, 0): q})
 
+    @property
+    def terms(self):
+        """The coefficients, a read-only mapping of exponent tuples to Biquaternions."""
+        if self._den is None:
+            return MappingProxyType(self._rows)
+        return _Terms(self._rows, self._den)
+
     def is_zero(self):
-        return not self.terms
+        return not self._rows
 
     def __add__(self, other):
         return self._combine(other, False)
@@ -94,22 +217,49 @@ class Poly:
         return self._combine(other, True)
 
     def _combine(self, other, subtract):
-        """self + other, or self - other term by term when subtract is True."""
-        out = dict(self.terms)
-        for e, c in other.terms.items():
+        """self + other, or self - other term by term when subtract is True.
+
+        Exact rows are added at a common denominator (an lcm only when the
+        two differ), and the result is reduced only when two rows met.
+        """
+        d1, d2 = self._den, other._den
+        if d1 is None or d2 is None:
+            _same_backend(self, other)
+            return _float_combine(self._rows, other._rows, subtract)
+        r1, r2 = self._rows, other._rows
+        if not r2:
+            return self
+        if not r1:
+            return -other if subtract else other
+        den = d1
+        if d1 != d2:
+            den = math.lcm(d1, d2)
+            s1, s2 = den // d1, den // d2
+            if s1 != 1:
+                r1 = {e: tuple([s1 * x for x in row]) for e, row in r1.items()}
+            if s2 != 1:
+                r2 = {e: tuple([s2 * x for x in row]) for e, row in r2.items()}
+        out = dict(r1)
+        met = False
+        for e, row in r2.items():
             s = out.get(e)
             if s is None:
-                out[e] = -c if subtract else c
+                out[e] = _neg_row(row) if subtract else row
                 continue
-            s = s - c if subtract else s + c
-            if s.is_zero():
-                del out[e]
+            met = True
+            v = _sub_rows(s, row) if subtract else _add_rows(s, row)
+            if any(v):
+                out[e] = v
             else:
-                out[e] = s
-        return Poly._of(out)
+                del out[e]
+        # rows that did not meet keep gcd 1 with den: at an lcm, the two
+        # scale factors are coprime
+        return _canonical(out, den) if met else Poly._exact(out, den)
 
     def __neg__(self):
-        return Poly._of({e: -c for e, c in self.terms.items()})
+        if self._den is None:
+            return Poly._float({e: -c for e, c in self._rows.items()})
+        return Poly._exact({e: _neg_row(r) for e, r in self._rows.items()}, self._den)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
@@ -120,21 +270,35 @@ class Poly:
 
     def _product(self, other, pairing):
         """self * other term by term.  With pairing, the coefficient product
-        is ``biquaternion.minkowski_product`` in place of the Hamilton
-        product: the sums are scalars, and each becomes the scalar part of a
-        coefficient."""
-        mul = minkowski_product if pairing else operator.mul
+        is the Minkowski pairing in place of the Hamilton product: each sum
+        is a scalar, the scalar part of a coefficient.
+
+        Exact rows take the integer Hamilton product (or pairing) of
+        ``scalars``, are summed per exponent as ints over d1 * d2, and the
+        result is reduced once.
+        """
+        d1, d2 = self._den, other._den
+        if d1 is None or d2 is None:
+            _same_backend(self, other)
+            return _float_product(self._rows, other._rows, pairing)
+        kernel = _pairing_int if pairing else _hamilton_int
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                c = mul(c1, c2)
+        for (t, x, y, z), a in self._rows.items():
+            for e2, c in other._rows.items():
+                e = (t + e2[0], x + e2[1], y + e2[2], z + e2[3])
+                v = kernel(a, c)
                 s = out.get(e)
-                s = c if s is None else s + c
-                out[e] = s
+                if s is None:
+                    out[e] = v
+                elif pairing:
+                    out[e] = (s[0] + v[0], s[1] + v[1])
+                else:
+                    out[e] = _add_rows(s, v)
         if pairing:
-            return Poly._of({e: _scalar_coefficient(s) for e, s in out.items() if s})
-        return Poly(out)
+            rows = {e: (re, im, 0, 0, 0, 0, 0, 0) for e, (re, im) in out.items() if re or im}
+        else:
+            rows = {e: v for e, v in out.items() if any(v)}
+        return _canonical(rows, d1 * d2)
 
     def scale(self, c):
         """Multiply by a commuting scalar; an exact 1 returns the Poly itself."""
@@ -147,31 +311,55 @@ class Poly:
         return self._times(q, False)
 
     def _times(self, q, left):
-        fn, invertible = _multiplier(q, left, _exact_coefficients((self,)))
-        return self._map(fn) if invertible else self.map_coeffs(fn)
+        return _multiplier(q, left, self._den is not None)(self)
 
     def map_coeffs(self, fn):
+        """The Poly of fn(c) for every coefficient c, built by the constructor."""
+        return Poly({e: fn(c) for e, c in self.terms.items()})
+
+    def _mapped(self, fn):
+        """map_coeffs for an fn whose values are float, such as a product
+        with a float constant: only the zero check, as the float path does."""
         out = {}
         for e, c in self.terms.items():
             v = fn(c)
             if not v.is_zero():
                 out[e] = v
-        return Poly._of(out)
+        return Poly._float(out)
 
-    def _map(self, fn):
-        """map_coeffs for an fn that sends no nonzero coefficient to zero."""
-        return Poly._of({e: fn(c) for e, c in self.terms.items()})
+    def _involution(self, row_map, fn):
+        """The involution with row map row_map on exact rows and method fn
+        on float coefficients; neither makes a zero or changes a gcd."""
+        if self._den is None:
+            return Poly._float({e: fn(c) for e, c in self._rows.items()})
+        return Poly._exact({e: row_map(r) for e, r in self._rows.items()}, self._den)
+
+    def _scalar_part(self):
+        if self._den is None:
+            return self._mapped(lambda c: Biquaternion.scalar(c.w))
+        return _canonical({e: (r[0], r[1], 0, 0, 0, 0, 0, 0)
+                           for e, r in self._rows.items() if r[0] or r[1]}, self._den)
+
+    def _vector_part(self):
+        if self._den is None:
+            return self._mapped(Biquaternion.vector_part)
+        return _canonical({e: (0, 0) + r[2:] for e, r in self._rows.items() if any(r[2:])},
+                          self._den)
 
     def derivative(self, var: int):
+        exact = self._den is not None
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self._rows.items():
             n = e[var]
             if n == 0:
                 continue
             ne = list(e)
             ne[var] = n - 1
-            out[tuple(ne)] = c if n == 1 else c * n
-        return Poly._of(out)
+            if n == 1:
+                out[tuple(ne)] = c
+            else:
+                out[tuple(ne)] = tuple([n * x for x in c]) if exact else c * n
+        return _canonical(out, self._den) if exact else Poly._float(out)
 
     def eval_float(self, point):
         total = Biquaternion.scalar(0.0)
@@ -186,15 +374,46 @@ class Poly:
         return max((c.max_abs() for c in self.terms.values()), default=0.0)
 
     def __repr__(self):
-        return f"Poly({len(self.terms)} terms)"
+        return f"Poly({len(self._rows)} terms)"
 
 
-def _scalar_coefficient(s):
-    """The coefficient with scalar part s and no vector part, as
-    ``Biquaternion.scalar`` builds it."""
-    if type(s) is GaussianRational:
-        return Biquaternion(s, GR_ZERO, GR_ZERO, GR_ZERO)
-    return Biquaternion.scalar(s)
+def _same_backend(p, q):
+    """Raise MixedBackend unless the Polys p and q share a backend; the
+    empty Poly shares either."""
+    if p._rows and q._rows and (p._den is None) != (q._den is None):
+        raise MixedBackend("a Poly operation mixes exact and float coefficients")
+
+
+def _float_combine(terms, other, subtract):
+    """The float Poly of terms + other, or terms - other, term by term."""
+    out = dict(terms)
+    for e, c in other.items():
+        s = out.get(e)
+        if s is None:
+            out[e] = -c if subtract else c
+            continue
+        s = s - c if subtract else s + c
+        if s.is_zero():
+            del out[e]
+        else:
+            out[e] = s
+    return Poly._float(out)
+
+
+def _float_product(terms, other, pairing):
+    """The float Poly product of two coefficient dicts (see Poly._product)."""
+    mul = minkowski_product if pairing else operator.mul
+    out = {}
+    for e1, c1 in terms.items():
+        for e2, c2 in other.items():
+            e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
+            c = mul(c1, c2)
+            s = out.get(e)
+            s = c if s is None else s + c
+            out[e] = s
+    if pairing:
+        return Poly._float({e: Biquaternion.scalar(s) for e, s in out.items() if s})
+    return Poly._float({e: c for e, c in out.items() if not c.is_zero()})
 
 
 def _poly_pairing(p, q):
@@ -207,40 +426,64 @@ def _is_exact_one(c):
     return isinstance(c, (int, Fraction, GaussianRational)) and c == 1
 
 
-def _exact_coefficients(polys):
-    """True when the first coefficient of the Polys is exact.
-
-    The coefficients of a Poly or a Field share one backend, so the first
-    one decides; a later one of the other backend makes the monomial kernel
-    raise MixedBackend.
-    """
-    for p in polys:
-        for c in p.terms.values():
-            return type(c.w) is GaussianRational
-    return False
+def _exact_row(q):
+    """An exact constant (Biquaternion or scalar) as (row, denominator); None
+    for a constant that is not exact."""
+    if isinstance(q, Biquaternion):
+        w, x, y, z = q.components()
+        if type(w) is type(x) is type(y) is type(z) is GaussianRational:
+            return _integral((w, x, y, z))
+        return None
+    if isinstance(q, (int, Fraction)):
+        return (q.numerator, 0, 0, 0, 0, 0, 0, 0), q.denominator
+    if isinstance(q, GaussianRational):
+        return _integral((q, GR_ZERO, GR_ZERO, GR_ZERO))
+    return None
 
 
 def _multiplier(q, left, exact):
-    """The coefficient map c -> q*c (left) or c*q, and whether it is invertible.
+    """The map p -> q*p (left) or p*q on Polys, for a Biquaternion or
+    commuting scalar q read once per call.
 
-    q is a Biquaternion or a commuting scalar, read once per call.  When the
-    coefficients are exact and q is an exact constant with one nonzero
-    component (a nonzero exact scalar is one), the map is the signed
-    permutation of ``scalars.monomial_product``, which sends no nonzero
-    coefficient to zero.  Any other q is the plain product, which may.
+    On exact Polys (exact True) and an exact q:
+    - q = 0 gives the zero Poly;
+    - q = c*e_j with c = 1, -1, i or -i is a signed permutation of each row,
+      with the same denominator and no reduction;
+    - a real scalar a/d multiplies the entries by a;
+    - any other q is the integer Hamilton product of each row with q's.
+    The last two multiply the denominators and reduce once.  Any other
+    case is the plain product of each coefficient with q.
     """
-    product = None
-    if exact:
-        if isinstance(q, Biquaternion):
-            product = monomial_product(q.components(), left)
-        elif isinstance(q, (int, Fraction, GaussianRational)):
-            c = q if isinstance(q, GaussianRational) else gr(q)
-            product = monomial_product((c, GR_ZERO, GR_ZERO, GR_ZERO), left)
-    if product is not None:
-        return (lambda c: Biquaternion(*product(c.components()))), True
-    if left:
-        return (lambda c: q * c), False
-    return (lambda c: c * q), False
+    row = _exact_row(q) if exact else None
+    if row is None:
+        fn = (lambda c: q * c) if left else (lambda c: c * q)
+        return lambda p: p._mapped(fn)
+    qr, dq = row
+    nonzero = [k for k in range(4) if qr[2 * k] or qr[2 * k + 1]]
+    if not nonzero:
+        return lambda p: Poly()
+
+    def general(p):
+        rows = {}
+        for e, r in p._rows.items():
+            v = _hamilton_int(qr, r) if left else _hamilton_int(r, qr)
+            if any(v):
+                rows[e] = v
+        return _canonical(rows, p._den * dq)
+
+    if len(nonzero) == 1:
+        j = nonzero[0]
+        a, b = qr[2 * j], qr[2 * j + 1]
+        if dq == 1 and a * a + b * b == 1:
+            unit = _unit_map(j, left, a, b)
+            return lambda p: Poly._exact({e: unit(r) for e, r in p._rows.items()}, p._den)
+        if j == 0 and b == 0:
+            # a real scalar a/dq
+            if a == 1:
+                return lambda p: _canonical(p._rows, p._den * dq)
+            return lambda p: _canonical({e: tuple([a * x for x in r])
+                                         for e, r in p._rows.items()}, p._den * dq)
+    return general
 
 
 def _wave_vector(k):
@@ -279,16 +522,26 @@ def _merge(modes, k, pc, ps, subtract=False):
         pc, ps = (old[0] - pc, old[1] - ps) if subtract else (old[0] + pc, old[1] + ps)
     elif subtract:
         pc, ps = -pc, -ps
-    if pc.terms or ps.terms:
+    if pc._rows or ps._rows:
         modes[k] = (pc, ps)
     elif old is not None:
         del modes[k]
 
 
-def _one_backend(coeffs):
-    """Raise MixedBackend unless the coefficients share one scalar backend."""
-    if len({q.is_exact() for q in coeffs}) > 1:
-        raise MixedBackend("field coefficients mix exact and float scalars")
+def _exact_field(f):
+    """True for a Field of exact coefficients, False for a float one and
+    None for the zero field.  Every operation keeps a Field in one backend,
+    so its first nonzero Poly decides."""
+    for pc, ps in f.modes.values():
+        return (pc if pc._rows else ps)._den is not None
+    return None
+
+
+def _one_backend(f, g):
+    """Raise MixedBackend when the Fields f and g are of different backends."""
+    a, b = _exact_field(f), _exact_field(g)
+    if a is not None and b is not None and a != b:
+        raise MixedBackend("a field operation mixes exact and float coefficients")
 
 
 class Field:
@@ -301,9 +554,10 @@ class Field:
     vectors, through ``_canonical_mode``; the linear operations keep their
     operands' keys.  A difference is taken mode by mode, with no negated
     copy of the subtrahend.  ``lmul``, ``rmul`` and ``scale`` read their
-    constant once per call, as ``Poly``'s do; when that map is invertible,
-    and for the four involutions, every mode is kept and no zero is checked.
-    The product and ``scalar_of_product`` share one mode loop, ``_product``.
+    constant once per call, not once per Poly.  The product and
+    ``scalar_of_product`` share one mode loop, ``_product``.  A sum,
+    difference or product of an exact and a float field raises
+    ``MixedBackend``.
     """
 
     __slots__ = ("modes",)
@@ -314,11 +568,15 @@ class Field:
     @staticmethod
     def _of(modes):
         """The Field of a dict of canonical modes; drops zero pairs in place."""
-        for k in [k for k, (pc, ps) in modes.items() if not (pc.terms or ps.terms)]:
+        for k in [k for k, (pc, ps) in modes.items() if not (pc._rows or ps._rows)]:
             del modes[k]
         f = object.__new__(Field)
         f.modes = modes
         return f
+
+    def _each(self, fn):
+        """The field with the Poly map fn applied to both Polys of every mode."""
+        return Field._of({k: (fn(pc), fn(ps)) for k, (pc, ps) in self.modes.items()})
 
     # -- construction ----------------------------------------------------------
 
@@ -332,17 +590,16 @@ class Field:
 
     @staticmethod
     def polynomial(poly: Poly):
-        _one_backend(poly.terms.values())
         return Field._of({(0, 0, 0, 0): (poly, Poly())})
 
     @staticmethod
     def trig(k, cos_coeff: Biquaternion, sin_coeff: Biquaternion):
         k = _wave_vector(k)
         pc, ps = Poly.constant(cos_coeff), Poly.constant(sin_coeff)
-        coeffs = [*pc.terms.values(), *ps.terms.values()]
-        _one_backend(coeffs)
+        _same_backend(pc, ps)
         # derivatives multiply the coefficients by k, so a float k is float data
-        if any(isinstance(c, float) for c in k) and any(q.is_exact() for q in coeffs):
+        exact = any(p._rows and p._den is not None for p in (pc, ps))
+        if exact and any(isinstance(c, float) for c in k):
             raise MixedBackend("a float wave vector with exact field coefficients")
         k, ps = _canonical_mode(k, ps)
         return Field._of({k: (pc, ps)})
@@ -350,6 +607,7 @@ class Field:
     # -- linear structure --------------------------------------------------------
 
     def __add__(self, other):
+        _one_backend(self, other)
         out = dict(self.modes)
         for k, (pc, ps) in other.modes.items():
             _merge(out, k, pc, ps)
@@ -359,6 +617,7 @@ class Field:
         return Field._of({k: (-pc, -ps) for k, (pc, ps) in self.modes.items()})
 
     def __sub__(self, other):
+        _one_backend(self, other)
         out = dict(self.modes)
         for k, (pc, ps) in other.modes.items():
             _merge(out, k, pc, ps, subtract=True)
@@ -375,20 +634,16 @@ class Field:
         return self._times(q, False)
 
     def _times(self, q, left):
-        fn, invertible = _multiplier(
-            q, left, _exact_coefficients(p for pair in self.modes.values() for p in pair))
-        return self._map(fn) if invertible else self.map_coeffs(fn)
+        return self._each(_multiplier(q, left, _exact_field(self) is not False))
 
     def map_coeffs(self, fn):
-        return Field._of({k: (pc.map_coeffs(fn), ps.map_coeffs(fn))
-                          for k, (pc, ps) in self.modes.items()})
-
-    def _map(self, fn):
-        """map_coeffs for an fn that sends no nonzero coefficient to zero:
-        every mode stays and no zero is checked."""
-        f = object.__new__(Field)
-        f.modes = {k: (pc._map(fn), ps._map(fn)) for k, (pc, ps) in self.modes.items()}
-        return f
+        """The field of fn(c) for every coefficient c; raises MixedBackend
+        when fn gives exact values for some coefficients and float for others."""
+        out = self._each(lambda p: p.map_coeffs(fn))
+        polys = [p for pair in out.modes.values() for p in pair if p._rows]
+        if len({p._den is None for p in polys}) > 1:
+            raise MixedBackend("map_coeffs gave exact and float coefficients")
+        return out
 
     # -- products ------------------------------------------------------------------
 
@@ -403,17 +658,12 @@ class Field:
         """The scalar part of self * other, without forming its vector part.
 
         scal(x y) is the Minkowski pairing of x.bar() with y, so this is the
-        mode loop of the product run on self.bar() and other with
-        ``biquaternion.minkowski_product`` as the coefficient product.  It
-        equals ``(self * other).scalar_part()``: exactly in the exact
-        backend, and in float bit for bit up to the sign of a zero.  Raises
-        MixedBackend when the coefficients mix exact and float scalars.
+        mode loop of the product run on self.bar() and other with the
+        pairing as the coefficient product.  It equals
+        ``(self * other).scalar_part()``: exactly in the exact backend, and
+        in float bit for bit up to the sign of a zero.  Raises MixedBackend
+        when the coefficients mix exact and float scalars.
         """
-        kinds = {type(c.w) is GaussianRational
-                 for f in (self, other) for pair in f.modes.values()
-                 for p in pair for c in p.terms.values()}
-        if len(kinds) > 1:
-            raise MixedBackend("a pairing of exact and float field coefficients")
         return self.bar()._product(other, True)
 
     def _product(self, other, pairing):
@@ -421,6 +671,7 @@ class Field:
         pairing of coefficients (``Poly._product``).  The angle sum and
         difference of two trigonometric modes are bilinear, so either
         coefficient product runs through the same loop."""
+        _one_backend(self, other)
         mul = _poly_pairing if pairing else operator.mul
         out = {}
         for ka, (ca, sa) in self.modes.items():
@@ -453,22 +704,29 @@ class Field:
     # -- conjugations -----------------------------------------------------------------
 
     def bar(self):
-        return self._map(Biquaternion.bar)
+        return self._involution(_BAR_ROW, Biquaternion.bar)
 
     def star(self):
-        return self._map(Biquaternion.star)
+        return self._involution(_STAR_ROW, Biquaternion.star)
 
     def plus(self):
-        return self._map(Biquaternion.plus)
+        return self._involution(_PLUS_ROW, Biquaternion.plus)
 
     def reverse(self):
-        return self._map(Biquaternion.reverse)
+        return self._involution(_REVERSE_ROW, Biquaternion.reverse)
+
+    def _involution(self, row_map, fn):
+        # an involution keeps every mode, so no zero pair is dropped
+        f = object.__new__(Field)
+        f.modes = {k: (pc._involution(row_map, fn), ps._involution(row_map, fn))
+                   for k, (pc, ps) in self.modes.items()}
+        return f
 
     def scalar_part(self):
-        return self.map_coeffs(lambda c: Biquaternion.scalar(c.w))
+        return self._each(Poly._scalar_part)
 
     def vector_part(self):
-        return self.map_coeffs(lambda c: c.vector_part())
+        return self._each(Poly._vector_part)
 
     def re_scalar(self):
         """(f + f.star())/2 -- the real part, for scalar-valued fields."""
@@ -490,7 +748,7 @@ class Field:
                 out[k] = (dpc, ps.derivative(var))
                 continue
             # d(P cos) = P' cos - P dphi sin ; d(Q sin) = Q' sin + Q dphi cos
-            out[k] = (dpc + ps * dphi, ps.derivative(var) - pc * dphi)
+            out[k] = (dpc + ps.scale(dphi), ps.derivative(var) - pc.scale(dphi))
         return Field._of(out)
 
     def dt(self):
@@ -697,7 +955,7 @@ def _extract_mode_cos(f: Field, k):
     if pair is None or len(f.modes) != 1:
         raise NotAPlaneWave(f"expected one mode at {kc}, got modes {list(f.modes)}")
     pc, ps = pair
-    if any(e != (0, 0, 0, 0) for e in (*pc.terms, *ps.terms)):
+    if any(e != (0, 0, 0, 0) for e in (*pc._rows, *ps._rows)):
         raise NotAPlaneWave("the plane-wave mode has a non-constant coefficient")
     return pc.terms.get((0, 0, 0, 0), Biquaternion.zero())
 

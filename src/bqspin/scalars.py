@@ -16,14 +16,19 @@ Gaussian rationals is fused into one such operation per output component
 (:func:`_hamilton`), so it makes four values and four gcds where sixteen
 products and twelve sums would make 28.  The pairing sum_k p_k q_k of two
 such quaternions, the kernel of ``biquaternion.minkowski_product``, is
-fused the same way (:func:`_pairing`): one value and one gcd.
+fused the same way (:func:`_pairing`): one value and one gcd.  Both bring
+each operand to one denominator, a row of eight ints (:func:`_integral`),
+and apply one integer formula to the rows (:func:`_hamilton_int`,
+:func:`_pairing_int`); the exact ``Poly`` of ``fields`` stores its
+coefficients as such rows and runs the same two formulas.
 
 A quaternion with one nonzero component, c*e_j (a monomial), multiplies
 another by a signed permutation of its components times c
-(:func:`monomial_product`): four scalar products and no sums.  Multiplying
-by a unit c (1, -1, i or -i) keeps (a + i*b)/d in lowest terms, so then no
-gcd is taken at all, and a component that the permutation passes through
-unchanged is the operand's own value.
+(:func:`_permuted`): four scalar products and no sums.  Multiplying by a
+unit c (1, -1, i or -i) keeps (a + i*b)/d in lowest terms, so then no gcd
+is taken at all, and a component that the permutation passes through
+unchanged is the operand's own value.  On a row, the product by a unit
+times e_j is a signed permutation of the eight ints (:func:`_unit_map`).
 
 A :class:`GaussianIntArray` is a third, exact scalar: one Gaussian rational
 per sample of a batch, so the unchanged algebra layer checks an identity on
@@ -32,6 +37,7 @@ every sample of a sweep at once.  It never mixes with the other two.
 
 from __future__ import annotations
 
+import functools
 import sys
 from fractions import Fraction
 from math import gcd, lcm
@@ -141,39 +147,65 @@ def _permuted(kernel, q):
     return out
 
 
-def monomial_product(p, left=True):
-    """The map q -> p*q (left) or q*p for a quaternion p = c*e_j, or None.
-
-    p and q are (w, x, y, z) tuples, and the map returns the four product
-    components as a list.  None unless p's components are all
-    GaussianRational and exactly one of them is nonzero; the map is then
-    invertible, so it sends no nonzero q to zero.  It raises MixedBackend
-    for a q whose components are not all GaussianRational.
-    """
-    if not (type(p[0]) is type(p[1]) is type(p[2]) is type(p[3]) is GaussianRational):
-        return None
-    kernel = _monomial(p, left)
-    if kernel is None:
-        return None
-
-    def product(q):
-        if not (type(q[0]) is type(q[1]) is type(q[2]) is type(q[3]) is GaussianRational):
-            raise MixedBackend(f"an exact monomial does not multiply "
-                               f"{', '.join(type(c).__name__ for c in q)} components")
-        return _permuted(kernel, q)
-
-    return product
-
-
 def _integral(p):
     """A quaternion p of GaussianRational components over one denominator:
-    the ints (A_w, B_w, A_x, B_x, A_y, B_y, A_z, B_z, d) with p = (A + iB)/d
-    component by component, d the lcm of the four denominators."""
+    the row (A_w, B_w, A_x, B_x, A_y, B_y, A_z, B_z) of ints and d, with
+    p = (A + iB)/d component by component, d the lcm of the four denominators."""
     pw, px, py, pz = p
     d = lcm(pw._d, px._d, py._d, pz._d)
     s, t, u, v = d // pw._d, d // px._d, d // py._d, d // pz._d
     return (pw._a * s, pw._b * s, px._a * t, px._b * t,
-            py._a * u, py._b * u, pz._a * v, pz._b * v, d)
+            py._a * u, py._b * u, pz._a * v, pz._b * v), d
+
+
+def _hamilton_int(p, q):
+    """The Hamilton product of two quaternions of Gaussian integers, each
+    given as a row (A_w, B_w, A_x, B_x, A_y, B_y, A_z, B_z) with components
+    A + iB; the product is a row of the same form."""
+    aw, bw, ax, bx, ay, by, az, bz = p
+    cw, ew, cx, ex, cy, ey, cz, ez = q
+    return (aw * cw - bw * ew - ax * cx + bx * ex - ay * cy + by * ey - az * cz + bz * ez,
+            aw * ew + bw * cw - ax * ex - bx * cx - ay * ey - by * cy - az * ez - bz * cz,
+            aw * cx - bw * ex + ax * cw - bx * ew + ay * cz - by * ez - az * cy + bz * ey,
+            aw * ex + bw * cx + ax * ew + bx * cw + ay * ez + by * cz - az * ey - bz * cy,
+            aw * cy - bw * ey + ay * cw - by * ew + az * cx - bz * ex - ax * cz + bx * ez,
+            aw * ey + bw * cy + ay * ew + by * cw + az * ex + bz * cx - ax * ez - bx * cz,
+            aw * cz - bw * ez + az * cw - bz * ew + ax * cy - bx * ey - ay * cx + by * ex,
+            aw * ez + bw * cz + az * ew + bz * cw + ax * ey + bx * cy - ay * ex - by * cx)
+
+
+def _pairing_int(p, q):
+    """The pairing p_w q_w + p_x q_x + p_y q_y + p_z q_z of two rows of
+    Gaussian integers (see :func:`_hamilton_int`), as the pair (re, im)."""
+    aw, bw, ax, bx, ay, by, az, bz = p
+    cw, ew, cx, ex, cy, ey, cz, ez = q
+    return (aw * cw - bw * ew + ax * cx - bx * ex + ay * cy - by * ey + az * cz - bz * ez,
+            aw * ew + bw * cw + ax * ex + bx * cx + ay * ey + by * cy + az * ez + bz * cz)
+
+
+@functools.cache
+def _unit_map(j, left, re, im):
+    """The product of a row (see :func:`_hamilton_int`) by u*e_j, from the
+    left or the right, for a unit u = re + i*im in {1, -1, i, -i}: a signed
+    permutation of the row's entries (:func:`_row_map`), built once per unit."""
+    pairs = []
+    for index, sign in (_LEFT_UNITS if left else _RIGHT_UNITS)[j]:
+        a, b = sign * re, sign * im
+        # (a + ib)(x + iy) = (ax - by) + i(ay + bx), and one of a, b is 0
+        pairs += [(2 * index, a), (2 * index + 1, a)] if a else [(2 * index + 1, -b), (2 * index, b)]
+    return _row_map(pairs)
+
+
+def _row_map(pairs):
+    """The map of a row to the row whose entry n is sign * row[index], for
+    eight (index, sign) pairs."""
+    (i0, s0), (i1, s1), (i2, s2), (i3, s3), (i4, s4), (i5, s5), (i6, s6), (i7, s7) = pairs
+
+    def mapped(r):
+        return (s0 * r[i0], s1 * r[i1], s2 * r[i2], s3 * r[i3],
+                s4 * r[i4], s5 * r[i5], s6 * r[i6], s7 * r[i7])
+
+    return mapped
 
 
 def _all_gaussian(p, q):
@@ -190,9 +222,10 @@ def _hamilton(p, q):
     GaussianRational.  When either operand is a monomial c*e_j, the product
     is the signed permutation of :func:`_permuted`.  Otherwise each operand
     is brought to one common denominator (:func:`_integral`), so every
-    output component is a sum of Gaussian-integer products over one
-    denominator and is reduced once.  Canonical values do not depend on the
-    order of evaluation, so the result equals the component-wise formula.
+    output component is a sum of Gaussian-integer products
+    (:func:`_hamilton_int`) over one denominator and is reduced once.
+    Canonical values do not depend on the order of evaluation, so the result
+    equals the component-wise formula.
     """
     if not _all_gaussian(p, q):
         return None
@@ -202,24 +235,11 @@ def _hamilton(p, q):
     kernel = _monomial(q, False)
     if kernel is not None:
         return _permuted(kernel, p)
-    # p = (A + iB)/dp and q = (C + iE)/dq, component by component
-    aw, bw, ax, bx, ay, by, az, bz, dp = _integral(p)
-    cw, ew, cx, ex, cy, ey, cz, ez, dq = _integral(q)
+    a, dp = _integral(p)
+    c, dq = _integral(q)
     d = dp * dq
-    return (
-        _reduced(aw * cw - bw * ew - ax * cx + bx * ex - ay * cy + by * ey - az * cz + bz * ez,
-                 aw * ew + bw * cw - ax * ex - bx * cx - ay * ey - by * cy - az * ez - bz * cz,
-                 d),
-        _reduced(aw * cx - bw * ex + ax * cw - bx * ew + ay * cz - by * ez - az * cy + bz * ey,
-                 aw * ex + bw * cx + ax * ew + bx * cw + ay * ez + by * cz - az * ey - bz * cy,
-                 d),
-        _reduced(aw * cy - bw * ey + ay * cw - by * ew + az * cx - bz * ex - ax * cz + bx * ez,
-                 aw * ey + bw * cy + ay * ew + by * cw + az * ex + bz * cx - ax * ez - bx * cz,
-                 d),
-        _reduced(aw * cz - bw * ez + az * cw - bz * ew + ax * cy - bx * ey - ay * cx + by * ex,
-                 aw * ez + bw * cz + az * ew + bz * cw + ax * ey + bx * cy - ay * ex - by * cx,
-                 d),
-    )
+    rw, iw, rx, ix, ry, iy, rz, iz = _hamilton_int(a, c)
+    return (_reduced(rw, iw, d), _reduced(rx, ix, d), _reduced(ry, iy, d), _reduced(rz, iz, d))
 
 
 def _pairing(p, q):
@@ -227,16 +247,15 @@ def _pairing(p, q):
 
     p and q are (w, x, y, z) tuples; None unless all eight components are
     GaussianRational.  As in :func:`_hamilton`, both operands are brought to
-    one denominator each, so the sum is one Gaussian integer over dp*dq,
-    reduced once.
+    one denominator each, so the sum is one Gaussian integer
+    (:func:`_pairing_int`) over dp*dq, reduced once.
     """
     if not _all_gaussian(p, q):
         return None
-    aw, bw, ax, bx, ay, by, az, bz, dp = _integral(p)
-    cw, ew, cx, ex, cy, ey, cz, ez, dq = _integral(q)
-    return _reduced(aw * cw - bw * ew + ax * cx - bx * ex + ay * cy - by * ey + az * cz - bz * ez,
-                    aw * ew + bw * cw + ax * ex + bx * cx + ay * ey + by * cy + az * ez + bz * cz,
-                    dp * dq)
+    a, dp = _integral(p)
+    c, dq = _integral(q)
+    re, im = _pairing_int(a, c)
+    return _reduced(re, im, dp * dq)
 
 
 class GaussianRational:

@@ -6,6 +6,7 @@ with float gives float; generic code never turns exact input into floats.
 
 import importlib
 import inspect
+import operator
 import pkgutil
 import random
 from fractions import Fraction
@@ -125,6 +126,47 @@ def test_exact_with_float_gives_float():
                   q + Biquaternion.scalar(0.5j), q * 0.5, q * 1j):
         assert not mixed.is_exact()
     assert (q * Biquaternion.scalar(1.0) - q.to_float()).max_abs() <= 1e-12
+
+
+def test_field_arithmetic_rejects_a_mix_of_backends():
+    rng = random.Random(4)
+    a, b = random_rational_biquaternion(rng), random_rational_biquaternion(rng)
+    x = Biquaternion(0.5 + 1j, -2.0, 0.25j, 1.5)
+    exact = [Field.constant(a), Field.trig((2, 1, 0, 0), a, b),
+             Field.constant(a) + Field.trig((2, 1, 0, 0), b, a)]
+    approx = [Field.constant(x), Field.trig((1.0, 0.5, 0.0, 0.0), x, x.bar())]
+    ops = (operator.add, operator.sub, operator.mul, Field.scalar_of_product)
+    for f in exact:
+        for g in approx:
+            for op in ops:
+                for left, right in ((f, g), (g, f)):
+                    with pytest.raises(MixedBackend):
+                        op(left, right)
+    pe, pf = Poly.constant(a), Poly.constant(x)
+    for left, right in ((pe, pf), (pf, pe)):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(MixedBackend):
+                op(left, right)
+    with pytest.raises(MixedBackend):
+        Poly({(0, 0, 0, 0): a, (1, 0, 0, 0): x})
+    # an exact constant multiplier on a float field is the plain product
+    e2 = Biquaternion.vector(0, 1, 0)
+    f = approx[1]
+    for got, fn in ((f.lmul(e2), lambda c: e2 * c), (f.rmul(e2), lambda c: c * e2),
+                    (f.scale(Fraction(3, 2)), lambda c: c * Fraction(3, 2))):
+        assert not got.is_zero()
+        assert {k: (dict(pc.terms), dict(ps.terms)) for k, (pc, ps) in got.modes.items()} == {
+            k: ({e: fn(c) for e, c in pc.terms.items()}, {e: fn(c) for e, c in ps.terms.items()})
+            for k, (pc, ps) in f.modes.items()}
+    # the empty Poly and the zero field combine with either backend
+    empty = Poly()
+    for p in (pe, pf):
+        for got in (p + empty, empty + p, p - empty, -(empty - p)):
+            assert dict(got.terms) == dict(p.terms)
+        assert (p * empty).is_zero() and (empty * p).is_zero()
+    zero = Field.zero()
+    for g in exact + approx:
+        assert (g + zero).equal(g) and (zero - g).equal(-g) and (g * zero).is_zero()
 
 
 # -- no float leaks into exact code -------------------------------------------------

@@ -22,7 +22,7 @@ from bqspin.biquaternion import (
 )
 from bqspin.errors import InvalidFrame, MixedBackend, SingularOperand
 from bqspin.exactlinalg import solve
-from bqspin.scalars import GaussianIntArray, GaussianRational, gr, monomial_product
+from bqspin.scalars import GaussianIntArray, GaussianRational, gr
 
 
 ONE, E1, E2, E3, I, IE1, IE2, IE3 = basis_elements(exact=True)
@@ -216,21 +216,6 @@ def test_unit_products_pass_components_through():
     prod = E1 * q
     assert prod.x is q.w and prod.z is q.y
     assert prod == Biquaternion(-q.x, q.w, -q.z, q.y)
-
-
-def test_monomial_product_map():
-    rng = random.Random(60)
-    q = random_rational_biquaternion(rng).components()
-    for j in range(4):
-        for c in (gr(0, -1), gr(Fraction(-3, 4), 2)):
-            m = _monomial(j, c)
-            assert Biquaternion(*monomial_product(m.components(), True)(q)) == m * Biquaternion(*q)
-            assert Biquaternion(*monomial_product(m.components(), False)(q)) == Biquaternion(*q) * m
-    # no kernel for the zero element, two nonzero components or float components
-    for p in (Biquaternion.zero(), E1 + E2, E1.to_float()):
-        assert monomial_product(p.components()) is None
-    with pytest.raises(MixedBackend):
-        monomial_product(E2.components())(Biquaternion(gr(1), 0.5j, gr(0), gr(2)).components())
 
 
 def test_mixed_element_takes_the_componentwise_product():

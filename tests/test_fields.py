@@ -232,6 +232,28 @@ def test_products_by_constants_keep_their_operand():
     assert (p * gr(0, 1)).terms == p.map_coeffs(lambda c: c * gr(0, 1)).terms
 
 
+def test_unit_products_keep_the_denominator_and_take_no_reduction(monkeypatch):
+    rng = random.Random(43)
+    p = random_poly_field(rng).modes[(0, 0, 0, 0)][0]
+    assert p._den > 1
+    units = [Biquaternion.vector(0, -1, 0), Biquaternion.scalar(gr(0, 1)),
+             Biquaternion.scalar(gr(-1)), Biquaternion.vector(0, 0, gr(0, -1))]
+    expected = {}
+    for n, q in enumerate(units):
+        expected[f"lmul {n}"] = (lambda q=q: p.lmul(q), lambda c, q=q: q * c)
+        expected[f"rmul {n}"] = (lambda q=q: p.rmul(q), lambda c, q=q: c * q)
+    for c in (-1, gr(0, 1), gr(0, -1)):
+        expected[f"scale {c}"] = (lambda c=c: p.scale(c), lambda x, c=c: x * c)
+    reductions = []
+    monkeypatch.setattr(fields, "_canonical",
+                        lambda rows, den: reductions.append(den) or fields.Poly._exact(rows, den))
+    for name, (product, fn) in expected.items():
+        got = product()
+        assert got._den == p._den, name
+        assert reductions == [], name
+        assert dict(got.terms) == {e: fn(c) for e, c in p.terms.items()}, name
+
+
 def test_float_fields_take_the_plain_product():
     k = (1.0, 0.5, 0.0, 0.0)
     amplitude = Biquaternion(0.5 + 1j, -2.0, 0.25j, 1.5)
@@ -242,12 +264,9 @@ def test_float_fields_take_the_plain_product():
         assert not got.is_zero()
         assert _snapshot(got) == _snapshot(f.map_coeffs(fn))
     assert nabla(f).eval_float((0.1, 0.2, 0.3, 0.4)).max_abs() > 0
-    # an exact field holding a float coefficient is malformed: the kernel refuses it
-    mixed = Field.polynomial(Poly({(0, 0, 0, 0): Biquaternion.one(),
-                                   (1, 0, 0, 0): Biquaternion.vector(1, 0, 0)}))
-    mixed.modes[(0, 0, 0, 0)][0].terms[(1, 0, 0, 0)] = amplitude
+    # a Poly of exact and float coefficients is malformed: the constructor refuses it
     with pytest.raises(MixedBackend):
-        mixed.lmul(e2)
+        Poly({(0, 0, 0, 0): Biquaternion.one(), (1, 0, 0, 0): amplitude})
 
 
 def _pairing_operands(rng):
@@ -303,12 +322,9 @@ def test_scalar_of_product_rejects_a_mix_of_backends():
     for x, y in ((exact, approx), (approx, exact)):
         with pytest.raises(MixedBackend):
             x.scalar_of_product(y)
-    mixed = Field.polynomial(Poly({(0, 0, 0, 0): Biquaternion.one(),
-                                   (1, 0, 0, 0): Biquaternion.vector(1, 0, 0)}))
-    mixed.modes[(0, 0, 0, 0)][0].terms[(1, 0, 0, 0)] = _float_biquaternion(rng)
-    for x, y in ((mixed, exact), (exact, mixed), (mixed, mixed)):
-        with pytest.raises(MixedBackend):
-            x.scalar_of_product(y)
+    # an exact field cannot hold a float coefficient: the Poly constructor refuses it
+    with pytest.raises(MixedBackend):
+        Poly({(0, 0, 0, 0): Biquaternion.one(), (1, 0, 0, 0): _float_biquaternion(rng)})
 
 
 def test_wave_vector_keys_are_ints_when_integral():

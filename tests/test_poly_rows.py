@@ -1,0 +1,285 @@
+"""Exact Polys as integer rows over one shared denominator.
+
+An exact ``Poly`` stores each coefficient as eight ints (A_w, B_w, ..., A_z,
+B_z) over one denominator for the whole Poly, and each operation runs on
+those ints.  Every operation here is checked against the same operation done
+coefficient by coefficient on ``terms`` with ``Biquaternion`` arithmetic,
+and every result must be in canonical form.  The integer Hamilton and
+pairing formulas of ``scalars`` are checked against the 2x2 matrix oracle of
+``perfbench/oracle.py``, loaded by path.
+"""
+
+import importlib.util
+import math
+import os
+import random
+from fractions import Fraction
+
+from bqspin.biquaternion import (
+    Biquaternion,
+    DEFAULT_FRAME,
+    random_rational_biquaternion,
+)
+from bqspin.fields import Field, Poly, random_poly_field
+from bqspin.scalars import GaussianRational, _hamilton_int, _pairing_int, gr
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+HALF = Fraction(1, 2)
+
+
+def _load_oracle():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_oracle", os.path.join(ROOT, "perfbench", "oracle.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# -- reference arithmetic on terms ------------------------------------------------
+
+
+def _nonzero(terms):
+    return {e: c for e, c in terms.items() if not c.is_zero()}
+
+
+def _ref_add(p, q, sign=1):
+    out = dict(p)
+    for e, c in q.items():
+        c = c if sign > 0 else -c
+        out[e] = out[e] + c if e in out else c
+    return _nonzero(out)
+
+
+def _ref_map(p, fn):
+    return _nonzero({e: fn(c) for e, c in p.items()})
+
+
+def _ref_mul(p, q, coeff_mul):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            c = coeff_mul(c1, c2)
+            out[e] = out[e] + c if e in out else c
+    return _nonzero(out)
+
+
+def _ref_derivative(p, var):
+    out = {}
+    for e, c in p.items():
+        if e[var]:
+            ne = list(e)
+            ne[var] -= 1
+            out[tuple(ne)] = c * e[var]
+    return out
+
+
+def _snapshot(f: Field):
+    return {k: (dict(pc.terms), dict(ps.terms)) for k, (pc, ps) in f.modes.items()}
+
+
+def _clean(modes):
+    """Reference modes with the zero vector's sin part and zero modes dropped."""
+    out = {}
+    for k, (pc, ps) in modes.items():
+        if not any(k):
+            ps = {}
+        if pc or ps:
+            out[k] = (pc, ps)
+    return out
+
+
+def _ref_field_add(x, y, sign=1):
+    out = dict(x)
+    for k, (pc, ps) in y.items():
+        old = out.get(k, ({}, {}))
+        out[k] = (_ref_add(old[0], pc, sign), _ref_add(old[1], ps, sign))
+    return _clean(out)
+
+
+def _ref_field_mul(x, y, coeff_mul):
+    """(P cos a + Q sin a)(R cos b + S sin b) by the angle sum and difference."""
+    out = {}
+
+    def put(k, pc, ps):
+        for c in k:
+            if c:
+                if c < 0:
+                    k, ps = tuple(-v for v in k), _ref_map(ps, lambda v: -v)
+                break
+        old = out.get(k, ({}, {}))
+        out[k] = (_ref_add(old[0], pc), _ref_add(old[1], ps))
+
+    def half(p):
+        return _ref_map(p, lambda c: c * HALF)
+
+    for ka, (p, q) in x.items():
+        for kb, (r, s) in y.items():
+            pr, qs = _ref_mul(p, r, coeff_mul), _ref_mul(q, s, coeff_mul)
+            ps, qr = _ref_mul(p, s, coeff_mul), _ref_mul(q, r, coeff_mul)
+            put(tuple(a + b for a, b in zip(ka, kb)),
+                half(_ref_add(pr, qs, -1)), half(_ref_add(ps, qr)))
+            put(tuple(a - b for a, b in zip(ka, kb)),
+                half(_ref_add(pr, qs)), half(_ref_add(qr, ps, -1)))
+    return _clean(out)
+
+
+def _ref_field_derivative(x, var):
+    out = {}
+    for k, (pc, ps) in x.items():
+        dphi = k[0] if var == 0 else -k[var]
+        out[k] = (_ref_add(_ref_derivative(pc, var), _ref_map(ps, lambda c: c * dphi)),
+                  _ref_add(_ref_derivative(ps, var), _ref_map(pc, lambda c: c * dphi), -1))
+    return _clean(out)
+
+
+def _ref_field_map(x, fn):
+    return _clean({k: (_ref_map(pc, fn), _ref_map(ps, fn)) for k, (pc, ps) in x.items()})
+
+
+# -- canonical form -------------------------------------------------------------------
+
+
+def _assert_canonical(p: Poly, name):
+    den, rows = p._den, p._rows
+    assert type(den) is int and den > 0, name
+    assert all(type(x) is int for row in rows.values() for x in row), name
+    assert all(len(row) == 8 and any(row) for row in rows.values()), name
+    assert math.gcd(den, *(x for row in rows.values() for x in row)) == 1, name
+
+
+def _assert_canonical_field(f: Field, name):
+    for k, (pc, ps) in f.modes.items():
+        assert pc._rows or ps._rows, (name, k)
+        _assert_canonical(pc, (name, k))
+        _assert_canonical(ps, (name, k))
+
+
+# -- operands ----------------------------------------------------------------------------
+
+
+def _operands(rng):
+    """Exact fields with polynomial parts, trig modes and products of two trig modes."""
+    k1 = (2, 1, 0, 0)
+    k2 = (1, 0, Fraction(-1, 2), 3)
+
+    def trig(k):
+        return Field.trig(k, random_rational_biquaternion(rng), random_rational_biquaternion(rng))
+
+    return [random_poly_field(rng), trig(k1), random_poly_field(rng) + trig(k2),
+            trig(k1) * trig(k2) + random_poly_field(rng),
+            (random_poly_field(rng, n_terms=2, max_deg=2) * trig(k2)) * trig(k1),
+            Field.zero()]
+
+
+def _constants(rng):
+    """Unit monomials, non-unit monomials and general exact constants."""
+    return [Biquaternion.vector(0, -1, 0), Biquaternion.scalar(gr(0, 1)),
+            Biquaternion.vector(0, 0, gr(0, -1)), Biquaternion.scalar(gr(-1)),
+            Biquaternion.vector(Fraction(3, 5), 0, 0), Biquaternion.scalar(gr(Fraction(2, 7), 3)),
+            Biquaternion.vector(0, gr(0, Fraction(-5, 4)), 0),
+            random_rational_biquaternion(rng), DEFAULT_FRAME.sigma, DEFAULT_FRAME.i_nu,
+            Biquaternion.zero()]
+
+
+def test_linear_operations_match_the_coefficient_arithmetic():
+    rng = random.Random(50)
+    for _ in range(3):
+        xs, ys = _operands(rng), _operands(rng)
+        for n, x in enumerate(xs):
+            sx = _snapshot(x)
+            cases = {"neg": (-x, _ref_field_map(sx, lambda c: -c))}
+            for m, y in enumerate(ys + [x]):
+                sy = _snapshot(y)
+                cases[f"sum {m}"] = (x + y, _ref_field_add(sx, sy))
+                cases[f"difference {m}"] = (x - y, _ref_field_add(sx, sy, -1))
+            for name, (got, want) in cases.items():
+                assert _snapshot(got) == want, (n, name)
+                _assert_canonical_field(got, (n, name))
+
+
+def test_products_match_the_coefficient_arithmetic():
+    rng = random.Random(51)
+    for _ in range(2):
+        xs, ys = _operands(rng), _operands(rng)
+        for n, x in enumerate(xs):
+            for m, y in enumerate(ys):
+                sx, sy = _snapshot(x), _snapshot(y)
+                got = x * y
+                assert _snapshot(got) == _ref_field_mul(sx, sy, lambda a, b: a * b), (n, m)
+                _assert_canonical_field(got, (n, m))
+                got = x.scalar_of_product(y)
+                want = _ref_field_mul(sx, sy, lambda a, b: Biquaternion.scalar((a * b).w))
+                assert _snapshot(got) == want, (n, m)
+                _assert_canonical_field(got, (n, m))
+
+
+def test_products_by_constants_match_the_coefficient_arithmetic():
+    rng = random.Random(52)
+    for x in _operands(rng):
+        sx = _snapshot(x)
+        cases = {}
+        for n, q in enumerate(_constants(rng)):
+            cases[f"lmul {n}"] = (x.lmul(q), lambda c, q=q: q * c)
+            cases[f"rmul {n}"] = (x.rmul(q), lambda c, q=q: c * q)
+        for c in (3, -1, 0, Fraction(-5, 6), Fraction(7, 2), gr(0, 1), gr(0, -1),
+                  gr(Fraction(2, 3), -1), gr(-4, Fraction(1, 9))):
+            cases[f"scale {c!r}"] = (x.scale(c), lambda v, c=c: v * c)
+        for name, (got, fn) in cases.items():
+            assert _snapshot(got) == _ref_field_map(sx, fn), name
+            _assert_canonical_field(got, name)
+
+
+def test_unary_operations_match_the_coefficient_arithmetic():
+    rng = random.Random(53)
+    for x in _operands(rng):
+        sx = _snapshot(x)
+        cases = {}
+        for name in ("bar", "star", "plus", "reverse"):
+            cases[name] = (getattr(x, name)(), _ref_field_map(sx, getattr(Biquaternion, name)))
+        cases["scalar_part"] = (x.scalar_part(),
+                                _ref_field_map(sx, lambda c: Biquaternion.scalar(c.w)))
+        cases["vector_part"] = (x.vector_part(), _ref_field_map(sx, Biquaternion.vector_part))
+        for var in range(4):
+            cases[f"derivative {var}"] = (x.derivative(var), _ref_field_derivative(sx, var))
+        for name, (got, want) in cases.items():
+            assert _snapshot(got) == want, name
+            _assert_canonical_field(got, name)
+
+
+def test_the_constructor_is_canonical_and_the_empty_poly_has_den_one():
+    rng = random.Random(54)
+    third = Biquaternion.scalar(gr(Fraction(1, 3)))
+    terms = {(0, 0, 0, 0): third * 3, (1, 0, 0, 0): third * 6, (0, 2, 0, 0): third,
+             (0, 0, 1, 0): Biquaternion.zero(), (0, 0, 0, 1): random_rational_biquaternion(rng),
+             (2, 0, 0, 0): Biquaternion(1, 0, Fraction(1, 2), gr(0, 1))}
+    p = Poly(terms)
+    _assert_canonical(p, "constructor")
+    assert dict(p.terms) == _nonzero(terms)
+    assert all(type(c) is GaussianRational for q in p.terms.values() for c in q.components())
+    for empty in (Poly(), Poly({(1, 0, 0, 0): Biquaternion.zero()}), p - p, p * Poly(),
+                  p.scale(0), p.derivative(0).derivative(0).derivative(0)):
+        assert empty._rows == {} and empty._den == 1
+    assert len(p.terms) == 5 and (0, 0, 1, 0) not in p.terms
+
+
+def test_integer_formulas_match_the_matrix_oracle():
+    oracle = _load_oracle()
+    rng = random.Random(55)
+    rows = [tuple(rng.randint(-9, 9) for _ in range(8)) for _ in range(40)]
+    rows += [tuple(rng.randint(-2 ** 70, 2 ** 70) for _ in range(8)) for _ in range(10)]
+    rows += [tuple(int(n == k) for n in range(8)) for k in range(8)]
+
+    def element(row):
+        return Biquaternion(*(GaussianRational(row[2 * k], row[2 * k + 1]) for k in range(4)))
+
+    for p in rows:
+        mp = oracle.to_matrix(element(p))
+        for q in rng.sample(rows, 12):
+            mq = oracle.to_matrix(element(q))
+            assert oracle.to_matrix(element(_hamilton_int(p, q))) == oracle._matmul(mp, mq)
+            # p_w q_w + ... + p_z q_z = scal(p.bar() q), half the trace of adj(M(p)) M(q)
+            re, im = _pairing_int(p, q)
+            m = oracle._matmul(oracle._adjugate(mp), mq)
+            trace = oracle._add(m[0][0], m[1][1])
+            assert (Fraction(re), Fraction(im)) == (trace[0] / 2, trace[1] / 2)

@@ -33,3 +33,30 @@ def test_every_counted_name_is_wrapped():
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     assert out["counted"] > 0
     assert out["missing"] == []
+
+
+_EXERCISED_SCRIPT = """
+import json, sys
+sys.path[:0] = [{perfbench!r}, {src!r}]
+import worker, workloads
+from bqspin import cli, harness
+workload = workloads.FIELD_IDENTITIES
+rnd, tracer, peak, missing = worker.traced_round(harness, cli, workloads.suites_of(workload), 1)
+metrics = worker.layer_metrics(tracer, peak, 1.0)
+print(json.dumps({{"failures": rnd["failures"], "missing": missing,
+                  "exercised": {{name: metrics[name] for name in worker.EXERCISED[workload]}}}}))
+"""
+
+
+def test_a_traced_field_identities_round_exercises_every_counter():
+    # a counter that reads zero on the workload meant to exercise it makes
+    # every traced benchmark run of that workload read correct: false
+    script = _EXERCISED_SCRIPT.format(perfbench=os.path.join(ROOT, "perfbench"),
+                                      src=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=300, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["failures"] == [] and out["missing"] == []
+    assert out["exercised"]
+    assert {name: n for name, n in out["exercised"].items() if not n} == {}
