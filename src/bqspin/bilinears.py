@@ -7,6 +7,11 @@ an explicit bilinear in the equation residuals, exactly; on solutions the
 corrections vanish.  A bilinear that keeps only the scalar part of a
 product, scal(x y), is ``Field.scalar_of_product``, which forms no vector
 part.
+
+``CovariantSet`` uses only ``*``, ``+``, ``-``, ``plus``, ``bar`` and
+``scalar_of_product`` of its pair, so it runs on exact Fields and on
+Biquaternions alike.  Fields are exact, so the float check of the
+covariance characters (eqs. 37-38) runs it on float Biquaternions.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ from .lorentz import act
 
 
 class CovariantSet:
-    """The eight bilinear covariants of a field pair (a, b).
+    """The eight bilinear covariants of a pair (a, b) of Fields or of
+    Biquaternions (see the module docstring).
 
     Each covariant, and each product two of them share, is built on its
     first read and kept, so a caller pays only for the covariants it reads.
@@ -27,7 +33,7 @@ class CovariantSet:
     covariants were read before it.
     """
 
-    def __init__(self, a: Field, b: Field):
+    def __init__(self, a: Field | Biquaternion, b: Field | Biquaternion):
         self._a = a
         self._b = b
 
@@ -94,7 +100,7 @@ class CovariantSet:
         return self._ab_bar - self._ab_bar.plus()
 
 
-def covariants(a: Field, b: Field) -> CovariantSet:
+def covariants(a: Field | Biquaternion, b: Field | Biquaternion) -> CovariantSet:
     return CovariantSet(a, b)
 
 
@@ -168,34 +174,28 @@ def covariance_characters(L, f, rng_values):
     Returns the maximum deviation found for each claim.
     """
     sg = f.to_float().sigma
-
-    def fconst(q):
-        return Field.constant(q)
-
     worst = {"s_p": 0.0, "s_a": 0.0, "v_p": 0.0, "v_a": 0.0,
              "polar": 0.0, "axial": 0.0, "six": 0.0, "amplitude": 0.0}
     for a0, b0 in rng_values:
-        a, b = fconst(a0), fconst(b0)
-        cov = covariants(a, b)
+        cov = covariants(a0, b0)
         ta0, tb0 = act("three_half_L", "A", L, a0, f), act("three_half_L", "B", L, b0, f)
-        tcov = covariants(fconst(ta0), fconst(tb0))
+        tcov = covariants(ta0, tb0)
         worst["s_p"] = max(worst["s_p"], (tcov.s_p - cov.s_p).max_abs())
         worst["s_a"] = max(worst["s_a"], (tcov.s_a - cov.s_a).max_abs())
         for name in ("v_p", "v_a"):
-            expect = getattr(cov, name).lmul(L).rmul(L.plus())
+            expect = L * getattr(cov, name) * L.plus()
             worst[name] = max(worst[name], (getattr(tcov, name) - expect).max_abs())
         worst["amplitude"] = max(worst["amplitude"], abs(complex(
             amplitude(ta0, tb0) - amplitude(a0, b0))))
 
         # spinor row: project onto the sigma ideal first
         sa0, sb0 = a0 * sg, b0 * sg
-        scov = covariants(fconst(sa0), fconst(sb0))
-        tscov = covariants(fconst(act("half_plus", "A", L, sa0, f)),
-                           fconst(act("half_plus", "B", L, sb0, f)))
+        scov = covariants(sa0, sb0)
+        tscov = covariants(act("half_plus", "A", L, sa0, f), act("half_plus", "B", L, sb0, f))
         for name in ("polar", "axial"):
-            expect = getattr(scov, name).lmul(L).rmul(L.plus())
+            expect = L * getattr(scov, name) * L.plus()
             worst[name] = max(worst[name], (getattr(tscov, name) - expect).max_abs())
-        expect_six = scov.six.lmul(L).rmul(L.bar())
+        expect_six = L * scov.six * L.bar()
         worst["six"] = max(worst["six"], (tscov.six - expect_six).max_abs())
 
     return worst

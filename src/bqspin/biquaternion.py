@@ -200,6 +200,11 @@ class Biquaternion:
         return Biquaternion(self.w, self.x.conjugate(), self.y.conjugate(),
                             self.z.conjugate())
 
+    def scalar_of_product(self, other):
+        """scal(self * other) as a scalar element: the Minkowski pairing of
+        self.bar() with other, as ``fields.Field.scalar_of_product`` is."""
+        return Biquaternion.scalar(minkowski_product(self.bar(), other))
+
     # -- norms and classification ---------------------------------------------
 
     def norm(self):

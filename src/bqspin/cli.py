@@ -106,9 +106,6 @@ def main(argv=None):
             print(f"config error: BQSPIN_SEED={env!r} is not an integer",
                   file=sys.stderr)
             return 2
-    if args.tol is not None and args.tol < 0:
-        print("config error: tolerance must be nonnegative", file=sys.stderr)
-        return 2
     # an unwritable report path is found before the suites run, not after
     if args.out:
         err = _write_error(args.out)

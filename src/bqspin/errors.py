@@ -38,7 +38,8 @@ class ConfigError(BqspinError):
 
 
 class MixedBackend(BqspinError):
-    """A value mixes exact (Gaussian-rational) and float components."""
+    """A value mixes exact (Gaussian-rational) and float components, or float
+    data enters a field, which is exact by type."""
 
 
 class NotAPlaneWave(BqspinError):

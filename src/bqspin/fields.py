@@ -6,7 +6,10 @@ coefficients and phase phi = k0*t - k.x for a fixed real wave 4-vector k.
 The class is closed under addition, products (including products of two
 trigonometric modes via angle sum/difference), all four conjugations, and
 partial derivatives, so every identity in the wave-equation suites can be
-checked exactly in the rational backend.
+checked exactly.  Fields are exact by type: every coefficient is a Gaussian
+rational biquaternion and every wave vector rational, and float data raises
+``MixedBackend`` where it would enter (``Poly``, ``Field.trig``, ``lmul``,
+``rmul``, ``scale`` and ``map_coeffs``).
 
 The quaternion four-gradient is frozen to
 
@@ -25,14 +28,12 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
 
 from .biquaternion import (
     DEFAULT_FRAME,
     Biquaternion,
     Frame,
     basis_elements,
-    minkowski_product,
     random_rational_biquaternion,
 )
 from .errors import (
@@ -61,9 +62,9 @@ _E_UNITS = tuple(basis_elements()[1:4])
 _HALF = gr(Fraction(1, 2))
 
 
-# -- exact coefficient rows ---------------------------------------------------------
+# -- coefficient rows ---------------------------------------------------------------
 #
-# An exact Poly stores each coefficient as a row of eight ints
+# A Poly stores each coefficient as a row of eight ints
 # (A_w, B_w, A_x, B_x, A_y, B_y, A_z, B_z), the components (A + iB)/den over
 # one denominator den > 0 shared by the whole Poly: the format of
 # ``scalars._hamilton_int``.  The form is canonical: no row is zero, the gcd
@@ -100,7 +101,7 @@ _REVERSE_ROW = _sign_pattern(1, 1, 1, -1, 1, -1, 1, -1)
 
 
 def _canonical(rows, den):
-    """The exact Poly of rows (none zero) over den > 0, in lowest terms.
+    """The Poly of rows (none zero) over den > 0, in lowest terms.
 
     The gcd of den and the entries is taken once, row by row, and stops at
     the first row that brings it to 1.
@@ -118,7 +119,7 @@ def _canonical(rows, den):
 
 
 class _Terms(Mapping):
-    """Read-only view of an exact Poly's coefficients: each Biquaternion is
+    """Read-only view of a Poly's coefficients: each Biquaternion is
     built from its row when it is read, and the length costs O(1)."""
 
     __slots__ = ("_rows", "_den")
@@ -143,21 +144,18 @@ class _Terms(Mapping):
 
 
 class Poly:
-    """Polynomial in (t, x1, x2, x3) with biquaternion coefficients.
+    """Polynomial in (t, x1, x2, x3) with exact biquaternion coefficients.
 
-    A Poly is exact or float, by its coefficients; the empty Poly is both.
-    An exact Poly is a dict of exponent tuples to integer rows over one
-    shared denominator (see the row format above), so each operation is
-    integer arithmetic with one reduction per result, and a component that
-    is zero costs an int 0.  A float Poly holds ``Biquaternion``
-    coefficients of complex components and runs the component-wise
-    arithmetic of ``biquaternion``.  ``terms`` reads either as a mapping of
-    exponents to ``Biquaternion``s.  No stored coefficient is zero.
+    A Poly is a dict of exponent tuples to integer rows over one shared
+    denominator (see the row format above), so each operation is integer
+    arithmetic with one reduction per result, and a component that is zero
+    costs an int 0.  ``terms`` reads it as a mapping of exponents to
+    ``Biquaternion``s.  No stored coefficient is zero.
 
-    The constructor picks the form from the coefficients and raises
-    ``MixedBackend`` on a mix, as every sum, difference and product of an
-    exact and a float Poly does.  ``lmul``, ``rmul`` and ``scale`` read
-    their constant once per call (see ``_multiplier``).
+    The constructor raises ``MixedBackend`` on any float coefficient, zero
+    or not, and ``lmul``, ``rmul`` and ``scale`` on a float constant, so
+    no float reaches the rows.  Those three read their constant once per
+    call (see ``_multiplier``).
     """
 
     __slots__ = ("_rows", "_den")
@@ -166,15 +164,11 @@ class Poly:
         if not terms:
             self._rows, self._den = {}, 1
             return
-        coeffs = {tuple(e): c for e, c in terms.items() if not c.is_zero()}
-        kinds = {c.is_exact() for c in coeffs.values()}
-        if len(kinds) > 1:
-            raise MixedBackend("a Poly mixes exact and float coefficients")
-        if False in kinds:
-            self._rows, self._den = coeffs, None
-            return
-        parts = {e: _integral([x if type(x) is GaussianRational else gr(x) for x in c.components()])
-                 for e, c in coeffs.items()}
+        parts = {}
+        for e, c in terms.items():
+            row = _exact_row(c)
+            if any(row[0]):
+                parts[tuple(e)] = row
         den = math.lcm(*(d for _, d in parts.values()))
         p = _canonical({e: row if d == den else tuple([x * (den // d) for x in row])
                         for e, (row, d) in parts.items()}, den)
@@ -189,22 +183,12 @@ class Poly:
         return p
 
     @staticmethod
-    def _float(terms):
-        """The float Poly of a dict of exponents to nonzero float coefficients."""
-        p = object.__new__(Poly)
-        p._rows = terms
-        p._den = None if terms else 1
-        return p
-
-    @staticmethod
     def constant(q: Biquaternion):
         return Poly({(0, 0, 0, 0): q})
 
     @property
     def terms(self):
         """The coefficients, a read-only mapping of exponent tuples to Biquaternions."""
-        if self._den is None:
-            return MappingProxyType(self._rows)
         return _Terms(self._rows, self._den)
 
     def is_zero(self):
@@ -219,13 +203,10 @@ class Poly:
     def _combine(self, other, subtract):
         """self + other, or self - other term by term when subtract is True.
 
-        Exact rows are added at a common denominator (an lcm only when the
-        two differ), and the result is reduced only when two rows met.
+        Rows are added at a common denominator (an lcm only when the two
+        differ), and the result is reduced only when two rows met.
         """
         d1, d2 = self._den, other._den
-        if d1 is None or d2 is None:
-            _same_backend(self, other)
-            return _float_combine(self._rows, other._rows, subtract)
         r1, r2 = self._rows, other._rows
         if not r2:
             return self
@@ -257,8 +238,6 @@ class Poly:
         return _canonical(out, den) if met else Poly._exact(out, den)
 
     def __neg__(self):
-        if self._den is None:
-            return Poly._float({e: -c for e, c in self._rows.items()})
         return Poly._exact({e: _neg_row(r) for e, r in self._rows.items()}, self._den)
 
     def __mul__(self, other):
@@ -273,14 +252,10 @@ class Poly:
         is the Minkowski pairing in place of the Hamilton product: each sum
         is a scalar, the scalar part of a coefficient.
 
-        Exact rows take the integer Hamilton product (or pairing) of
+        The rows take the integer Hamilton product (or pairing) of
         ``scalars``, are summed per exponent as ints over d1 * d2, and the
         result is reduced once.
         """
-        d1, d2 = self._den, other._den
-        if d1 is None or d2 is None:
-            _same_backend(self, other)
-            return _float_product(self._rows, other._rows, pairing)
         kernel = _pairing_int if pairing else _hamilton_int
         out = {}
         for (t, x, y, z), a in self._rows.items():
@@ -298,7 +273,7 @@ class Poly:
             rows = {e: (re, im, 0, 0, 0, 0, 0, 0) for e, (re, im) in out.items() if re or im}
         else:
             rows = {e: v for e, v in out.items() if any(v)}
-        return _canonical(rows, d1 * d2)
+        return _canonical(rows, self._den * other._den)
 
     def scale(self, c):
         """Multiply by a commuting scalar; an exact 1 returns the Poly itself."""
@@ -311,43 +286,27 @@ class Poly:
         return self._times(q, False)
 
     def _times(self, q, left):
-        return _multiplier(q, left, self._den is not None)(self)
+        return _multiplier(q, left)(self)
 
     def map_coeffs(self, fn):
-        """The Poly of fn(c) for every coefficient c, built by the constructor."""
+        """The Poly of fn(c) for every coefficient c, built by the constructor
+        (so a float value raises ``MixedBackend``)."""
         return Poly({e: fn(c) for e, c in self.terms.items()})
 
-    def _mapped(self, fn):
-        """map_coeffs for an fn whose values are float, such as a product
-        with a float constant: only the zero check, as the float path does."""
-        out = {}
-        for e, c in self.terms.items():
-            v = fn(c)
-            if not v.is_zero():
-                out[e] = v
-        return Poly._float(out)
-
-    def _involution(self, row_map, fn):
-        """The involution with row map row_map on exact rows and method fn
-        on float coefficients; neither makes a zero or changes a gcd."""
-        if self._den is None:
-            return Poly._float({e: fn(c) for e, c in self._rows.items()})
+    def _involution(self, row_map):
+        """The involution with sign pattern row_map; it makes no zero and
+        changes no gcd."""
         return Poly._exact({e: row_map(r) for e, r in self._rows.items()}, self._den)
 
     def _scalar_part(self):
-        if self._den is None:
-            return self._mapped(lambda c: Biquaternion.scalar(c.w))
         return _canonical({e: (r[0], r[1], 0, 0, 0, 0, 0, 0)
                            for e, r in self._rows.items() if r[0] or r[1]}, self._den)
 
     def _vector_part(self):
-        if self._den is None:
-            return self._mapped(Biquaternion.vector_part)
         return _canonical({e: (0, 0) + r[2:] for e, r in self._rows.items() if any(r[2:])},
                           self._den)
 
     def derivative(self, var: int):
-        exact = self._den is not None
         out = {}
         for e, c in self._rows.items():
             n = e[var]
@@ -358,8 +317,8 @@ class Poly:
             if n == 1:
                 out[tuple(ne)] = c
             else:
-                out[tuple(ne)] = tuple([n * x for x in c]) if exact else c * n
-        return _canonical(out, self._den) if exact else Poly._float(out)
+                out[tuple(ne)] = tuple([n * x for x in c])
+        return _canonical(out, self._den)
 
     def eval_float(self, point):
         total = Biquaternion.scalar(0.0)
@@ -377,45 +336,6 @@ class Poly:
         return f"Poly({len(self._rows)} terms)"
 
 
-def _same_backend(p, q):
-    """Raise MixedBackend unless the Polys p and q share a backend; the
-    empty Poly shares either."""
-    if p._rows and q._rows and (p._den is None) != (q._den is None):
-        raise MixedBackend("a Poly operation mixes exact and float coefficients")
-
-
-def _float_combine(terms, other, subtract):
-    """The float Poly of terms + other, or terms - other, term by term."""
-    out = dict(terms)
-    for e, c in other.items():
-        s = out.get(e)
-        if s is None:
-            out[e] = -c if subtract else c
-            continue
-        s = s - c if subtract else s + c
-        if s.is_zero():
-            del out[e]
-        else:
-            out[e] = s
-    return Poly._float(out)
-
-
-def _float_product(terms, other, pairing):
-    """The float Poly product of two coefficient dicts (see Poly._product)."""
-    mul = minkowski_product if pairing else operator.mul
-    out = {}
-    for e1, c1 in terms.items():
-        for e2, c2 in other.items():
-            e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-            c = mul(c1, c2)
-            s = out.get(e)
-            s = c if s is None else s + c
-            out[e] = s
-    if pairing:
-        return Poly._float({e: Biquaternion.scalar(s) for e, s in out.items() if s})
-    return Poly._float({e: c for e, c in out.items() if not c.is_zero()})
-
-
 def _poly_pairing(p, q):
     """The Poly product of p and q with the Minkowski pairing as coefficient product."""
     return p._product(q, True)
@@ -427,38 +347,36 @@ def _is_exact_one(c):
 
 
 def _exact_row(q):
-    """An exact constant (Biquaternion or scalar) as (row, denominator); None
-    for a constant that is not exact."""
+    """An exact constant (Biquaternion or scalar) as (row, denominator).
+
+    Raises MixedBackend on float data: a float or complex scalar, or a
+    Biquaternion with a component that is not exact.
+    """
     if isinstance(q, Biquaternion):
         w, x, y, z = q.components()
         if type(w) is type(x) is type(y) is type(z) is GaussianRational:
             return _integral((w, x, y, z))
-        return None
-    if isinstance(q, (int, Fraction)):
+        if q.is_exact():
+            return _integral([c if type(c) is GaussianRational else gr(c) for c in (w, x, y, z)])
+    elif isinstance(q, (int, Fraction)):
         return (q.numerator, 0, 0, 0, 0, 0, 0, 0), q.denominator
-    if isinstance(q, GaussianRational):
+    elif isinstance(q, GaussianRational):
         return _integral((q, GR_ZERO, GR_ZERO, GR_ZERO))
-    return None
+    raise MixedBackend(f"a field is exact; got the float value {q!r}")
 
 
-def _multiplier(q, left, exact):
-    """The map p -> q*p (left) or p*q on Polys, for a Biquaternion or
-    commuting scalar q read once per call.
+def _multiplier(q, left):
+    """The map p -> q*p (left) or p*q on Polys, for an exact Biquaternion or
+    commuting scalar q read once per call; a float q raises MixedBackend.
 
-    On exact Polys (exact True) and an exact q:
     - q = 0 gives the zero Poly;
     - q = c*e_j with c = 1, -1, i or -i is a signed permutation of each row,
       with the same denominator and no reduction;
     - a real scalar a/d multiplies the entries by a;
     - any other q is the integer Hamilton product of each row with q's.
-    The last two multiply the denominators and reduce once.  Any other
-    case is the plain product of each coefficient with q.
+    The last two multiply the denominators and reduce once.
     """
-    row = _exact_row(q) if exact else None
-    if row is None:
-        fn = (lambda c: q * c) if left else (lambda c: c * q)
-        return lambda p: p._mapped(fn)
-    qr, dq = row
+    qr, dq = _exact_row(q)
     nonzero = [k for k in range(4) if qr[2 * k] or qr[2 * k + 1]]
     if not nonzero:
         return lambda p: Poly()
@@ -487,19 +405,19 @@ def _multiplier(q, left, exact):
 
 
 def _wave_vector(k):
-    """k as a mode key: a rational wave vector stays exact, like the scalars.
+    """k as a mode key: an integral entry becomes an int and any other a
+    Fraction.  Equal numbers hash alike, so keys of either kind merge; int
+    keys hash and multiply faster.
 
-    An integral rational entry becomes an int, a non-integral one a Fraction
-    and a float stays a float.  Equal numbers hash alike, so keys of either
-    kind merge; int keys hash and multiply faster.
+    Derivatives multiply the coefficients by k, so a float entry is float
+    data in the field and raises MixedBackend.
     """
     out = []
     for c in k:
-        if not isinstance(c, float):
-            c = Fraction(c)
-            if c.denominator == 1:
-                c = c.numerator
-        out.append(c)
+        if isinstance(c, (float, complex)):
+            raise MixedBackend(f"a field is exact; got the float wave vector {k!r}")
+        c = Fraction(c)
+        out.append(c.numerator if c.denominator == 1 else c)
     return tuple(out)
 
 
@@ -528,22 +446,6 @@ def _merge(modes, k, pc, ps, subtract=False):
         del modes[k]
 
 
-def _exact_field(f):
-    """True for a Field of exact coefficients, False for a float one and
-    None for the zero field.  Every operation keeps a Field in one backend,
-    so its first nonzero Poly decides."""
-    for pc, ps in f.modes.values():
-        return (pc if pc._rows else ps)._den is not None
-    return None
-
-
-def _one_backend(f, g):
-    """Raise MixedBackend when the Fields f and g are of different backends."""
-    a, b = _exact_field(f), _exact_field(g)
-    if a is not None and b is not None and a != b:
-        raise MixedBackend("a field operation mixes exact and float coefficients")
-
-
 class Field:
     """Biquaternion-valued function of spacetime, closed under exact calculus.
 
@@ -555,9 +457,9 @@ class Field:
     operands' keys.  A difference is taken mode by mode, with no negated
     copy of the subtrahend.  ``lmul``, ``rmul`` and ``scale`` read their
     constant once per call, not once per Poly.  The product and
-    ``scalar_of_product`` share one mode loop, ``_product``.  A sum,
-    difference or product of an exact and a float field raises
-    ``MixedBackend``.
+    ``scalar_of_product`` share one mode loop, ``_product``.  Like its
+    Polys, a Field is exact: float data raises ``MixedBackend`` where it
+    enters.
     """
 
     __slots__ = ("modes",)
@@ -594,20 +496,12 @@ class Field:
 
     @staticmethod
     def trig(k, cos_coeff: Biquaternion, sin_coeff: Biquaternion):
-        k = _wave_vector(k)
-        pc, ps = Poly.constant(cos_coeff), Poly.constant(sin_coeff)
-        _same_backend(pc, ps)
-        # derivatives multiply the coefficients by k, so a float k is float data
-        exact = any(p._rows and p._den is not None for p in (pc, ps))
-        if exact and any(isinstance(c, float) for c in k):
-            raise MixedBackend("a float wave vector with exact field coefficients")
-        k, ps = _canonical_mode(k, ps)
-        return Field._of({k: (pc, ps)})
+        k, ps = _canonical_mode(_wave_vector(k), Poly.constant(sin_coeff))
+        return Field._of({k: (Poly.constant(cos_coeff), ps)})
 
     # -- linear structure --------------------------------------------------------
 
     def __add__(self, other):
-        _one_backend(self, other)
         out = dict(self.modes)
         for k, (pc, ps) in other.modes.items():
             _merge(out, k, pc, ps)
@@ -617,7 +511,6 @@ class Field:
         return Field._of({k: (-pc, -ps) for k, (pc, ps) in self.modes.items()})
 
     def __sub__(self, other):
-        _one_backend(self, other)
         out = dict(self.modes)
         for k, (pc, ps) in other.modes.items():
             _merge(out, k, pc, ps, subtract=True)
@@ -634,16 +527,12 @@ class Field:
         return self._times(q, False)
 
     def _times(self, q, left):
-        return self._each(_multiplier(q, left, _exact_field(self) is not False))
+        return self._each(_multiplier(q, left))
 
     def map_coeffs(self, fn):
         """The field of fn(c) for every coefficient c; raises MixedBackend
-        when fn gives exact values for some coefficients and float for others."""
-        out = self._each(lambda p: p.map_coeffs(fn))
-        polys = [p for pair in out.modes.values() for p in pair if p._rows]
-        if len({p._den is None for p in polys}) > 1:
-            raise MixedBackend("map_coeffs gave exact and float coefficients")
-        return out
+        when fn gives a float value."""
+        return self._each(lambda p: p.map_coeffs(fn))
 
     # -- products ------------------------------------------------------------------
 
@@ -660,9 +549,7 @@ class Field:
         scal(x y) is the Minkowski pairing of x.bar() with y, so this is the
         mode loop of the product run on self.bar() and other with the
         pairing as the coefficient product.  It equals
-        ``(self * other).scalar_part()``: exactly in the exact backend, and
-        in float bit for bit up to the sign of a zero.  Raises MixedBackend
-        when the coefficients mix exact and float scalars.
+        ``(self * other).scalar_part()`` exactly.
         """
         return self.bar()._product(other, True)
 
@@ -671,7 +558,6 @@ class Field:
         pairing of coefficients (``Poly._product``).  The angle sum and
         difference of two trigonometric modes are bilinear, so either
         coefficient product runs through the same loop."""
-        _one_backend(self, other)
         mul = _poly_pairing if pairing else operator.mul
         out = {}
         for ka, (ca, sa) in self.modes.items():
@@ -704,21 +590,21 @@ class Field:
     # -- conjugations -----------------------------------------------------------------
 
     def bar(self):
-        return self._involution(_BAR_ROW, Biquaternion.bar)
+        return self._involution(_BAR_ROW)
 
     def star(self):
-        return self._involution(_STAR_ROW, Biquaternion.star)
+        return self._involution(_STAR_ROW)
 
     def plus(self):
-        return self._involution(_PLUS_ROW, Biquaternion.plus)
+        return self._involution(_PLUS_ROW)
 
     def reverse(self):
-        return self._involution(_REVERSE_ROW, Biquaternion.reverse)
+        return self._involution(_REVERSE_ROW)
 
-    def _involution(self, row_map, fn):
+    def _involution(self, row_map):
         # an involution keeps every mode, so no zero pair is dropped
         f = object.__new__(Field)
-        f.modes = {k: (pc._involution(row_map, fn), ps._involution(row_map, fn))
+        f.modes = {k: (pc._involution(row_map), ps._involution(row_map))
                    for k, (pc, ps) in self.modes.items()}
         return f
 

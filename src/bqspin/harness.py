@@ -33,7 +33,7 @@ from .biquaternion import (
     random_rational_frame,
     random_real_quaternion,
 )
-from .errors import DegenerateMass, OffShell, UnknownSuite
+from .errors import ConfigError, DegenerateMass, OffShell, UnknownSuite
 from .fields import (
     ExternalField,
     Field,
@@ -907,8 +907,12 @@ def run(suite_filter="*", seed=0, backend=None, tol=None):
 
     Each suite carries its natural backend (exact identities vs float
     exponential sweeps); selecting a backend restricts the run to that
-    portion of the registry.
+    portion of the registry.  A tolerance tol that is not a finite number
+    >= 0 raises ConfigError: every comparison with nan fails, and any
+    finite residual passes inf.
     """
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise ConfigError(f"tolerance must be finite and nonnegative, got {tol!r}")
     matched = [sid for sid in sorted(_REGISTRY) if fnmatch.fnmatch(sid, suite_filter)]
     if backend is not None:
         matched = [sid for sid in matched if _REGISTRY[sid].backend == backend]

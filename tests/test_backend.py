@@ -4,9 +4,9 @@ A biquaternion is exact when its components are Gaussian rationals; exact
 with float gives float; generic code never turns exact input into floats.
 """
 
+import functools
 import importlib
 import inspect
-import operator
 import pkgutil
 import random
 from fractions import Fraction
@@ -106,18 +106,51 @@ def test_field_rejects_a_poly_of_two_backends():
         Field.polynomial(Poly({(0, 0, 0, 0): exact, (1, 0, 0, 0): flt}))
     with pytest.raises(MixedBackend):
         Field.trig((1, 1, 0, 0), exact, flt)
-    # a zero coefficient is dropped, so it has no backend to disagree with
-    assert not Field.trig((1, 1, 0, 0), flt, Biquaternion.zero()).is_zero()
+    # a field is exact by type, so a float trig field is refused too
+    with pytest.raises(MixedBackend):
+        Field.trig((1, 1, 0, 0), flt, Biquaternion.zero())
 
 
 def test_field_rejects_a_float_wave_vector_with_exact_coefficients():
     one, zero = Biquaternion.one(), Biquaternion.zero()
-    with pytest.raises(MixedBackend):
-        Field.trig((0.5, 1, 0, 0), one, zero)
-    # a float wave vector with float coefficients, or a rational one with
-    # exact coefficients, is one backend
-    assert not Field.trig((0.5, 1, 0, 0), one.to_float(), zero).is_zero()
+    # derivatives multiply the coefficients by k, so any float k is float
+    # data, whatever the coefficients
+    for cos_coeff in (one, one.to_float(), zero):
+        with pytest.raises(MixedBackend):
+            Field.trig((0.5, 1, 0, 0), cos_coeff, zero)
     assert not Field.trig((Fraction(1, 2), 1, 0, 0), one, zero).is_zero()
+
+
+def test_float_data_is_rejected_at_every_entry_point():
+    rng = random.Random(5)
+    a, b = random_rational_biquaternion(rng), random_rational_biquaternion(rng)
+    x = Biquaternion(0.5 + 1j, -2.0, 0.25j, 1.5)
+    one, zero = Biquaternion.one(), Biquaternion.zero()
+    entries = {
+        "Poly": lambda: Poly({(0, 0, 0, 0): a, (1, 0, 0, 0): x}),
+        "Poly of a float zero": lambda: Poly({(0, 0, 0, 0): Biquaternion.scalar(0.0)}),
+        "Field.constant": lambda: Field.constant(x),
+        "Field.trig cos": lambda: Field.trig((2, 1, 0, 0), x, zero),
+        "Field.trig sin": lambda: Field.trig((2, 1, 0, 0), one, x),
+        "Field.trig k": lambda: Field.trig((2, 0.5, 0, 0), one, zero),
+    }
+    operands = {"poly field": random_poly_field(rng), "trig field": Field.trig((2, 1, 0, 0), a, b),
+                "Poly": Poly.constant(a), "zero field": Field.zero()}
+    for name, p in operands.items():
+        for op in ("lmul", "rmul", "scale"):
+            for c in (0.5, 1j, x):
+                entries[f"{name}.{op}({c!r})"] = functools.partial(getattr(p, op), c)
+        if not p.is_zero():
+            entries[f"{name}.map_coeffs to float"] = functools.partial(
+                p.map_coeffs, Biquaternion.to_float)
+    accepted = []
+    for name, entry in entries.items():
+        try:
+            entry()
+        except MixedBackend:
+            continue
+        accepted.append(name)
+    assert accepted == []
 
 
 def test_exact_with_float_gives_float():
@@ -132,40 +165,30 @@ def test_field_arithmetic_rejects_a_mix_of_backends():
     rng = random.Random(4)
     a, b = random_rational_biquaternion(rng), random_rational_biquaternion(rng)
     x = Biquaternion(0.5 + 1j, -2.0, 0.25j, 1.5)
-    exact = [Field.constant(a), Field.trig((2, 1, 0, 0), a, b),
-             Field.constant(a) + Field.trig((2, 1, 0, 0), b, a)]
-    approx = [Field.constant(x), Field.trig((1.0, 0.5, 0.0, 0.0), x, x.bar())]
-    ops = (operator.add, operator.sub, operator.mul, Field.scalar_of_product)
-    for f in exact:
-        for g in approx:
-            for op in ops:
-                for left, right in ((f, g), (g, f)):
-                    with pytest.raises(MixedBackend):
-                        op(left, right)
-    pe, pf = Poly.constant(a), Poly.constant(x)
-    for left, right in ((pe, pf), (pf, pe)):
-        for op in (operator.add, operator.sub, operator.mul):
+    # the float operands of a mixed sum, difference or product cannot be built
+    for build in (lambda: Field.constant(x), lambda: Field.trig((1.0, 0.5, 0.0, 0.0), x, x.bar()),
+                  lambda: Poly.constant(x)):
+        with pytest.raises(MixedBackend):
+            build()
+    # and an exact field or Poly times a float constant raises: it does not
+    # turn into a float field
+    fields = [Field.constant(a), Field.trig((2, 1, 0, 0), a, b),
+              Field.constant(a) + Field.trig((2, 1, 0, 0), b, a)]
+    for f in fields + [Poly.constant(a)]:
+        for c in (x, 0.5, 1j):
             with pytest.raises(MixedBackend):
-                op(left, right)
-    with pytest.raises(MixedBackend):
-        Poly({(0, 0, 0, 0): a, (1, 0, 0, 0): x})
-    # an exact constant multiplier on a float field is the plain product
-    e2 = Biquaternion.vector(0, 1, 0)
-    f = approx[1]
-    for got, fn in ((f.lmul(e2), lambda c: e2 * c), (f.rmul(e2), lambda c: c * e2),
-                    (f.scale(Fraction(3, 2)), lambda c: c * Fraction(3, 2))):
-        assert not got.is_zero()
-        assert {k: (dict(pc.terms), dict(ps.terms)) for k, (pc, ps) in got.modes.items()} == {
-            k: ({e: fn(c) for e, c in pc.terms.items()}, {e: fn(c) for e, c in ps.terms.items()})
-            for k, (pc, ps) in f.modes.items()}
-    # the empty Poly and the zero field combine with either backend
-    empty = Poly()
-    for p in (pe, pf):
-        for got in (p + empty, empty + p, p - empty, -(empty - p)):
-            assert dict(got.terms) == dict(p.terms)
-        assert (p * empty).is_zero() and (empty * p).is_zero()
+                f * c
+    for f in fields:
+        for c in (0.5, 1j):
+            with pytest.raises(MixedBackend):
+                c * f
+    # the empty Poly and the zero field combine with any field
+    pe, empty = Poly.constant(a), Poly()
+    for got in (pe + empty, empty + pe, pe - empty, -(empty - pe)):
+        assert dict(got.terms) == dict(pe.terms)
+    assert (pe * empty).is_zero() and (empty * pe).is_zero()
     zero = Field.zero()
-    for g in exact + approx:
+    for g in fields:
         assert (g + zero).equal(g) and (zero - g).equal(-g) and (g * zero).is_zero()
 
 

@@ -168,6 +168,22 @@ def test_amplitude_values_and_invariance():
         assert abs(complex(t - amplitude(a0, b0))) < 1e-12
 
 
+_COVARIANTS = ("polar", "axial", "six", "inv", "s_p", "s_a", "v_p", "v_a")
+
+
+def test_covariant_set_runs_on_fields_and_on_biquaternions_alike():
+    # covariance_characters relies on this: it runs CovariantSet on float
+    # Biquaternions, since a Field is exact
+    rng = random.Random(79)
+    for _ in range(5):
+        a, b = random_rational_biquaternion(rng), random_rational_biquaternion(rng)
+        on_fields, on_values = covariants(_const(a), _const(b)), covariants(a, b)
+        for name in _COVARIANTS:
+            value = getattr(on_values, name)
+            assert isinstance(value, Biquaternion), name
+            assert getattr(on_fields, name).equal(_const(value)), name
+
+
 def test_covariance_characters():
     rng = random.Random(77)
     values = [(Biquaternion(*(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4))),

@@ -254,9 +254,9 @@ def test_unit_products_keep_the_denominator_and_take_no_reduction(monkeypatch):
         assert dict(got.terms) == {e: fn(c) for e, c in p.terms.items()}, name
 
 
-def test_float_fields_take_the_plain_product():
-    k = (1.0, 0.5, 0.0, 0.0)
-    amplitude = Biquaternion(0.5 + 1j, -2.0, 0.25j, 1.5)
+def test_fields_take_the_plain_product_and_refuse_float_data():
+    k = (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0))
+    amplitude = random_rational_biquaternion(random.Random(39))
     f = Field.trig(k, amplitude, amplitude.bar())
     e2 = Biquaternion.vector(0, 1, 0)
     for got, fn in ((f.lmul(e2), lambda c: e2 * c), (f.rmul(e2), lambda c: c * e2),
@@ -264,9 +264,14 @@ def test_float_fields_take_the_plain_product():
         assert not got.is_zero()
         assert _snapshot(got) == _snapshot(f.map_coeffs(fn))
     assert nabla(f).eval_float((0.1, 0.2, 0.3, 0.4)).max_abs() > 0
-    # a Poly of exact and float coefficients is malformed: the constructor refuses it
+    # the float field of this check, a float wave vector and a float
+    # amplitude, is refused where it would be built
     with pytest.raises(MixedBackend):
-        Poly({(0, 0, 0, 0): Biquaternion.one(), (1, 0, 0, 0): amplitude})
+        Field.trig((1.0, 0.5, 0.0, 0.0), amplitude, amplitude.bar())
+    with pytest.raises(MixedBackend):
+        Field.trig(k, amplitude.to_float(), amplitude.bar().to_float())
+    with pytest.raises(MixedBackend):
+        Poly({(0, 0, 0, 0): Biquaternion.one(), (1, 0, 0, 0): amplitude.to_float()})
 
 
 def _pairing_operands(rng):
@@ -299,30 +304,33 @@ def _float_biquaternion(rng):
     return Biquaternion(*(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(4)))
 
 
-def _bits(f: Field):
-    """Every float of every coefficient of f, as its hex form (signs of zero included)."""
-    return {k: tuple({e: tuple((z.real.hex(), z.imag.hex()) for z in c.components())
-                      for e, c in p.terms.items()} for p in pair)
-            for k, pair in f.modes.items()}
+def _bits(z: complex):
+    """The two floats of z in hex form (signs of zero included)."""
+    return z.real.hex(), z.imag.hex()
 
 
 def test_float_scalar_of_product_is_bit_identical():
+    # on float operands the pairing sums in the order of the w component of
+    # the product, so the two agree bit for bit, up to the sign of a zero
     rng = random.Random(41)
     for _ in range(200):
         a, b = _float_biquaternion(rng), _float_biquaternion(rng)
         for x, y in ((a, b), (a, a.bar()), (a.plus(), b), (b, a.bar().star())):
-            fx, fy = Field.constant(x), Field.constant(y)
-            assert _bits(fx.scalar_of_product(fy)) == _bits((fx * fy).scalar_part())
+            got = x.scalar_of_product(y)
+            assert got.vector_part().is_zero()
+            assert _bits(got.scalar_part()) == _bits((x * y).scalar_part())
+    for _ in range(50):
+        a, b = random_rational_biquaternion(rng), random_rational_biquaternion(rng)
+        for x, y in ((a, b), (a, a.bar()), (a.plus(), b), (b, a.bar().star())):
+            assert x.scalar_of_product(y) == Biquaternion.scalar((x * y).scalar_part())
 
 
 def test_scalar_of_product_rejects_a_mix_of_backends():
     rng = random.Random(42)
-    exact = random_poly_field(rng)
-    approx = Field.constant(_float_biquaternion(rng))
-    for x, y in ((exact, approx), (approx, exact)):
-        with pytest.raises(MixedBackend):
-            x.scalar_of_product(y)
-    # an exact field cannot hold a float coefficient: the Poly constructor refuses it
+    # a field cannot hold a float coefficient, so no float operand reaches
+    # scalar_of_product: the Poly constructor refuses it
+    with pytest.raises(MixedBackend):
+        Field.constant(_float_biquaternion(rng))
     with pytest.raises(MixedBackend):
         Poly({(0, 0, 0, 0): Biquaternion.one(), (1, 0, 0, 0): _float_biquaternion(rng)})
 

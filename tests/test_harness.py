@@ -341,7 +341,10 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     doc = json.loads(out.read_text())
     assert doc["seed"] == 2
     assert main(["--suite", "no.match.anywhere"]) == 2
-    assert main(["--tol", "-1"]) == 2
+    # a tolerance that is not a finite number >= 0 is refused before any
+    # suite runs: every comparison with nan fails, and any residual passes inf
+    for tol in ("nan", "inf", "-1"):
+        assert main(["--tol", tol]) == 2
     assert main(["--list"]) == 0
     # an unwritable report path is a configuration error, not a failed suite
     missing = tmp_path / "missing" / "report.json"
