@@ -900,10 +900,7 @@ def list_suites():
 
 
 def run(suite_filter="*", seed=0, backend=None, tol=None):
-    """Run all suites matching the glob; deterministic in (seed, backend),
-    except the float witness ``l32.boost_counterexample``, whose best-fit
-    defect comes from an iterative least-squares fit and can differ in its
-    last digits from one run to the next (its status does not).
+    """Run all suites matching the glob; deterministic in (seed, backend).
 
     Each suite carries its natural backend (exact identities vs float
     exponential sweeps); selecting a backend restricts the run to that

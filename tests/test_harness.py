@@ -37,20 +37,22 @@ def test_run_determinism_byte_identical():
 
 def test_report_is_byte_identical_across_hash_seeds():
     # field modes live in dicts keyed by wave vectors, so a report must not
-    # depend on the per-process string and hash randomisation
+    # depend on the per-process string and hash randomisation; the float
+    # eq. (48) fit must give the same defect in every process
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    reports = []
-    for hash_seed in ("1", "4242"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-                   PYTHONPATH=os.path.join(root, "src"))
-        proc = subprocess.run(
-            [sys.executable, "-m", "bqspin.cli", "--backend", "exact",
-             "--suite", "dirac.*", "--format", "json"],
-            capture_output=True, text=True, timeout=300, cwd=root, env=env)
-        assert proc.returncode == 0, proc.stderr
-        reports.append(proc.stdout)
-    assert '"dirac.' in reports[0]
-    assert reports[0] == reports[1]
+    for args, marker in ((["--backend", "exact", "--suite", "dirac.*"], '"dirac.'),
+                         (["--backend", "float", "--suite", "l32.*"], '"l32.')):
+        reports = []
+        for hash_seed in ("1", "4242"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.path.join(root, "src"))
+            proc = subprocess.run(
+                [sys.executable, "-m", "bqspin.cli", *args, "--format", "json"],
+                capture_output=True, text=True, timeout=300, cwd=root, env=env)
+            assert proc.returncode == 0, proc.stderr
+            reports.append(proc.stdout)
+        assert marker in reports[0]
+        assert reports[0] == reports[1]
 
 
 def test_unknown_suite():
