@@ -14,12 +14,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from numbers import Number
 
 import numpy as np
 
 from .errors import InvalidFrame, MixedBackend, SingularOperand
 from .scalars import (GR_I, GR_ONE, GR_ZERO, GaussianIntArray, GaussianRational, _hamilton,
                       _pairing, gr, is_exact)
+
+# the operands a Biquaternion scales component by component; for any other
+# type (a Field, say) its product returns NotImplemented
+_SCALARS = (Number, GaussianRational, GaussianIntArray, np.ndarray)
 
 
 def _lift(*values):
@@ -160,6 +165,8 @@ class Biquaternion:
                 aw * by + ay * bw + az * bx - ax * bz,
                 aw * bz + az * bw + ax * by - ay * bx,
             )
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
         return Biquaternion(self.w * other, self.x * other,
                             self.y * other, self.z * other)
 

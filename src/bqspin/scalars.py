@@ -54,6 +54,12 @@ def _parts(x):
     raise TypeError(f"cannot build an exact rational from {type(x).__name__}")
 
 
+# the operands a Gaussian rational meets as a complex; any other type it
+# does not know gets NotImplemented, so a Field or a Biquaternion operand
+# answers with its own reflected operator
+_FLOATS = (float, complex, np.generic, np.ndarray)
+
+
 def _operand(x):
     """The ints (a, b, d) of an exact scalar operand; None for any other type."""
     if isinstance(x, GaussianRational):
@@ -286,7 +292,7 @@ class GaussianRational:
         else:
             o = _operand(other)
             if o is None:
-                return complex(self) + other
+                return complex(self) + other if isinstance(other, _FLOATS) else NotImplemented
             c, e, f = o
         d = self._d
         if d == f:
@@ -301,7 +307,7 @@ class GaussianRational:
         else:
             o = _operand(other)
             if o is None:
-                return complex(self) - other
+                return complex(self) - other if isinstance(other, _FLOATS) else NotImplemented
             c, e, f = o
         d = self._d
         if d == f:
@@ -317,7 +323,7 @@ class GaussianRational:
     def __mul__(self, other):
         o = _operand(other)
         if o is None:
-            return complex(self) * other
+            return complex(self) * other if isinstance(other, _FLOATS) else NotImplemented
         c, e, f = o
         a, b = self._a, self._b
         return _reduced(a * c - b * e, a * e + b * c, self._d * f)
@@ -327,7 +333,7 @@ class GaussianRational:
     def __truediv__(self, other):
         o = _operand(other)
         if o is None:
-            return complex(self) / other
+            return complex(self) / other if isinstance(other, _FLOATS) else NotImplemented
         c, e, f = o
         n = c * c + e * e
         if n == 0:
@@ -338,7 +344,7 @@ class GaussianRational:
     def __rtruediv__(self, other):
         o = _operand(other)
         if o is None:
-            return other / complex(self)
+            return other / complex(self) if isinstance(other, _FLOATS) else NotImplemented
         return _made(*o) / self
 
     # -- protocol shared with complex ---------------------------------------

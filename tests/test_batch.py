@@ -230,8 +230,11 @@ def test_sweep_witness_counts_samples_across_batches():
         seen[0] += n
         return [GaussianIntArray(index >= target, np.zeros(n, dtype=np.int64))]
 
-    ok, residual, payload = harness._sweep(random.Random(0), 10000, 1, residuals)
-    assert (ok, residual, payload) == (False, 1.0, {"sample_index": target})
+    check = harness.Check(0.0, "exact")
+    harness._sweep(check, random.Random(0), 10000, 1, residuals)
+    assert check.verdict(None) == ("fail", 1.0, {"sample_index": target})
+    # no batch is drawn after the failing one
+    assert seen[0] == 2 * harness._BATCH
 
 
 def test_passing_sweeps_report_no_witness():

@@ -274,6 +274,28 @@ def test_fields_take_the_plain_product_and_refuse_float_data():
         Poly({(0, 0, 0, 0): Biquaternion.one(), (1, 0, 0, 0): amplitude.to_float()})
 
 
+def _field_with_modes(rng):
+    k = (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0))
+    return random_poly_field(rng) + Field.trig(k, random_rational_biquaternion(rng),
+                                               random_rational_biquaternion(rng))
+
+
+def test_an_exact_scalar_times_a_field_is_the_scaled_field():
+    # a Gaussian rational does not know a Field, so its product gives way to
+    # Field.__rmul__ rather than turning into a complex the field refuses
+    f = _field_with_modes(random.Random(26))
+    for c in (gr(0, 1), gr(Fraction(2, 3), -1)):
+        assert (c * f).equal(f.scale(c))
+
+
+def test_a_biquaternion_times_a_field_is_the_left_product():
+    # likewise a Biquaternion, which scales only by the scalar types it knows
+    rng = random.Random(27)
+    f = _field_with_modes(rng)
+    for q in (random_rational_biquaternion(rng), DEFAULT_FRAME.sigma, Biquaternion.vector(0, 1, 0)):
+        assert (q * f).equal(f.lmul(q))
+
+
 def _pairing_operands(rng):
     """Exact fields with a polynomial part, trig modes, and a product of two
     trig modes (its angle sum and difference)."""

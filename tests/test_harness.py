@@ -11,9 +11,11 @@ import pytest
 
 from bqspin import harness, spin
 from bqspin.cli import emit, main
-from bqspin.errors import UnknownSuite
-from bqspin.fields import Field
+from bqspin.biquaternion import Biquaternion
+from bqspin.errors import ConfigError, UnknownSuite
+from bqspin.fields import Field, Poly, current
 from bqspin.linops import RealLinearOp
+from bqspin.scalars import gr
 from bqspin.harness import (
     COVERAGE,
     OUT_OF_SCOPE,
@@ -99,6 +101,129 @@ def test_expected_rejection_lets_other_errors_through(monkeypatch):
     monkeypatch.setattr(harness.rs, "g1_chain", chain)
     with pytest.raises(TypeError):
         run("rs.g1_chain", seed=0)
+
+
+# -- the claims of a suite and the verdict derived from them -----------------------------
+
+
+def test_each_claim_reports_whether_it_held():
+    check = harness.Check(1e-9, "float")
+    assert check.zero(Field.zero(), Poly(), Biquaternion.zero(), gr(0), 0.0)
+    assert not check.zero(Biquaternion.zero(), Field.constant(Biquaternion.one()))
+    assert check.holds(True) and not check.holds(0)
+    assert check.rejects(ZeroDivisionError, lambda x: 1 / x, 0)
+    assert not check.rejects(ZeroDivisionError, lambda x: 1 / x, 2)
+    with pytest.raises(TypeError):
+        check.rejects(ZeroDivisionError, lambda x: 1 / x, "0")
+    assert check.within(0.0, 1e-9) and not check.within(1e-12, 2e-9)
+    assert not check.within(float("nan"))
+    # the rejects that let a TypeError through made no claim
+    assert check.claims == 9
+    # a margin is a witness suite's claim
+    with pytest.raises(ConfigError):
+        check.exceeds(1.0)
+    witness = harness.Check(1e-10, "float", "witness")
+    assert witness.exceeds(2e-3) and not witness.exceeds(1e-3)
+
+
+def _verdict(claims, backend="float", kind="identity", tol=1e-9):
+    check = harness.Check(tol, backend, kind)
+    claims(check)
+    return check.verdict("returned")
+
+
+def test_one_rule_derives_status_residual_and_payload():
+    # the largest within value; the witness of the first failed claim
+    assert _verdict(lambda c: c.within(1e-12, 3e-10)) == ("pass", 3e-10, "returned")
+    assert _verdict(lambda c: (c.within(2e-9, witness="first"), c.within(5e-9, witness="second"),
+                               c.within(1e-12))) == ("fail", 5e-9, "first")
+    # a failed exact claim raises the residual to 1.0, never lowers it
+    assert _verdict(lambda c: (c.within(1e-12), c.holds(False, "h"))) == ("fail", 1.0, "h")
+    assert _verdict(lambda c: (c.within(3.0), c.holds(False))) == ("fail", 3.0, None)
+    assert _verdict(lambda c: c.zero(0), "exact") == ("pass", 0.0, "returned")
+    assert _verdict(lambda c: (c.zero(0, 1, witness="z"), c.holds(False, "h")),
+                    "exact") == ("fail", 1.0, "z")
+    assert _verdict(lambda c: (c.rejects(ValueError, int, "1"), c.zero(0)),
+                    "exact") == ("fail", 1.0, None)
+    # a witness suite with no within claim reports its margin
+    assert _verdict(lambda c: (c.zero(0), c.exceeds(0.5)), "exact", "witness",
+                    1e-3) == ("witness", 0.5, "returned")
+    assert _verdict(lambda c: (c.zero(0), c.exceeds(1e-4)), "exact", "witness",
+                    1e-3) == ("fail", 1e-4, "returned")
+    assert _verdict(lambda c: (c.zero(1), c.exceeds(0.5)), "exact", "witness",
+                    1e-3) == ("fail", 1.0, None)
+    # and one with a within claim reports that; its margin must still exceed
+    # 1e-3 as well as the tolerance
+    assert _verdict(lambda c: (c.within(1e-12), c.exceeds(0.5)), "float", "witness",
+                    1e-10) == ("witness", 1e-12, "returned")
+    assert _verdict(lambda c: (c.within(1e-12), c.exceeds(1e-4)), "float", "witness",
+                    1e-10) == ("fail", 1e-12, "returned")
+    # a witness suite that shows no margin fails, as does a suite that claims nothing
+    assert _verdict(lambda c: c.zero(0), "exact", "witness", 1e-3) == ("fail", 0.0, "returned")
+    assert _verdict(lambda c: None) == ("fail", 0.0, "returned")
+
+
+def _register(monkeypatch, suite_id, backend, fn):
+    monkeypatch.setitem(harness._REGISTRY, suite_id,
+                        harness.SuiteSpec(suite_id, "eq.1", backend, 0.0, fn))
+
+
+def test_an_exact_suite_cannot_decide_in_float(monkeypatch):
+    _register(monkeypatch, "dummy.float_claim", "exact", lambda rng, check: check.within(0.0))
+    with pytest.raises(ConfigError):
+        run("dummy.*", seed=0)
+
+
+def test_a_suite_that_claims_nothing_fails(monkeypatch):
+    _register(monkeypatch, "dummy.silent", "exact", lambda rng, check: {"checked": "nothing"})
+    (row,) = run("dummy.*", seed=0)
+    assert (row.status, row.max_residual, row.witness_payload) == (
+        "fail", 0.0, {"checked": "nothing"})
+
+
+# rs.extra_constraint shows its witness, the extra-constraint field, by a
+# float norm at one point, and the benchmark's known-answer table reads that
+# norm; it is the one exact suite left that evaluates a field in float
+FLOAT_WITNESS_GAP = "rs.extra_constraint"
+
+
+def test_exact_suites_decide_without_float(monkeypatch):
+    def refused(self, point):
+        raise AssertionError("an exact suite evaluated a field in float")
+
+    monkeypatch.setattr(Field, "eval_float", refused)
+    monkeypatch.setattr(Poly, "eval_float", refused)
+    for sid in list_suites():
+        if harness._REGISTRY[sid].backend != "exact":
+            continue
+        if sid == FLOAT_WITNESS_GAP:
+            with pytest.raises(AssertionError):
+                run(sid, seed=1)
+            continue
+        (row,) = run(sid, seed=1)
+        assert row.status == "pass", sid
+
+
+def test_the_gram_check_accepts_only_the_sum_of_squares():
+    # scal(psi psi.plus()) is the sum of the squared real coordinates; its
+    # negation, a multiple of it and scal(psi psi.bar()) are not
+    x = harness._generic_field()
+
+    def holds(form, *fields):
+        return harness._squares_defect(form(*fields).scalar_part(), 8 * len(fields)).is_zero()
+
+    assert holds(current, x)
+    for form in (lambda x: -current(x), lambda x: current(x.scale(2)), lambda x: x * x.bar()):
+        assert not holds(form, x)
+    # on a pair, a cross term a b.plus() breaks it even where each field
+    # alone is the sum of squares
+    y = harness._generic_field(8)
+
+    def polar(a, b):
+        return current(a) + current(b).bar()
+
+    assert holds(polar, x, y)
+    assert not holds(lambda a, b: polar(a, b) + a * b.plus(), x, y)
 
 
 def _fail_row(suite_id):

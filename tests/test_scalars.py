@@ -12,6 +12,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bqspin.scalars import GaussianRational, gr
@@ -224,6 +225,9 @@ def test_float_input_is_rejected_and_float_operands_give_complex():
     assert type(x * 0.5) is complex and x * 0.5 == complex(0.25, 0.5)
     assert type(1j + x) is complex and 1j + x == complex(0.5, 2)
     assert type(x / 2.0) is complex and type(2.0 / x) is complex
+    assert x * np.float64(2.0) == complex(1, 2) and (x - np.array([0.5]))[0] == 1j
+    with pytest.raises(TypeError):
+        x * "2"
 
 
 def test_repr_text():
