@@ -21,6 +21,7 @@ from functools import cached_property
 from .biquaternion import Biquaternion, unitary_product
 from .fields import ExternalField, Field, lanczos_residual, nabla_bar
 from .lorentz import act
+from .scalars import largest
 
 
 class CovariantSet:
@@ -171,22 +172,22 @@ def covariance_characters(L, f, rng_values):
     For the spinor row (a -> L a sigma, b -> L* b sigma on the sigma ideal):
     polar/axial currents map by x -> L x L.plus() and the six-vector by
     x -> L x L.bar().
-    Returns the maximum deviation found for each claim.
+    Returns the maximum deviation found for each claim, NaN when any
+    deviation is NaN.
     """
     sg = f.to_float().sigma
-    worst = {"s_p": 0.0, "s_a": 0.0, "v_p": 0.0, "v_a": 0.0,
-             "polar": 0.0, "axial": 0.0, "six": 0.0, "amplitude": 0.0}
+    seen = {name: [0.0] for name in
+            ("s_p", "s_a", "v_p", "v_a", "polar", "axial", "six", "amplitude")}
     for a0, b0 in rng_values:
         cov = covariants(a0, b0)
         ta0, tb0 = act("three_half_L", "A", L, a0, f), act("three_half_L", "B", L, b0, f)
         tcov = covariants(ta0, tb0)
-        worst["s_p"] = max(worst["s_p"], (tcov.s_p - cov.s_p).max_abs())
-        worst["s_a"] = max(worst["s_a"], (tcov.s_a - cov.s_a).max_abs())
+        seen["s_p"].append((tcov.s_p - cov.s_p).max_abs())
+        seen["s_a"].append((tcov.s_a - cov.s_a).max_abs())
         for name in ("v_p", "v_a"):
             expect = L * getattr(cov, name) * L.plus()
-            worst[name] = max(worst[name], (getattr(tcov, name) - expect).max_abs())
-        worst["amplitude"] = max(worst["amplitude"], abs(complex(
-            amplitude(ta0, tb0) - amplitude(a0, b0))))
+            seen[name].append((getattr(tcov, name) - expect).max_abs())
+        seen["amplitude"].append(abs(complex(amplitude(ta0, tb0) - amplitude(a0, b0))))
 
         # spinor row: project onto the sigma ideal first
         sa0, sb0 = a0 * sg, b0 * sg
@@ -194,8 +195,8 @@ def covariance_characters(L, f, rng_values):
         tscov = covariants(act("half_plus", "A", L, sa0, f), act("half_plus", "B", L, sb0, f))
         for name in ("polar", "axial"):
             expect = L * getattr(scov, name) * L.plus()
-            worst[name] = max(worst[name], (getattr(tscov, name) - expect).max_abs())
+            seen[name].append((getattr(tscov, name) - expect).max_abs())
         expect_six = L * scov.six * L.bar()
-        worst["six"] = max(worst["six"], (tscov.six - expect_six).max_abs())
+        seen["six"].append((tscov.six - expect_six).max_abs())
 
-    return worst
+    return {name: largest(values) for name, values in seen.items()}

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidFrame, MixedBackend, SingularOperand
 from .scalars import (GR_I, GR_ONE, GR_ZERO, GaussianIntArray, GaussianRational, _hamilton,
-                      _pairing, gr, is_exact)
+                      _pairing, gr, is_exact, largest)
 
 # the operands a Biquaternion scales component by component; for any other
 # type (a Field, say) its product returns NotImplemented
@@ -45,8 +45,9 @@ class Biquaternion:
     (about 0.5-0.7 us each way in CPython 3.11), so the check is :meth:`is_exact`,
     which raises ``MixedBackend`` on a mix; the named constructors below
     never make one.  Components that are numpy float or complex arrays, one
-    sample per entry (the eq. (48) fit in ``lorentz``), are of the float
-    backend.
+    sample per entry (the batched sweeps of ``spin`` and ``lorentz``), are
+    of the float backend.  ``linops`` also evaluates maps on object arrays
+    of exact scalars, the stacked basis units.
 
     When all eight components of a product are ``GaussianRational``, the
     product is the fused integer kernel ``scalars._hamilton``: four values
@@ -95,11 +96,19 @@ class Biquaternion:
 
     @staticmethod
     def from_real_coords(coords):
-        """Build from 8 real coordinates in the basis (1, e1, e2, e3, i, ie1, ie2, ie3)."""
+        """Build from 8 real coordinates in the basis (1, e1, e2, e3, i, ie1, ie2, ie3).
+
+        Float coordinates that are arrays of one shape, one sample per
+        entry, give complex-array components; plain floats give Python
+        ``complex`` components, whose scalar arithmetic is faster than
+        numpy's."""
         a = list(coords)
         if all(is_exact(c) for c in a):
             return Biquaternion(*(GaussianRational(a[k], a[k + 4]) for k in range(4)))
-        return Biquaternion(*(complex(float(a[k]), float(a[k + 4])) for k in range(4)))
+        c = np.asarray(a, dtype=float)
+        z = c[:4].astype(complex)
+        z.imag = c[4:]
+        return Biquaternion(*(z.tolist() if z.ndim == 1 else z))
 
     # -- views ---------------------------------------------------------------
 
@@ -240,7 +249,9 @@ class Biquaternion:
         return not (self.w or self.x or self.y or self.z)
 
     def max_abs(self):
-        return max(abs(complex(c)) for c in self.components())
+        """The largest modulus of a component, over every sample of array
+        components; NaN when any modulus is NaN."""
+        return largest(abs(c) for c in self.components())
 
     def __repr__(self):
         return f"Biquaternion({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"

@@ -10,12 +10,12 @@ A suite states claims on a ``Check`` and returns only its payload:
 other exception propagates), ``within(*residuals)`` (float residuals at most
 the tolerance; refused in an exact suite) and ``exceeds(margin)`` (a witness
 margin above the suite's tolerance and 1e-3).  ``run`` derives each row once:
-``max_residual`` is the largest ``within`` value, else a witness suite's
-margin, else 0.0, raised to 1.0 if a zero, holds or rejects claim failed.  A
-suite passes (a witness suite: is a ``witness``) when it made claims, all of
-them held and any margin exceeded its threshold.  The payload is the witness
-of the first failed claim, else the suite's return value.  A check lives
-for one suite run.
+``max_residual`` is the largest ``within`` value (NaN if any is NaN), else a
+witness suite's margin, else 0.0, raised to 1.0 if a zero, holds or rejects
+claim failed.  A suite passes (a witness suite: is a ``witness``) when it
+made claims, all of them held and any margin exceeded its threshold.  The
+payload is the witness of the first failed claim, else the suite's return
+value.  A check lives for one suite run.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from .fields import (
     select_nabla_convention,
 )
 from .linops import MUL_I, RealLinearOp, op_exp
-from .scalars import GR_I, GR_ONE, gr
+from .scalars import GR_I, GR_ONE, gr, largest
 from .spin import (
     SpinLabel,
     boost,
@@ -147,7 +147,7 @@ class Check:
         if self.backend == "exact":
             raise ConfigError("an exact suite decides exactly: within() is for float suites")
         residuals = [float(r) for r in residuals]
-        self.residual = max([0.0 if self.residual is None else self.residual, *residuals])
+        self.residual = largest([0.0 if self.residual is None else self.residual, *residuals])
         return self._record(all(r <= self.tol for r in residuals), witness, exact=False)
 
     def exceeds(self, margin):
@@ -305,36 +305,39 @@ def _s_eigen(rng, check):
                              abs(state.unitary_norm() - 1.0))
 
 
+def _axes_and_angles(rng, n, low, high):
+    """n (axis, angle) draws, each angle uniform in [low, high), stacked."""
+    return lor.stacked_draws(n, lambda: (lor._random_axis(rng), rng.uniform(low, high)))
+
+
 @_suite("rotations.half_closed_form", "eq.4", "float", 1e-10)
 def _s_rot_half(rng, check):
-    basis = subspace_basis(SpinLabel.HALF_PLUS, DEFAULT_FRAME)
-    for _ in range(100):
-        axis = lor._random_axis(rng)
-        theta = rng.uniform(-2 * math.pi, 2 * math.pi)
-        full = rotate(SpinLabel.HALF_PLUS, axis, theta, DEFAULT_FRAME)
-        closed = closed_form_half_rotation(axis, theta)
-        check.within(*((full.apply(b) - closed.apply(b)).max_abs() for b in basis))
+    axes, thetas = _axes_and_angles(rng, 100, -2 * math.pi, 2 * math.pi)
+    full = rotate(SpinLabel.HALF_PLUS, axes, thetas, DEFAULT_FRAME)
+    closed = closed_form_half_rotation(axes, thetas)
+    check.within(*((full.apply(b) - closed.apply(b)).max_abs()
+                   for b in subspace_basis(SpinLabel.HALF_PLUS, DEFAULT_FRAME)))
 
 
 @_suite("rotations.one_closed_form", "eq.5", "float", 1e-10)
 def _s_rot_one(rng, check):
-    for _ in range(100):
-        axis = lor._random_axis(rng)
-        theta = rng.uniform(-2 * math.pi, 2 * math.pi)
-        check.within(rotate(SpinLabel.ONE, axis, theta, DEFAULT_FRAME).max_abs_diff(
-            closed_form_one_rotation(axis, theta)))
+    axes, thetas = _axes_and_angles(rng, 100, -2 * math.pi, 2 * math.pi)
+    check.within(rotate(SpinLabel.ONE, axes, thetas, DEFAULT_FRAME).max_abs_diff(
+        closed_form_one_rotation(axes, thetas)))
 
 
 @_suite("rotations.periodicity", "eq.6", "float", 1e-10)
 def _s_period(rng, check):
+    # the 2 pi and the 4 pi turn about one axis, as a stack of two, against
+    # the sign each column takes at them
     signs = {SpinLabel.HALF_PLUS: -1.0, SpinLabel.HALF_MINUS: -1.0,
              SpinLabel.ONE: 1.0, SpinLabel.THREE_HALF: -1.0}
     for s, sign in signs.items():
         axis = lor._random_axis(rng)
-        r2 = rotate(s, axis, 2 * math.pi, DEFAULT_FRAME)
-        r4 = rotate(s, axis, 4 * math.pi, DEFAULT_FRAME)
+        turns = rotate(s, [axis, axis], [2 * math.pi, 4 * math.pi], DEFAULT_FRAME)
+        expected = np.array([sign, 1.0])
         for b in subspace_basis(s, DEFAULT_FRAME):
-            check.within((r2.apply(b) - b * sign).max_abs(), (r4.apply(b) - b).max_abs())
+            check.within((turns.apply(b) - b * expected).max_abs())
 
 
 @_suite("rotations.boost", "footnote.8", "float", 1e-12)
@@ -345,9 +348,9 @@ def _s_boost(rng, check):
     for s in SpinLabel:
         axis = lor._random_axis(rng)
         rho = rng.uniform(-1.2, 1.2)
-        forward = boost(s, axis, rho, DEFAULT_FRAME)
-        prod = forward @ boost(s, axis, -rho, DEFAULT_FRAME)
-        check.within(prod.max_abs_diff(RealLinearOp.identity()))
+        forward, backward = (RealLinearOp(m) for m in
+                             boost(s, [axis, axis], [rho, -rho], DEFAULT_FRAME).matrix)
+        check.within((forward @ backward).max_abs_diff(RealLinearOp.identity()))
         if s is SpinLabel.HALF_PLUS:
             closed = closed_form_half_boost(axis, rho)
             check.within(*((forward.apply(b) - closed.apply(b)).max_abs()
@@ -394,13 +397,14 @@ def _s_products_l32(rng, check):
 @_suite("lorentz.group_actions", "eq.A.5", "float", 1e-11)
 def _s_actions(rng, check):
     f = DEFAULT_FRAME
-    for _ in range(6):
-        L1, L2 = lor.random_lorentz(rng), lor.random_lorentz(rng)
-        L12 = L1 * L2
-        for row in ("zero", "half_plus", "half_minus", "one"):
-            for role in ("A", "B"):
-                lhs = lor.action_op(row, role, L1, f) @ lor.action_op(row, role, L2, f)
-                check.within(lhs.max_abs_diff(lor.action_op(row, role, L12, f)))
+    # six pairs (L1, L2), drawn pair after pair, as two stacks
+    draws = lor.stacked_draws(6, lambda: lor.lorentz_draw(rng) + lor.lorentz_draw(rng))
+    L1, L2 = lor.make_lorentz(*draws[:4]), lor.make_lorentz(*draws[4:])
+    L12 = L1 * L2
+    for row in ("zero", "half_plus", "half_minus", "one"):
+        for role in ("A", "B"):
+            lhs = lor.action_op(row, role, L1, f) @ lor.action_op(row, role, L2, f)
+            check.within(lhs.max_abs_diff(lor.action_op(row, role, L12, f)))
 
 
 @_suite("lorentz.subspaces", "table.2", "float", 1e-9)

@@ -20,11 +20,11 @@ from .biquaternion import (
     DEFAULT_FRAME,
     Biquaternion,
     Frame,
-    basis_elements,
     minkowski_product,
     unitary_product,
 )
 from .linops import RealLinearOp, monomial
+from .scalars import largest
 from .spin import (
     SpinLabel,
     boost as spin_boost,
@@ -54,10 +54,22 @@ def rotation_square(l: Biquaternion) -> Biquaternion:
 
 
 def random_lorentz(rng) -> Biquaternion:
+    return make_lorentz(*lorentz_draw(rng))
+
+
+def lorentz_draw(rng):
+    """The (rotation axis, angle, boost axis, rapidity) of one random
+    element: ``random_lorentz(rng)`` is ``make_lorentz(*lorentz_draw(rng))``."""
     axis = _random_axis(rng)
     axis2 = _random_axis(rng)
-    return make_lorentz(axis, rng.uniform(-math.pi, math.pi),
-                        axis2, rng.uniform(-1.5, 1.5))
+    return axis, rng.uniform(-math.pi, math.pi), axis2, rng.uniform(-1.5, 1.5)
+
+
+def stacked_draws(n, draw):
+    """n calls of draw(), made in order, with each value it returns stacked
+    over the calls into one array: the samples of n single draws, in their
+    rng order, ready to be evaluated as one batch."""
+    return [np.array(v) for v in zip(*(draw() for _ in range(n)))]
 
 
 def _random_axis(rng):
@@ -122,12 +134,11 @@ def row_subspaces(row: str, f: Frame):
     raise ValueError(f"unknown row {row!r}")
 
 
-def _span_residual(vec, basis):
-    """Norm of the least-squares residual of vec against the span of basis."""
-    m = np.array([b.real_coords() for b in basis], dtype=float).T
-    v = np.array(vec.real_coords(), dtype=float)
-    sol, *_ = np.linalg.lstsq(m, v, rcond=None)
-    return float(np.linalg.norm(m @ sol - v))
+def _orthonormal_columns(m):
+    """Orthonormal columns spanning the column space of m, with the rank
+    cutoff of numpy's lstsq."""
+    u, sv, _ = np.linalg.svd(m, full_matrices=False)
+    return u[:, sv > sv[0] * max(m.shape) * np.finfo(float).eps]
 
 
 # sampled Lorentz elements per closure check
@@ -136,84 +147,82 @@ _CLOSURE_SAMPLES = 10
 
 def subspace_closure(row: str, f: Frame, seed=0):
     """The real dimensions of the designated value subspaces and the largest
-    distance from them of an image under sampled actions."""
+    distance from them of an image under sampled actions.
+
+    All sampled actions of one field type form one stack, and the images of
+    every basis vector are projected at once onto the subspace."""
     rng = random.Random(seed)
     basis_a, basis_b = row_subspaces(row, f)
-    worst = 0.0
-    for _ in range(_CLOSURE_SAMPLES):
-        L = random_lorentz(rng)
-        for role, basis in (("A", basis_a), ("B", basis_b)):
-            op = action_op(row, role, L, f)
-            for b in basis:
-                worst = max(worst, _span_residual(op.apply(b), basis))
-    return {"max_residual": worst, "real_dim_A": len(basis_a), "real_dim_B": len(basis_b)}
+    L = make_lorentz(*stacked_draws(_CLOSURE_SAMPLES, lambda: lorentz_draw(rng)))
+    residuals = []
+    for role, basis in (("A", basis_a), ("B", basis_b)):
+        m = np.array([b.real_coords() for b in basis], dtype=float).T
+        q = _orthonormal_columns(m)
+        images = action_op(row, role, L, f).matrix @ m
+        residuals.append(np.linalg.norm(images - q @ (q.T @ images), axis=-2))
+    return {"max_residual": largest(residuals), "real_dim_A": len(basis_a),
+            "real_dim_B": len(basis_b)}
 
 
 # -- invariance reports ---------------------------------------------------------------
 
 
-def _rep_operator(s, kind, rng, f: Frame):
-    axis = _random_axis(rng)
-    if kind == "rotation":
-        return spin_rotate(s, axis, rng.uniform(0.3, math.pi), f)
-    return spin_boost(s, axis, rng.uniform(0.4, 1.4), f)
-
-
-def _sample_domain(s, f: Frame, rng):
-    basis = subspace_basis(s, f)
-    def draw():
-        out = Biquaternion.scalar(0.0)
-        for b in basis:
-            out = out + b * complex(rng.gauss(0, 1), rng.gauss(0, 1))
-        return out
-    return draw
+def _combination(basis, coeffs):
+    """sum_k basis[k] * coeffs[..., k]: one element per row of coeffs."""
+    out = Biquaternion.scalar(0.0)
+    for k, b in enumerate(basis):
+        out = out + b * coeffs[..., k]
+    return out
 
 
 # sampled (op, x, y) triples per invariance report
 _REPORT_SAMPLES = 40
+# the range of the sampled angle or rapidity, by transform kind
+_PARAMETER_RANGE = {"rotation": (0.3, math.pi), "boost": (0.4, 1.4)}
 
 
-def _product_report(sample):
-    """Largest change of both scalar products over sampled (op, x, y)."""
-    viol_m = 0.0
-    viol_u = 0.0
-    for _ in range(_REPORT_SAMPLES):
-        op, x, y = sample()
-        tx, ty = op.apply(x), op.apply(y)
-        viol_m = max(viol_m, abs(complex(
-            minkowski_product(tx, ty) - minkowski_product(x, y))))
-        viol_u = max(viol_u, abs(complex(
-            unitary_product(tx, ty) - unitary_product(x, y))))
-    return {"minkowski_violation": viol_m, "unitary_violation": viol_u}
+def _report_samples(rng, transform_kind, dim):
+    """The axes, angles or rapidities, and x and y coefficients of the
+    sampled triples, each drawn sample after sample and stacked."""
+    low, high = _PARAMETER_RANGE[transform_kind]
+
+    def coeffs():
+        return [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(dim)]
+
+    return stacked_draws(_REPORT_SAMPLES, lambda: (_random_axis(rng), rng.uniform(low, high),
+                                                   coeffs(), coeffs()))
+
+
+def _product_report(op, x, y):
+    """Largest change of both scalar products over the sampled (op, x, y):
+    a stack of operators and two elements with array components."""
+    tx, ty = op.apply(x), op.apply(y)
+    return {"minkowski_violation": largest([abs(minkowski_product(tx, ty)
+                                                - minkowski_product(x, y))]),
+            "unitary_violation": largest([abs(unitary_product(tx, ty)
+                                              - unitary_product(x, y))])}
 
 
 def invariance_report(s: SpinLabel, transform_kind: str, seed=0):
     """Sample transformed pairs from the representation's invariant domain
     and report how far each scalar product moves."""
-    rng = random.Random(seed)
-    draw = _sample_domain(s, DEFAULT_FRAME, rng)
-
-    def sample():
-        op = _rep_operator(s, transform_kind, rng, DEFAULT_FRAME)
-        return op, draw(), draw()
-
-    return _product_report(sample)
+    basis = subspace_basis(s, DEFAULT_FRAME)
+    axes, params, xs, ys = _report_samples(random.Random(seed), transform_kind, len(basis))
+    transform = spin_rotate if transform_kind == "rotation" else spin_boost
+    return _product_report(transform(s, axes, params, DEFAULT_FRAME),
+                           _combination(basis, xs), _combination(basis, ys))
 
 
 def l32_invariance_report(transform_kind: str, seed=0):
     """Same report for the whole-algebra action x -> L x R^2."""
-    rng = random.Random(seed)
-
-    def sample():
-        axis = _random_axis(rng)
-        if transform_kind == "rotation":
-            L = make_lorentz(axis, rng.uniform(0.3, math.pi), axis, 0.0)
-        else:
-            L = make_lorentz(axis, 0.0, axis, rng.uniform(0.4, 1.4))
-        op = action_op("three_half_L", "A", L, DEFAULT_FRAME)
-        return op, _random_float_bq(rng), _random_float_bq(rng)
-
-    return _product_report(sample)
+    axes, params, xs, ys = _report_samples(random.Random(seed), transform_kind, 4)
+    zero = np.zeros_like(params)
+    if transform_kind == "rotation":
+        L = make_lorentz(axes, params, axes, zero)
+    else:
+        L = make_lorentz(axes, zero, axes, params)
+    return _product_report(action_op("three_half_L", "A", L, DEFAULT_FRAME),
+                           Biquaternion(*xs.T), Biquaternion(*ys.T))
 
 
 def _random_float_bq(rng):
@@ -221,15 +230,6 @@ def _random_float_bq(rng):
 
 
 # -- group structure of the whole-algebra action ----------------------------------------
-
-
-def _regular_tables():
-    """The real matrices of x -> e_k x and of x -> x e_k for the eight real
-    basis elements e_k, as two (8, 8, 8) arrays indexed by k."""
-    one = Biquaternion.scalar(1.0)
-    basis = basis_elements(exact=False)
-    return (np.stack([monomial(e, one).matrix for e in basis]),
-            np.stack([monomial(one, e).matrix for e in basis]))
 
 
 def _unit_axes(v):
@@ -240,31 +240,22 @@ def _unit_axes(v):
     return np.where(short, (0.0, 0.0, 1.0), v / np.where(short, 1.0, n))
 
 
-def _family_matrices(params, tables):
+def _family_matrices(params):
     """The whole-algebra action x -> L x R(L)^2 at each row of an (n, 8)
     array of chart points (angle, rotation axis, rapidity, boost axis), as an
-    (n, 8, 8) array of real matrices.
-
-    The factors are biquaternions with numpy-array components, one point per
-    entry, and go through the action table; ``tables`` (``_regular_tables``)
-    turns the left and right factors into matrices."""
+    (n, 8, 8) array of real matrices: the stack that ``action_op`` makes of
+    L with array components, one point per entry."""
     p = np.asarray(params, dtype=float)
-    half_th, half_rho = p[:, 0] / 2.0, p[:, 4] / 2.0
     axes = _unit_axes(p[:, [1, 2, 3, 5, 6, 7]].reshape(-1, 2, 3))
-    sin_th, sinh_rho = np.sin(half_th) + 0j, 1j * np.sinh(half_rho)
-    r = Biquaternion(np.cos(half_th) + 0j, *(c * sin_th for c in axes[:, 0].T))
-    b = Biquaternion(np.cosh(half_rho) + 0j, *(c * sinh_rho for c in axes[:, 1].T))
-    left, right = action_factors("three_half_L", "A", b * r, DEFAULT_FRAME)
-    left_tab, right_tab = tables
-    return (np.einsum("nk,kij->nij", np.stack(left.real_coords(), axis=1), left_tab)
-            @ np.einsum("nk,kij->nij", np.stack(right.real_coords(), axis=1), right_tab))
+    L = make_lorentz(axes[:, 0], p[:, 0], axes[:, 1], p[:, 4])
+    return action_op("three_half_L", "A", L, DEFAULT_FRAME).matrix
 
 
 # scipy's relative step for a 2-point forward difference
 _FD_STEP = np.finfo(float).eps ** 0.5
 
 
-def _family_jacobian(x, tables, target):
+def _family_jacobian(x, target):
     """Residuals and forward-difference Jacobians of the flattened family
     matrix minus ``target`` at each row of an (n, 8) array of chart points,
     as (n, 64) and (n, 64, 8) arrays.
@@ -275,7 +266,7 @@ def _family_jacobian(x, tables, target):
     h = _FD_STEP * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
     h = (x + h) - x
     points = np.concatenate([x[:, None], x[:, None] + h[:, :, None] * np.eye(8)], axis=1)
-    m = _family_matrices(points.reshape(-1, 8), tables).reshape(len(x), 9, 64)
+    m = _family_matrices(points.reshape(-1, 8)).reshape(len(x), 9, 64)
     jac = (m[:, 1:] - m[:, :1]) / h[:, :, None]
     return m[:, 0] - np.ravel(target), jac.transpose(0, 2, 1)
 
@@ -353,13 +344,12 @@ def best_fit_defect(target: RealLinearOp, seed=0, restarts=12):
     batch (``_family_jacobian``)."""
     rng = random.Random(seed)
     tgt = target.to_numpy()
-    tables = _regular_tables()
     x0 = [[rng.uniform(-math.pi, math.pi)]
           + [rng.gauss(0, 1) for _ in range(3)]
           + [rng.uniform(-1.5, 1.5)]
           + [rng.gauss(0, 1) for _ in range(3)]
           for _ in range(restarts)]
-    cost = least_squares(lambda x: _family_jacobian(x, tables, tgt), x0)
+    cost = least_squares(lambda x: _family_jacobian(x, tgt), x0)
     return math.sqrt(2.0 * float(cost.min()))
 
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 import functools
 import sys
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, nan
 
 import numpy as np
 
@@ -58,6 +58,14 @@ def _parts(x):
 # does not know gets NotImplemented, so a Field or a Biquaternion operand
 # answers with its own reflected operator
 _FLOATS = (float, complex, np.generic, np.ndarray)
+
+
+def _float_operand(x):
+    """True for an operand that a Gaussian rational meets as a complex.
+
+    An object array is none: it gets NotImplemented, so numpy applies the
+    operator entry by entry and an array of exact scalars stays exact."""
+    return isinstance(x, _FLOATS) and getattr(x, "dtype", None) != object
 
 
 def _operand(x):
@@ -292,7 +300,7 @@ class GaussianRational:
         else:
             o = _operand(other)
             if o is None:
-                return complex(self) + other if isinstance(other, _FLOATS) else NotImplemented
+                return complex(self) + other if _float_operand(other) else NotImplemented
             c, e, f = o
         d = self._d
         if d == f:
@@ -307,7 +315,7 @@ class GaussianRational:
         else:
             o = _operand(other)
             if o is None:
-                return complex(self) - other if isinstance(other, _FLOATS) else NotImplemented
+                return complex(self) - other if _float_operand(other) else NotImplemented
             c, e, f = o
         d = self._d
         if d == f:
@@ -323,7 +331,7 @@ class GaussianRational:
     def __mul__(self, other):
         o = _operand(other)
         if o is None:
-            return complex(self) * other if isinstance(other, _FLOATS) else NotImplemented
+            return complex(self) * other if _float_operand(other) else NotImplemented
         c, e, f = o
         a, b = self._a, self._b
         return _reduced(a * c - b * e, a * e + b * c, self._d * f)
@@ -333,7 +341,7 @@ class GaussianRational:
     def __truediv__(self, other):
         o = _operand(other)
         if o is None:
-            return complex(self) / other if isinstance(other, _FLOATS) else NotImplemented
+            return complex(self) / other if _float_operand(other) else NotImplemented
         c, e, f = o
         n = c * c + e * e
         if n == 0:
@@ -344,7 +352,7 @@ class GaussianRational:
     def __rtruediv__(self, other):
         o = _operand(other)
         if o is None:
-            return other / complex(self) if isinstance(other, _FLOATS) else NotImplemented
+            return other / complex(self) if _float_operand(other) else NotImplemented
         return _made(*o) / self
 
     # -- protocol shared with complex ---------------------------------------
@@ -521,6 +529,14 @@ class GaussianIntArray:
 
     def __bool__(self):
         return bool(self.re.any() or self.im.any())
+
+
+def largest(values):
+    """The largest entry of some floats and float arrays, as a float; NaN
+    when any entry is NaN.  Builtin ``max`` keeps a NaN only when it comes
+    first, so a residual that is NaN in one sample could pass a check."""
+    top = [float(np.max(v)) if isinstance(v, np.ndarray) else v for v in values]
+    return nan if any(v != v for v in top) else float(max(top))
 
 
 def is_exact(x) -> bool:

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .biquaternion import Biquaternion, Frame
 from .errors import InvalidAxis
 from .linops import MUL_I, RealLinearOp, monomial, op_exp
@@ -137,56 +139,59 @@ def subspace_basis(s: SpinLabel, f: Frame):
 
 
 def _unit_axis(axis):
-    v = [float(c) for c in axis]
-    n = math.sqrt(sum(c * c for c in v))
-    if abs(n - 1.0) > 1e-9:
+    """axis as a float array whose last axis holds the 3-vector(s);
+    InvalidAxis unless every one has unit length (a NaN has none)."""
+    v = np.asarray(axis, dtype=float)
+    if v.shape[-1:] != (3,) or not (abs(np.sqrt((v * v).sum(axis=-1)) - 1.0) <= 1e-9).all():
         raise InvalidAxis("axis must be a unit 3-vector")
     return v
 
 
 def rotation_factor(axis, angle) -> Biquaternion:
-    """exp(angle a / 2): a real unit quaternion."""
+    """exp(angle a / 2): a real unit quaternion.  n axes, an (n, 3) array,
+    and n angles give the n factors as one element with array components."""
     v = _unit_axis(axis)
-    half = float(angle) / 2.0
-    return (Biquaternion.scalar(complex(math.cos(half)))
-            + Biquaternion.vector(*v) * math.sin(half))
+    half = np.asarray(angle, dtype=float) / 2.0
+    vs = v * np.sin(half)[..., None]
+    zero = np.zeros(half.shape)
+    return Biquaternion.from_real_coords([np.cos(half), vs[..., 0], vs[..., 1], vs[..., 2],
+                                          zero, zero, zero, zero])
 
 
 def boost_factor(axis, rapidity) -> Biquaternion:
-    """exp(i rho b / 2): a bireal unit-norm factor."""
+    """exp(i rho b / 2): a bireal unit-norm factor; n axes and n rapidities
+    give n factors, as ``rotation_factor`` does."""
     v = _unit_axis(axis)
-    half = float(rapidity) / 2.0
-    return (Biquaternion.scalar(complex(math.cosh(half)))
-            + Biquaternion.vector(*v) * (1j * math.sinh(half)))
+    half = np.asarray(rapidity, dtype=float) / 2.0
+    vs = v * np.sinh(half)[..., None]
+    zero = np.zeros(half.shape)
+    return Biquaternion.from_real_coords([np.cosh(half), zero, zero, zero,
+                                          zero, vs[..., 0], vs[..., 1], vs[..., 2]])
 
 
 def axis_projections(axis, f: Frame):
-    """Projections of a unit axis on the ordered triad (tau nu, tau, nu)."""
+    """Projections of a unit axis on the ordered triad (tau nu, tau, nu);
+    for n axes, three arrays of n projections."""
     ax = _unit_axis(axis)
     f = f.to_float()
-    tn = f.tau * f.nu
-    triad = [tn, f.tau, f.nu]
-    out = []
-    for g in triad:
-        vec = [g.x.real, g.y.real, g.z.real]
-        out.append(sum(a * v for a, v in zip(ax, vec)))
-    return out
+    triad = np.array([[g.x.real, g.y.real, g.z.real] for g in (f.tau * f.nu, f.tau, f.nu)])
+    p = (ax[..., None, :] * triad).sum(axis=-1)
+    return p[..., 0], p[..., 1], p[..., 2]
 
 
 def rotate(s: SpinLabel, axis, theta, f: Frame) -> RealLinearOp:
-    """Rotation exponential exp(-i theta sum_n a_n J_n)."""
-    a1, a2, a3 = axis_projections(axis, f)
-    gen = generators(s, f).combination(a1, a2, a3)
-    arg = (MUL_I @ gen).scale(-float(theta))
-    return op_exp(arg)
+    """Rotation exponential exp(-i theta sum_n a_n J_n).  n axes, an (n, 3)
+    array, and n angles give the stack of the n rotations from one
+    ``op_exp`` call."""
+    gen = generators(s, f).combination(*axis_projections(axis, f))
+    return op_exp((MUL_I @ gen).scale(-np.asarray(theta, dtype=float)))
 
 
 def boost(s: SpinLabel, axis, rapidity, f: Frame) -> RealLinearOp:
     """Boost exponential: the angle goes to i times the rapidity, which
-    turns -i*theta*J into +rho*J."""
-    a1, a2, a3 = axis_projections(axis, f)
-    gen = generators(s, f).combination(a1, a2, a3)
-    return op_exp(gen.scale(float(rapidity)))
+    turns -i*theta*J into +rho*J.  Stacks as ``rotate`` does."""
+    gen = generators(s, f).combination(*axis_projections(axis, f))
+    return op_exp(gen.scale(np.asarray(rapidity, dtype=float)))
 
 
 def closed_form_half_rotation(axis, theta) -> RealLinearOp:
@@ -197,7 +202,8 @@ def closed_form_half_rotation(axis, theta) -> RealLinearOp:
 
 def closed_form_one_rotation(axis, theta) -> RealLinearOp:
     """Two-sided Olinde-Rodrigues form exp(theta a/2) [.] exp(-theta a/2)."""
-    return monomial(rotation_factor(axis, theta), rotation_factor(axis, -theta))
+    return monomial(rotation_factor(axis, theta),
+                    rotation_factor(axis, -np.asarray(theta, dtype=float)))
 
 
 def closed_form_half_boost(axis, rapidity) -> RealLinearOp:

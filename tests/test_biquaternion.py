@@ -406,3 +406,13 @@ def test_scalar_products():
     assert unitary_product(s2, s2) * gr(Fraction(1, 2)) == gr(1)
     # <sqrt(2) sigma, sqrt(2) sigma>_+ = 1 checked rationally as 2<sigma+ sigma>
     assert unitary_product(f.sigma, f.sigma) == gr(Fraction(1, 2))
+
+
+def test_max_abs_is_nan_when_any_component_is_nan():
+    # builtin max keeps a NaN only when it comes first
+    nan = float("nan")
+    assert math.isnan(Biquaternion(0, nan, 0, 0).max_abs())
+    assert math.isnan(Biquaternion(nan, 0, 0, 0).max_abs())
+    samples = Biquaternion(*(np.array([0j, 1j, 0j]) for _ in range(3)), np.array([2j, nan, 0j]))
+    assert math.isnan(samples.max_abs())
+    assert Biquaternion(*(np.array([0j, 1j, 3j]) for _ in range(4))).max_abs() == 3.0

@@ -203,3 +203,17 @@ def test_covariance_characters_identity():
                Biquaternion(*(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4))))]
     out = covariance_characters(ident, DEFAULT_FRAME, values)
     assert all(v < 1e-14 for v in out.values())
+
+
+def test_a_nan_value_after_the_first_makes_every_character_nan():
+    rng = random.Random(79)
+
+    def value():
+        return Biquaternion(*(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)))
+
+    nan = float("nan")
+    poisoned = Biquaternion(complex(nan, nan), complex(nan, nan), complex(nan, nan),
+                            complex(nan, nan))
+    values = [(value(), value()), (poisoned, poisoned), (value(), value())]
+    out = covariance_characters(random_lorentz(rng), DEFAULT_FRAME, values)
+    assert {key for key, worst in out.items() if not math.isnan(worst)} == set()

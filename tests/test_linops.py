@@ -159,3 +159,67 @@ def test_integer_matrices_stay_exact():
         op = RealLinearOp(data)
         _assert_exact_op(op)
         _assert_exact_op(op @ op.scale(Fraction(1, 2)))
+
+
+def _float_stack(rng, n):
+    """n random float biquaternions as one element with array components."""
+    return Biquaternion(*(np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)])
+                          for _ in range(4)))
+
+
+def _sample(q, i):
+    """Sample i of an element with array components, with Python complex components."""
+    return Biquaternion(*(complex(c[i]) for c in q.components()))
+
+
+def test_a_float_monomial_is_its_unit_by_unit_matrix():
+    # each column is the product on its own unit, up to rounding: numpy's
+    # complex product may round differently from Python's
+    rng = random.Random(21)
+    for _ in range(20):
+        a, b = _sample(_float_stack(rng, 1), 0), _sample(_float_stack(rng, 1), 0)
+        cols = np.array([(a * e * b).real_coords() for e in basis_elements(exact=False)]).T
+        assert np.abs(monomial(a, b).matrix - cols).max() <= 1e-15 * np.abs(cols).max()
+
+
+def test_a_monomial_of_array_factors_is_the_stack_of_single_monomials():
+    rng = random.Random(22)
+    left, right = _float_stack(rng, 5), _float_stack(rng, 5)
+    stack = monomial(left, right)
+    assert stack.matrix.shape == (5, 8, 8)
+    for i, m in enumerate(stack.matrix):
+        assert np.array_equal(m, monomial(_sample(left, i), _sample(right, i)).matrix)
+    # one array factor against a single one broadcasts
+    single = monomial(left, Biquaternion.scalar(1.0))
+    for i, m in enumerate(single.matrix):
+        assert np.array_equal(m, _left_monomial(_sample(left, i)).matrix)
+
+
+def test_exact_monomials_and_maps_stay_exact_on_the_stacked_basis():
+    rng = random.Random(23)
+    a, b = random_rational_biquaternion(rng), random_rational_biquaternion(rng)
+    for fn in (lambda x: a * x * b, lambda x: x.star(), lambda x: a * x.plus()):
+        op = RealLinearOp.from_function(fn)
+        _assert_exact_op(op)
+        cols = [fn(e).real_coords() for e in basis_elements(exact=True)]
+        assert (op.matrix == np.array(cols, dtype=object).T).all()
+
+
+def test_op_exp_of_a_stack_is_the_stack_of_op_exps():
+    rng = np.random.default_rng(24)
+    stack = RealLinearOp(rng.uniform(-1.5, 1.5, size=(6, 8, 8)))
+    out = op_exp(stack).matrix
+    assert out.shape == (6, 8, 8)
+    for m, e in zip(stack.matrix, out):
+        assert np.array_equal(e, op_exp(RealLinearOp(m)).matrix)
+
+
+def test_a_stack_applies_sample_by_sample():
+    rng = random.Random(25)
+    stack = monomial(_float_stack(rng, 4), _float_stack(rng, 4))
+    x, xs = _sample(_float_stack(rng, 1), 0), _float_stack(rng, 4)
+    one_x, each_x = stack.apply(x), stack.apply(xs)
+    for i, m in enumerate(stack.matrix):
+        op = RealLinearOp(m)
+        assert (_sample(one_x, i) - op.apply(x)).max_abs() <= 1e-15
+        assert (_sample(each_x, i) - op.apply(_sample(xs, i))).max_abs() <= 1e-15

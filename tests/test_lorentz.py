@@ -13,6 +13,7 @@ from bqspin.biquaternion import (
     unitary_product,
 )
 from bqspin.errors import InvalidAxis
+from bqspin.linops import RealLinearOp
 from bqspin.lorentz import (
     ROWS,
     act,
@@ -320,7 +321,7 @@ def _chart_points():
 
 def test_family_matrices_match_the_action_table():
     points = _chart_points()
-    batch = lorentz._family_matrices(points, lorentz._regular_tables())
+    batch = lorentz._family_matrices(points)
     assert batch.shape == (len(points), 8, 8)
     for p, m in zip(points, batch):
         assert np.abs(m - _chart_op(p)).max() <= 1e-14
@@ -329,7 +330,7 @@ def test_family_matrices_match_the_action_table():
 def test_batched_jacobian_matches_a_columnwise_difference():
     points = _chart_points()[:4]
     target = np.arange(64.0).reshape(8, 8)
-    resid, jac = lorentz._family_jacobian(points, lorentz._regular_tables(), target)
+    resid, jac = lorentz._family_jacobian(points, target)
     assert resid.shape == (4, 64) and jac.shape == (4, 64, 8)
     for x, r, j in zip(points, resid, jac):
         h = math.sqrt(np.finfo(float).eps) * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, abs(x))
@@ -399,3 +400,33 @@ def test_half_minus_action_agrees_with_rotation_rep_on_subspace():
         rep = rotate(SpinLabel.HALF_MINUS, axis, theta, f)
         for b in subspace_basis(SpinLabel.HALF_MINUS, f):
             assert (a_op.apply(b) - rep.apply(b)).max_abs() < 1e-11
+
+
+def _poison_sample(transform, index):
+    """transform with the operator of sample ``index`` made all NaN, whether
+    the samples come as one stack or one call each."""
+    seen = [0]
+
+    def poisoned(*args):
+        m = np.array(transform(*args).matrix, dtype=float)
+        stack = m.reshape(-1, 8, 8)
+        if 0 <= index - seen[0] < len(stack):
+            stack[index - seen[0]] = np.nan
+        seen[0] += len(stack)
+        return RealLinearOp(m)
+
+    return poisoned
+
+
+def test_a_nan_action_in_one_sample_is_a_nan_closure_residual(monkeypatch):
+    monkeypatch.setattr(lorentz, "action_op", _poison_sample(lorentz.action_op, 3))
+    out = lorentz.subspace_closure("one", DEFAULT_FRAME, seed=4)
+    assert math.isnan(out["max_residual"])
+
+
+def test_a_nan_operator_in_one_sample_fails_the_three_half_witness(monkeypatch):
+    [row] = harness.run("products.three_half_matrix", seed=5)
+    assert row.status == "witness"
+    monkeypatch.setattr(lorentz, "spin_rotate", _poison_sample(lorentz.spin_rotate, 7))
+    [row] = harness.run("products.three_half_matrix", seed=5)
+    assert row.status == "fail" and math.isnan(row.max_residual)

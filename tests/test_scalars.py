@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bqspin.scalars import GaussianRational, gr
+from bqspin.scalars import GaussianRational, gr, largest
 
 BIG = 2 ** 80
 
@@ -235,3 +235,21 @@ def test_repr_text():
     assert repr(gr(Fraction(-1, 2))) == "-1/2"
     assert repr(gr(0, 1)) == "(0+1i)"
     assert repr(gr(Fraction(1, 3), Fraction(-2, 5))) == "(1/3-2/5i)"
+
+
+def test_largest_is_nan_when_any_entry_is_nan():
+    nan = float("nan")
+    assert math.isnan(largest([0.0, nan, 1.0]))
+    assert math.isnan(largest([1.0, np.array([0.0, nan])]))
+    assert largest([1.0, np.array([0.5, 2.0]), 1.5]) == 2.0
+
+
+def test_an_object_array_keeps_gaussian_rationals_exact():
+    # numpy applies the operator entry by entry, as the stacked exact basis
+    # of linops needs; a float array still meets the rational as a complex
+    x = gr(Fraction(1, 2), 1)
+    entries = np.array([gr(1), gr(0, 1), gr(Fraction(1, 3))], dtype=object)
+    for out in (x * entries, x + entries, x - entries, entries * x):
+        assert all(type(v) is GaussianRational for v in out)
+    assert (x * entries)[1] == gr(-1, Fraction(1, 2))
+    assert (x * np.array([2.0])).dtype == complex

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from bqspin import spin
@@ -205,3 +206,28 @@ def test_generators_are_kept_per_float_frame():
                 assert op.matrix.tobytes() == ref.matrix.tobytes()
                 with pytest.raises(ValueError):
                     op.matrix[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_rotate_and_boost_on_n_axes_match_n_single_calls(label):
+    rng = random.Random(59)
+    axes = [_random_axis(rng) for _ in range(5)]
+    angles = [rng.uniform(-2 * math.pi, 2 * math.pi) for _ in range(5)]
+    for transform in (rotate, boost):
+        stack = transform(label, axes, angles, DEFAULT_FRAME).matrix
+        assert stack.shape == (5, 8, 8)
+        for m, axis, angle in zip(stack, axes, angles):
+            assert np.array_equal(m, transform(label, axis, angle, DEFAULT_FRAME).matrix)
+
+
+def test_one_non_unit_axis_in_a_stack_raises():
+    rng = random.Random(60)
+    axes = [_random_axis(rng) for _ in range(4)]
+    for bad in ((0.0, 0.0, 2.0), (float("nan"), 0.0, 1.0)):
+        axes[2] = bad
+        with pytest.raises(InvalidAxis):
+            rotate(SpinLabel.ONE, axes, [0.3] * 4, DEFAULT_FRAME)
+        with pytest.raises(InvalidAxis):
+            boost(SpinLabel.HALF_PLUS, axes, [0.3] * 4, DEFAULT_FRAME)
+        with pytest.raises(InvalidAxis):
+            closed_form_half_rotation(axes, [0.3] * 4)

@@ -11,6 +11,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 _SCRIPT = """
@@ -40,7 +42,7 @@ import json, sys
 sys.path[:0] = [{perfbench!r}, {src!r}]
 import worker, workloads
 from bqspin import cli, harness
-workload = workloads.FIELD_IDENTITIES
+workload = {workload!r}
 rnd, tracer, peak, missing = worker.traced_round(harness, cli, workloads.suites_of(workload), 1)
 metrics = worker.layer_metrics(tracer, peak, 1.0)
 print(json.dumps({{"failures": rnd["failures"], "missing": missing,
@@ -48,11 +50,14 @@ print(json.dumps({{"failures": rnd["failures"], "missing": missing,
 """
 
 
-def test_a_traced_field_identities_round_exercises_every_counter():
+@pytest.mark.parametrize("workload", ["algebra_exact", "field_identities", "float_sweeps"])
+def test_a_traced_round_exercises_every_counter(workload):
     # a counter that reads zero on the workload meant to exercise it makes
-    # every traced benchmark run of that workload read correct: false
+    # every traced benchmark run of that workload read correct: false; each
+    # workload runs in its own process, since tracers installed twice in one
+    # process would wrap each other
     script = _EXERCISED_SCRIPT.format(perfbench=os.path.join(ROOT, "perfbench"),
-                                      src=os.path.join(ROOT, "src"))
+                                      src=os.path.join(ROOT, "src"), workload=workload)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=300, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
