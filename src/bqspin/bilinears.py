@@ -172,6 +172,9 @@ def covariance_characters(L, f, rng_values):
     For the spinor row (a -> L a sigma, b -> L* b sigma on the sigma ideal):
     polar/axial currents map by x -> L x L.plus() and the six-vector by
     x -> L x L.bar().
+    L and the values may have array components, which broadcast: n sampled
+    L with components of shape (n, 1) against one pair of k stacked values
+    check all n * k combinations at once.
     Returns the maximum deviation found for each claim, NaN when any
     deviation is NaN.
     """
@@ -187,7 +190,7 @@ def covariance_characters(L, f, rng_values):
         for name in ("v_p", "v_a"):
             expect = L * getattr(cov, name) * L.plus()
             seen[name].append((getattr(tcov, name) - expect).max_abs())
-        seen["amplitude"].append(abs(complex(amplitude(ta0, tb0) - amplitude(a0, b0))))
+        seen["amplitude"].append(abs(amplitude(ta0, tb0) - amplitude(a0, b0)))
 
         # spinor row: project onto the sigma ideal first
         sa0, sb0 = a0 * sg, b0 * sg

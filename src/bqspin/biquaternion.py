@@ -28,11 +28,14 @@ _SCALARS = (Number, GaussianRational, GaussianIntArray, np.ndarray)
 
 
 def _lift(*values):
-    """Lift bare numbers into one backend: exact when all of them are rational."""
+    """Lift bare numbers into one backend: exact when all of them are rational.
+    In float, a numpy array becomes a complex array, one sample per entry,
+    and any other number a Python ``complex``."""
     if all(is_exact(v) for v in values):
         return [v if isinstance(v, GaussianRational) else GaussianRational(v)
                 for v in values]
-    return [complex(v) for v in values]
+    return [np.asarray(v, dtype=complex) if isinstance(v, np.ndarray) else complex(v)
+            for v in values]
 
 
 @dataclass(frozen=True, slots=True, init=False)

@@ -512,24 +512,25 @@ def _s_symbol_cov(rng, check):
     # L [.] r, where r is the row's right factor
     m = float(ONSHELL.m)
     pq = ONSHELL.quaternion().to_float()
-    one = Biquaternion.scalar(1.0)
-    for _ in range(50):
-        L = lor.random_lorentz(rng)
-        pq2 = L * pq * L.plus()
-        for row in lor.ROWS:
-            left, r = lor.action_factors(row, "A", L, DEFAULT_FRAME)
-            a0 = lor._random_float_bq(rng)
-            # the scalar row pairs a four-vector with an invariant scalar
-            b0 = one * complex(rng.gauss(0, 1), rng.gauss(0, 1)) if row == "zero" \
-                else lor._random_float_bq(rng)
-            res1 = (pq.bar() * a0) * 1j - b0 * m
-            res2 = (pq * b0) * 1j - a0 * m
-            a1 = left * a0 * r
-            b1 = lor.act(row, "B", L, b0, DEFAULT_FRAME)
-            lhs1 = (pq2.bar() * a1) * 1j - b1 * m
-            lhs2 = (pq2 * b1) * 1j - a1 * m
-            check.within((lhs1 - L.star() * res1 * r).max_abs(),
-                         (lhs2 - left * res2 * r).max_abs())
+    # 50 samples as one stack, each drawn as L and then, row by row, the
+    # components of a0 and b0; the scalar row pairs a four-vector with an
+    # invariant scalar
+    draws = lor.stacked_draws(50, lambda: lor.lorentz_draw(rng) + tuple(
+        lor.complex_gauss(rng, n) for row in lor.ROWS for n in (4, 1 if row == "zero" else 4)))
+    L = lor.make_lorentz(*draws[:4])
+    pq2 = L * pq * L.plus()
+    for row, a0, b0 in zip(lor.ROWS, draws[4::2], draws[5::2]):
+        left, r = lor.action_factors(row, "A", L, DEFAULT_FRAME)
+        a0 = Biquaternion(*a0.T)
+        b0 = Biquaternion.scalar(b0[:, 0]) if row == "zero" else Biquaternion(*b0.T)
+        res1 = (pq.bar() * a0) * 1j - b0 * m
+        res2 = (pq * b0) * 1j - a0 * m
+        a1 = left * a0 * r
+        b1 = lor.act(row, "B", L, b0, DEFAULT_FRAME)
+        lhs1 = (pq2.bar() * a1) * 1j - b1 * m
+        lhs2 = (pq2 * b1) * 1j - a1 * m
+        check.within((lhs1 - L.star() * res1 * r).max_abs(),
+                     (lhs2 - left * res2 * r).max_abs())
 
 
 # -- covariants --------------------------------------------------------------------------
@@ -548,10 +549,13 @@ def _s_singular(rng, check):
 
 @_suite("covariants.characters", "eq.37", "float", 1e-12)
 def _s_characters(rng, check):
-    values = [(lor._random_float_bq(rng), lor._random_float_bq(rng)) for _ in range(5)]
-    for _ in range(5):
-        L = lor.random_lorentz(rng)
-        check.within(*cov.covariance_characters(L, DEFAULT_FRAME, values).values())
+    # the 5 value pairs against the 5 sampled L as one 5 x 5 broadcast: the
+    # L vary along the first axis and the values along the second
+    a0, b0 = lor.stacked_draws(5, lambda: (lor.complex_gauss(rng, 4), lor.complex_gauss(rng, 4)))
+    draws = lor.stacked_draws(5, lambda: lor.lorentz_draw(rng))
+    L = lor.make_lorentz(*(d[:, None] for d in draws))
+    values = [(Biquaternion(*a0.T), Biquaternion(*b0.T))]
+    check.within(*cov.covariance_characters(L, DEFAULT_FRAME, values).values())
 
 
 @_suite("covariants.current_conservation", "eq.34", "exact", 0.0)
@@ -591,12 +595,14 @@ def _s_lagrangian(rng, check):
 
 @_suite("covariants.amplitude", "eq.40", "float", 1e-12)
 def _s_amplitude(rng, check):
-    for _ in range(10):
-        L = lor.random_lorentz(rng)
-        a0, b0 = lor._random_float_bq(rng), lor._random_float_bq(rng)
-        t = cov.amplitude(lor.act("three_half_L", "A", L, a0, DEFAULT_FRAME),
-                          lor.act("three_half_L", "B", L, b0, DEFAULT_FRAME))
-        check.within(abs(complex(t - cov.amplitude(a0, b0))))
+    # 10 samples as one stack, each drawn as L, a0 and b0
+    draws = lor.stacked_draws(10, lambda: lor.lorentz_draw(rng) + (lor.complex_gauss(rng, 4),
+                                                                   lor.complex_gauss(rng, 4)))
+    L = lor.make_lorentz(*draws[:4])
+    a0, b0 = (Biquaternion(*c.T) for c in draws[4:])
+    t = cov.amplitude(lor.act("three_half_L", "A", L, a0, DEFAULT_FRAME),
+                      lor.act("three_half_L", "B", L, b0, DEFAULT_FRAME))
+    check.within(largest([abs(t - cov.amplitude(a0, b0))]))
 
 
 # -- the vector-spinor system ----------------------------------------------------------
@@ -755,10 +761,11 @@ def _s_maxwell(rng, check):
 
 @_suite("operators.exponential", "eq.6", "float", 1e-12)
 def _s_op_exp(rng, check):
-    for _ in range(10):
-        m = RealLinearOp([[rng.uniform(-1.5, 1.5) for _ in range(8)] for _ in range(8)])
-        diff = op_exp(m) @ op_exp(m.scale(-1.0)) - RealLinearOp.identity()
-        check.within(np.linalg.norm(diff.to_numpy(), 2))
+    # 10 random matrices, drawn row by row, as one stack
+    m = RealLinearOp([[[rng.uniform(-1.5, 1.5) for _ in range(8)] for _ in range(8)]
+                      for _ in range(10)])
+    diff = op_exp(m) @ op_exp(m.scale(-1.0)) - RealLinearOp.identity()
+    check.within(largest([np.linalg.norm(diff.to_numpy(), 2, axis=(-2, -1))]))
     # rotation generators at the 4 pi double turn reach norm 6 pi, the
     # largest norm the rotation suites exponentiate
     gen = (MUL_I @ generators(SpinLabel.THREE_HALF, DEFAULT_FRAME).j1).scale(-4.0 * math.pi)

@@ -72,6 +72,12 @@ def stacked_draws(n, draw):
     return [np.array(v) for v in zip(*(draw() for _ in range(n)))]
 
 
+def complex_gauss(rng, n):
+    """n complex numbers whose real and imaginary parts are standard normal
+    draws, made in that order."""
+    return [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
+
+
 def _random_axis(rng):
     v = [rng.gauss(0, 1) for _ in range(3)]
     n = math.sqrt(sum(c * c for c in v))
@@ -185,12 +191,9 @@ def _report_samples(rng, transform_kind, dim):
     """The axes, angles or rapidities, and x and y coefficients of the
     sampled triples, each drawn sample after sample and stacked."""
     low, high = _PARAMETER_RANGE[transform_kind]
-
-    def coeffs():
-        return [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(dim)]
-
     return stacked_draws(_REPORT_SAMPLES, lambda: (_random_axis(rng), rng.uniform(low, high),
-                                                   coeffs(), coeffs()))
+                                                   complex_gauss(rng, dim),
+                                                   complex_gauss(rng, dim)))
 
 
 def _product_report(op, x, y):
@@ -223,10 +226,6 @@ def l32_invariance_report(transform_kind: str, seed=0):
         L = make_lorentz(axes, zero, axes, params)
     return _product_report(action_op("three_half_L", "A", L, DEFAULT_FRAME),
                            Biquaternion(*xs.T), Biquaternion(*ys.T))
-
-
-def _random_float_bq(rng):
-    return Biquaternion(*(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)))
 
 
 # -- group structure of the whole-algebra action ----------------------------------------

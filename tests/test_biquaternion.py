@@ -416,3 +416,22 @@ def test_max_abs_is_nan_when_any_component_is_nan():
     samples = Biquaternion(*(np.array([0j, 1j, 0j]) for _ in range(3)), np.array([2j, nan, 0j]))
     assert math.isnan(samples.max_abs())
     assert Biquaternion(*(np.array([0j, 1j, 3j]) for _ in range(4))).max_abs() == 3.0
+
+
+def test_scalar_and_vector_take_float_arrays():
+    # an array becomes a complex-array component, one sample per entry; a
+    # number still becomes a Python complex
+    s = Biquaternion.scalar(np.array([1.0, -2.5]))
+    assert s.w.dtype == complex and np.array_equal(s.w, [1.0, -2.5])
+    assert all(type(c) is complex and c == 0 for c in (s.x, s.y, s.z))
+    v = Biquaternion.vector(np.array([1.0, 2.0]), 0.5, np.array([3j, -1j]))
+    assert type(v.w) is complex and v.w == 0 and type(v.y) is complex and v.y == 0.5
+    assert np.array_equal(v.x, [1.0, 2.0]) and np.array_equal(v.z, [3j, -1j])
+    assert v.x.dtype == v.z.dtype == complex
+    # sample by sample, the same elements as the scalar constructors give
+    for k in range(2):
+        sample = Biquaternion(*(c[k] if isinstance(c, np.ndarray) else c
+                                for c in v.components()))
+        assert sample == Biquaternion.vector(complex(v.x[k]), 0.5, complex(v.z[k]))
+    assert all(type(c) is complex for c in Biquaternion.scalar(2.0).components())
+    assert all(type(c) is complex for c in Biquaternion.vector(1.0, 0, 2).components())

@@ -25,7 +25,7 @@ from bqspin.fields import (
     random_linear_potential,
     random_poly_field,
 )
-from bqspin.lorentz import make_lorentz, random_lorentz
+from bqspin.lorentz import complex_gauss, lorentz_draw, make_lorentz, random_lorentz, stacked_draws
 from bqspin.scalars import gr
 from bqspin.spin import rotation_factor
 
@@ -216,4 +216,39 @@ def test_a_nan_value_after_the_first_makes_every_character_nan():
                             complex(nan, nan))
     values = [(value(), value()), (poisoned, poisoned), (value(), value())]
     out = covariance_characters(random_lorentz(rng), DEFAULT_FRAME, values)
+    assert {key for key, worst in out.items() if not math.isnan(worst)} == set()
+
+
+def _character_stacks(seed):
+    """5 sampled L with components of shape (5, 1) and one pair of values
+    with components of shape (5,)."""
+    rng = random.Random(seed)
+    a, b = stacked_draws(5, lambda: (complex_gauss(rng, 4), complex_gauss(rng, 4)))
+    L = make_lorentz(*(d[:, None] for d in stacked_draws(5, lambda: lorentz_draw(rng))))
+    return L, Biquaternion(*a.T), Biquaternion(*b.T)
+
+
+def _entry(q, *index):
+    return Biquaternion(*(c[index] for c in q.components()))
+
+
+def test_stacked_characters_are_the_characters_of_the_single_values():
+    # the single L and values are one-entry slices of the stacks, so that
+    # both sides round as numpy does: the characters are rounding errors,
+    # and CPython's complex product rounds differently from numpy's
+    L, a, b = _character_stacks(80)
+    stacked = covariance_characters(L, DEFAULT_FRAME, [(a, b)])
+    values = [(_entry(a, slice(j, j + 1)), _entry(b, slice(j, j + 1))) for j in range(5)]
+    single = [covariance_characters(_entry(L, i), DEFAULT_FRAME, values) for i in range(5)]
+    for key, worst in stacked.items():
+        assert 0.0 < worst < 1e-12, key
+        assert math.isclose(worst, max(s[key] for s in single), rel_tol=1e-15), key
+
+
+def test_a_nan_in_one_entry_of_a_stack_makes_every_character_nan():
+    L, a, b = _character_stacks(81)
+    x = a.x.copy()
+    x[3] = complex(float("nan"), 0.0)
+    poisoned = Biquaternion(a.w, x, a.y, a.z)
+    out = covariance_characters(L, DEFAULT_FRAME, [(poisoned, b)])
     assert {key for key, worst in out.items() if not math.isnan(worst)} == set()

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
+import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bqspin import harness, spin
+from bqspin import bilinears, harness, linops, lorentz, spin
 from bqspin.cli import emit, main
 from bqspin.biquaternion import Biquaternion
 from bqspin.errors import ConfigError, UnknownSuite
@@ -350,6 +352,163 @@ def test_boost_fails_with_generators_that_are_not_the_columns(monkeypatch):
     monkeypatch.setattr(spin, "generators", lambda s, f: triples[s])
     row = _fail_row("rotations.boost")
     assert row.max_residual > 1e-3
+
+
+def _edited(fn, old, new):
+    """fn compiled again from its source, with its one occurrence of old
+    replaced by new."""
+    source = inspect.getsource(fn)
+    assert source.count(old) == 1
+    namespace = {}
+    exec(source.replace(old, new), fn.__globals__, namespace)
+    return namespace[fn.__name__]
+
+
+def _b_left_factor_l(factors):
+    # L in place of L.star() as the left factor of every B-role action
+    def mutant(row, role, L, f):
+        left, right = factors(row, role, L, f)
+        return (L if role == "B" else left), right
+    return mutant
+
+
+def _b_factors_of_row_one(factors):
+    # the whole-algebra B action with the factors of the vector row
+    return lambda row, role, L, f: factors(
+        "one" if (row, role) == ("three_half_L", "B") else row, role, L, f)
+
+
+def _bar_in_the_transition_law(characters):
+    return _edited(characters, 'for name in ("v_p", "v_a"):\n'
+                               '            expect = L * getattr(cov, name) * L.plus()',
+                   'for name in ("v_p", "v_a"):\n'
+                   '            expect = L * getattr(cov, name) * L.bar()')
+
+
+def _one_wrong_slice(exp):
+    # the middle slice of every result, the only one of a single operator,
+    # off by 1e-6 in one entry
+    def mutant(f):
+        m = exp(f).matrix.copy()
+        stack = m.reshape(-1, 8, 8)
+        stack[len(stack) // 2, 0, 0] += 1e-6
+        return RealLinearOp(m)
+    return mutant
+
+
+def _nan_rapidity_in_draw(k):
+    # the k-th Lorentz draw has a NaN rapidity
+    def mutant(draw):
+        calls = []
+
+        def poisoned(rng):
+            calls.append(None)
+            axis, angle, boost_axis, rapidity = draw(rng)
+            return axis, angle, boost_axis, math.nan if len(calls) == k else rapidity
+        return poisoned
+    return mutant
+
+
+@pytest.mark.parametrize("original,mutant,suite_id", [
+    (lorentz.action_factors, _b_left_factor_l, "lanczos.symbol_covariance"),
+    (lorentz.lorentz_draw, _nan_rapidity_in_draw(17), "lanczos.symbol_covariance"),
+    (bilinears.covariance_characters, _bar_in_the_transition_law, "covariants.characters"),
+    (lorentz.action_factors, _b_factors_of_row_one, "covariants.amplitude"),
+    (linops.op_exp, _one_wrong_slice, "operators.exponential"),
+], ids=["symbol_covariance-b_left_factor_l", "symbol_covariance-nan_rapidity",
+        "characters-bar_in_the_transition_law", "amplitude-b_factors_of_row_one",
+        "exponential-one_wrong_slice"])
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_a_mutant_fails_the_batched_float_suite(monkeypatch, original, mutant, suite_id):
+    # each sweep is one stack, so one wrong sample must still fail it
+    _rebind_everywhere(monkeypatch, original, mutant(original))
+    row = _fail_row(suite_id)
+    assert math.isnan(row.max_residual) or row.max_residual > 1e-9
+
+
+def _random_bq(rng):
+    return Biquaternion(*(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)))
+
+
+def _symbol_covariance_loop(rng):
+    ls = []
+    for _ in range(50):
+        ls.append(lorentz.random_lorentz(rng))
+        for row in lorentz.ROWS:
+            _random_bq(rng)
+            if row == "zero":
+                complex(rng.gauss(0, 1), rng.gauss(0, 1))
+            else:
+                _random_bq(rng)
+    return ls
+
+
+def _characters_loop(rng):
+    for _ in range(5):
+        _random_bq(rng), _random_bq(rng)
+    return [lorentz.random_lorentz(rng) for _ in range(5)]
+
+
+def _amplitude_loop(rng):
+    ls = []
+    for _ in range(10):
+        ls.append(lorentz.random_lorentz(rng))
+        _random_bq(rng), _random_bq(rng)
+    return ls
+
+
+@pytest.mark.parametrize("suite_id,loop", [
+    ("lanczos.symbol_covariance", _symbol_covariance_loop),
+    ("covariants.characters", _characters_loop),
+    ("covariants.amplitude", _amplitude_loop),
+])
+def test_a_batched_suite_samples_the_points_of_its_single_draw_loop(
+        monkeypatch, suite_id, loop):
+    # the loop draws as the suite did one sample at a time: the stacked
+    # suite must leave the generator in the same state and build the same
+    # L (up to rounding: the loop multiplies Python complex numbers)
+    seed = 5
+    reference = harness._rng_for(seed, suite_id)
+    singles = loop(reference)
+    made = []
+    make = lorentz.make_lorentz
+    _rebind_everywhere(monkeypatch, make, lambda *draw: made.append(make(*draw)) or made[-1])
+    spec = harness._REGISTRY[suite_id]
+    rng = harness._rng_for(seed, suite_id)
+    spec.fn(rng, harness.Check(spec.tol))
+    assert rng.getstate() == reference.getstate()
+    (stack,) = made
+    for k, c in enumerate(stack.components()):
+        assert np.allclose(np.ravel(c), [l.components()[k] for l in singles], rtol=0, atol=1e-15)
+
+
+def test_the_batched_exponential_suite_draws_the_matrices_of_its_single_draw_loop(monkeypatch):
+    reference = harness._rng_for(5, "operators.exponential")
+    singles = [[[reference.uniform(-1.5, 1.5) for _ in range(8)] for _ in range(8)]
+               for _ in range(10)]
+    seen = []
+    exp = linops.op_exp
+    _rebind_everywhere(monkeypatch, exp, lambda f: seen.append(f.to_numpy()) or exp(f))
+    spec = harness._REGISTRY["operators.exponential"]
+    rng = harness._rng_for(5, "operators.exponential")
+    spec.fn(rng, harness.Check(spec.tol))
+    assert rng.getstate() == reference.getstate()
+    assert np.array_equal(seen[0], singles)
+
+
+@pytest.mark.parametrize("suite_id,original,calls", [
+    ("lanczos.symbol_covariance", lorentz.make_lorentz, 1),
+    ("covariants.characters", lorentz.make_lorentz, 1),
+    ("covariants.amplitude", lorentz.make_lorentz, 1),
+    ("operators.exponential", linops.op_exp, 4),
+])
+def test_a_batched_suite_evaluates_each_sweep_once(monkeypatch, suite_id, original, calls):
+    # one call per stack, not one per sample
+    made = []
+    _rebind_everywhere(monkeypatch, original, lambda *args: made.append(1) or original(*args))
+    (row,) = run(suite_id, seed=0)
+    assert row.status == "pass"
+    assert len(made) == calls
 
 
 # fake lorentz reports: every quantity a suite bounds is the given violation
