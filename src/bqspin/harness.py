@@ -305,14 +305,16 @@ def _s_eigen(rng, check):
                              abs(state.unitary_norm() - 1.0))
 
 
-def _axes_and_angles(rng, n, low, high):
-    """n (axis, angle) draws, each angle uniform in [low, high), stacked."""
-    return lor.stacked_draws(n, lambda: (lor._random_axis(rng), rng.uniform(low, high)))
+def _generator(rng):
+    """The numpy Generator of a float suite's stacks, seeded by one draw
+    of the suite's rng."""
+    return np.random.default_rng(rng.getrandbits(64))
 
 
 @_suite("rotations.half_closed_form", "eq.4", "float", 1e-10)
 def _s_rot_half(rng, check):
-    axes, thetas = _axes_and_angles(rng, 100, -2 * math.pi, 2 * math.pi)
+    gen = _generator(rng)
+    axes, thetas = lor.random_axes(gen, 100), gen.uniform(-2 * math.pi, 2 * math.pi, 100)
     full = rotate(SpinLabel.HALF_PLUS, axes, thetas, DEFAULT_FRAME)
     closed = closed_form_half_rotation(axes, thetas)
     check.within(*((full.apply(b) - closed.apply(b)).max_abs()
@@ -321,7 +323,8 @@ def _s_rot_half(rng, check):
 
 @_suite("rotations.one_closed_form", "eq.5", "float", 1e-10)
 def _s_rot_one(rng, check):
-    axes, thetas = _axes_and_angles(rng, 100, -2 * math.pi, 2 * math.pi)
+    gen = _generator(rng)
+    axes, thetas = lor.random_axes(gen, 100), gen.uniform(-2 * math.pi, 2 * math.pi, 100)
     check.within(rotate(SpinLabel.ONE, axes, thetas, DEFAULT_FRAME).max_abs_diff(
         closed_form_one_rotation(axes, thetas)))
 
@@ -332,8 +335,7 @@ def _s_period(rng, check):
     # the sign each column takes at them
     signs = {SpinLabel.HALF_PLUS: -1.0, SpinLabel.HALF_MINUS: -1.0,
              SpinLabel.ONE: 1.0, SpinLabel.THREE_HALF: -1.0}
-    for s, sign in signs.items():
-        axis = lor._random_axis(rng)
+    for (s, sign), axis in zip(signs.items(), lor.random_axes(_generator(rng), 4)):
         turns = rotate(s, [axis, axis], [2 * math.pi, 4 * math.pi], DEFAULT_FRAME)
         expected = np.array([sign, 1.0])
         for b in subspace_basis(s, DEFAULT_FRAME):
@@ -345,9 +347,8 @@ def _s_boost(rng, check):
     # Footnote 8: on its subspace the HALF_PLUS boost is left multiplication
     # by the bireal factor exp(i rho a / 2).  Every boost is also undone by
     # the opposite rapidity, which alone holds for any generator.
-    for s in SpinLabel:
-        axis = lor._random_axis(rng)
-        rho = rng.uniform(-1.2, 1.2)
+    gen = _generator(rng)
+    for s, axis, rho in zip(SpinLabel, lor.random_axes(gen, 4), gen.uniform(-1.2, 1.2, 4)):
         forward, backward = (RealLinearOp(m) for m in
                              boost(s, [axis, axis], [rho, -rho], DEFAULT_FRAME).matrix)
         check.within((forward @ backward).max_abs_diff(RealLinearOp.identity()))
@@ -397,9 +398,9 @@ def _s_products_l32(rng, check):
 @_suite("lorentz.group_actions", "eq.A.5", "float", 1e-11)
 def _s_actions(rng, check):
     f = DEFAULT_FRAME
-    # six pairs (L1, L2), drawn pair after pair, as two stacks
-    draws = lor.stacked_draws(6, lambda: lor.lorentz_draw(rng) + lor.lorentz_draw(rng))
-    L1, L2 = lor.make_lorentz(*draws[:4]), lor.make_lorentz(*draws[4:])
+    # six pairs (L1, L2), as two stacks
+    gen = _generator(rng)
+    L1, L2 = lor.random_lorentz(gen, 6), lor.random_lorentz(gen, 6)
     L12 = L1 * L2
     for row in ("zero", "half_plus", "half_minus", "one"):
         for role in ("A", "B"):
@@ -512,17 +513,16 @@ def _s_symbol_cov(rng, check):
     # L [.] r, where r is the row's right factor
     m = float(ONSHELL.m)
     pq = ONSHELL.quaternion().to_float()
-    # 50 samples as one stack, each drawn as L and then, row by row, the
-    # components of a0 and b0; the scalar row pairs a four-vector with an
-    # invariant scalar
-    draws = lor.stacked_draws(50, lambda: lor.lorentz_draw(rng) + tuple(
-        lor.complex_gauss(rng, n) for row in lor.ROWS for n in (4, 1 if row == "zero" else 4)))
-    L = lor.make_lorentz(*draws[:4])
+    # 50 samples as one stack: L, then row by row the components of a0 and
+    # b0; the scalar row pairs a four-vector with an invariant scalar
+    gen = _generator(rng)
+    L = lor.random_lorentz(gen, 50)
     pq2 = L * pq * L.plus()
-    for row, a0, b0 in zip(lor.ROWS, draws[4::2], draws[5::2]):
+    for row in lor.ROWS:
         left, r = lor.action_factors(row, "A", L, DEFAULT_FRAME)
-        a0 = Biquaternion(*a0.T)
-        b0 = Biquaternion.scalar(b0[:, 0]) if row == "zero" else Biquaternion(*b0.T)
+        a0 = Biquaternion(*lor.complex_normals(gen, (4, 50)))
+        b0 = (Biquaternion.scalar(lor.complex_normals(gen, (50,))) if row == "zero"
+              else Biquaternion(*lor.complex_normals(gen, (4, 50))))
         res1 = (pq.bar() * a0) * 1j - b0 * m
         res2 = (pq * b0) * 1j - a0 * m
         a1 = left * a0 * r
@@ -551,10 +551,10 @@ def _s_singular(rng, check):
 def _s_characters(rng, check):
     # the 5 value pairs against the 5 sampled L as one 5 x 5 broadcast: the
     # L vary along the first axis and the values along the second
-    a0, b0 = lor.stacked_draws(5, lambda: (lor.complex_gauss(rng, 4), lor.complex_gauss(rng, 4)))
-    draws = lor.stacked_draws(5, lambda: lor.lorentz_draw(rng))
-    L = lor.make_lorentz(*(d[:, None] for d in draws))
-    values = [(Biquaternion(*a0.T), Biquaternion(*b0.T))]
+    gen = _generator(rng)
+    values = [(Biquaternion(*lor.complex_normals(gen, (4, 5))),
+               Biquaternion(*lor.complex_normals(gen, (4, 5))))]
+    L = Biquaternion(*(c[:, None] for c in lor.random_lorentz(gen, 5).components()))
     check.within(*cov.covariance_characters(L, DEFAULT_FRAME, values).values())
 
 
@@ -595,11 +595,10 @@ def _s_lagrangian(rng, check):
 
 @_suite("covariants.amplitude", "eq.40", "float", 1e-12)
 def _s_amplitude(rng, check):
-    # 10 samples as one stack, each drawn as L, a0 and b0
-    draws = lor.stacked_draws(10, lambda: lor.lorentz_draw(rng) + (lor.complex_gauss(rng, 4),
-                                                                   lor.complex_gauss(rng, 4)))
-    L = lor.make_lorentz(*draws[:4])
-    a0, b0 = (Biquaternion(*c.T) for c in draws[4:])
+    # 10 samples of L, a0 and b0 as one stack
+    gen = _generator(rng)
+    L = lor.random_lorentz(gen, 10)
+    a0, b0 = (Biquaternion(*lor.complex_normals(gen, (4, 10))) for _ in range(2))
     t = cov.amplitude(lor.act("three_half_L", "A", L, a0, DEFAULT_FRAME),
                       lor.act("three_half_L", "B", L, b0, DEFAULT_FRAME))
     check.within(largest([abs(t - cov.amplitude(a0, b0))]))
@@ -764,12 +763,12 @@ def _s_op_exp(rng, check):
     # 10 random matrices, drawn row by row, as one stack
     m = RealLinearOp([[[rng.uniform(-1.5, 1.5) for _ in range(8)] for _ in range(8)]
                       for _ in range(10)])
-    diff = op_exp(m) @ op_exp(m.scale(-1.0)) - RealLinearOp.identity()
+    diff = op_exp(m) @ op_exp(m.scale(-1.0)) - RealLinearOp(np.eye(8))
     check.within(largest([np.linalg.norm(diff.to_numpy(), 2, axis=(-2, -1))]))
     # rotation generators at the 4 pi double turn reach norm 6 pi, the
     # largest norm the rotation suites exponentiate
     gen = (MUL_I @ generators(SpinLabel.THREE_HALF, DEFAULT_FRAME).j1).scale(-4.0 * math.pi)
-    diff = op_exp(gen) @ op_exp(gen.scale(-1.0)) - RealLinearOp.identity()
+    diff = op_exp(gen) @ op_exp(gen.scale(-1.0)) - RealLinearOp(np.eye(8))
     check.within(np.linalg.norm(diff.to_numpy(), 2))
 
 

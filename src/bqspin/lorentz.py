@@ -53,35 +53,26 @@ def rotation_square(l: Biquaternion) -> Biquaternion:
     return twice_re * twice_re / twice_re.norm()
 
 
-def random_lorentz(rng) -> Biquaternion:
-    return make_lorentz(*lorentz_draw(rng))
+def random_axes(gen, n):
+    """n random unit 3-vectors, as an (n, 3) array: standard normal
+    triples from the numpy Generator gen, each divided by its length."""
+    v = gen.standard_normal((n, 3))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def lorentz_draw(rng):
-    """The (rotation axis, angle, boost axis, rapidity) of one random
-    element: ``random_lorentz(rng)`` is ``make_lorentz(*lorentz_draw(rng))``."""
-    axis = _random_axis(rng)
-    axis2 = _random_axis(rng)
-    return axis, rng.uniform(-math.pi, math.pi), axis2, rng.uniform(-1.5, 1.5)
+def random_lorentz(gen, n) -> Biquaternion:
+    """n random elements as one stack: rotation axes, angles in [-pi, pi),
+    boost axes and rapidities in [-1.5, 1.5), each drawn for all n at once
+    from the numpy Generator gen."""
+    return make_lorentz(random_axes(gen, n), gen.uniform(-math.pi, math.pi, n),
+                        random_axes(gen, n), gen.uniform(-1.5, 1.5, n))
 
 
-def stacked_draws(n, draw):
-    """n calls of draw(), made in order, with each value it returns stacked
-    over the calls into one array: the samples of n single draws, in their
-    rng order, ready to be evaluated as one batch."""
-    return [np.array(v) for v in zip(*(draw() for _ in range(n)))]
-
-
-def complex_gauss(rng, n):
-    """n complex numbers whose real and imaginary parts are standard normal
-    draws, made in that order."""
-    return [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
-
-
-def _random_axis(rng):
-    v = [rng.gauss(0, 1) for _ in range(3)]
-    n = math.sqrt(sum(c * c for c in v))
-    return [c / n for c in v]
+def complex_normals(gen, shape):
+    """Complex numbers of the given shape whose real and imaginary parts are
+    standard normal, drawn from gen as one array of pairs."""
+    pairs = gen.standard_normal((*shape, 2))
+    return pairs[..., 0] + 1j * pairs[..., 1]
 
 
 # -- the action table -------------------------------------------------------------
@@ -157,9 +148,8 @@ def subspace_closure(row: str, f: Frame, seed=0):
 
     All sampled actions of one field type form one stack, and the images of
     every basis vector are projected at once onto the subspace."""
-    rng = random.Random(seed)
     basis_a, basis_b = row_subspaces(row, f)
-    L = make_lorentz(*stacked_draws(_CLOSURE_SAMPLES, lambda: lorentz_draw(rng)))
+    L = random_lorentz(np.random.default_rng(seed), _CLOSURE_SAMPLES)
     residuals = []
     for role, basis in (("A", basis_a), ("B", basis_b)):
         m = np.array([b.real_coords() for b in basis], dtype=float).T
@@ -187,13 +177,15 @@ _REPORT_SAMPLES = 40
 _PARAMETER_RANGE = {"rotation": (0.3, math.pi), "boost": (0.4, 1.4)}
 
 
-def _report_samples(rng, transform_kind, dim):
+def _report_samples(seed, transform_kind, dim):
     """The axes, angles or rapidities, and x and y coefficients of the
-    sampled triples, each drawn sample after sample and stacked."""
+    sampled triples, each drawn for all samples at once from a numpy
+    Generator seeded with seed."""
+    gen = np.random.default_rng(seed)
     low, high = _PARAMETER_RANGE[transform_kind]
-    return stacked_draws(_REPORT_SAMPLES, lambda: (_random_axis(rng), rng.uniform(low, high),
-                                                   complex_gauss(rng, dim),
-                                                   complex_gauss(rng, dim)))
+    return (random_axes(gen, _REPORT_SAMPLES), gen.uniform(low, high, _REPORT_SAMPLES),
+            complex_normals(gen, (_REPORT_SAMPLES, dim)),
+            complex_normals(gen, (_REPORT_SAMPLES, dim)))
 
 
 def _product_report(op, x, y):
@@ -210,7 +202,7 @@ def invariance_report(s: SpinLabel, transform_kind: str, seed=0):
     """Sample transformed pairs from the representation's invariant domain
     and report how far each scalar product moves."""
     basis = subspace_basis(s, DEFAULT_FRAME)
-    axes, params, xs, ys = _report_samples(random.Random(seed), transform_kind, len(basis))
+    axes, params, xs, ys = _report_samples(seed, transform_kind, len(basis))
     transform = spin_rotate if transform_kind == "rotation" else spin_boost
     return _product_report(transform(s, axes, params, DEFAULT_FRAME),
                            _combination(basis, xs), _combination(basis, ys))
@@ -218,7 +210,7 @@ def invariance_report(s: SpinLabel, transform_kind: str, seed=0):
 
 def l32_invariance_report(transform_kind: str, seed=0):
     """Same report for the whole-algebra action x -> L x R^2."""
-    axes, params, xs, ys = _report_samples(random.Random(seed), transform_kind, 4)
+    axes, params, xs, ys = _report_samples(seed, transform_kind, 4)
     zero = np.zeros_like(params)
     if transform_kind == "rotation":
         L = make_lorentz(axes, params, axes, zero)

@@ -2,6 +2,8 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from bqspin.biquaternion import (
     Biquaternion,
     DEFAULT_FRAME,
@@ -25,7 +27,7 @@ from bqspin.fields import (
     random_linear_potential,
     random_poly_field,
 )
-from bqspin.lorentz import complex_gauss, lorentz_draw, make_lorentz, random_lorentz, stacked_draws
+from bqspin.lorentz import complex_normals, make_lorentz, random_lorentz
 from bqspin.scalars import gr
 from bqspin.spin import rotation_factor
 
@@ -189,11 +191,9 @@ def test_covariance_characters():
     values = [(Biquaternion(*(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4))),
                Biquaternion(*(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4))))
               for _ in range(6)]
-    for _ in range(5):
-        L = random_lorentz(rng)
-        out = covariance_characters(L, DEFAULT_FRAME, values)
-        for key, worst in out.items():
-            assert worst < 1e-12, (key, worst)
+    out = covariance_characters(random_lorentz(np.random.default_rng(77), 5), DEFAULT_FRAME, values)
+    for key, worst in out.items():
+        assert worst < 1e-12, (key, worst)
 
 
 def test_covariance_characters_identity():
@@ -215,17 +215,17 @@ def test_a_nan_value_after_the_first_makes_every_character_nan():
     poisoned = Biquaternion(complex(nan, nan), complex(nan, nan), complex(nan, nan),
                             complex(nan, nan))
     values = [(value(), value()), (poisoned, poisoned), (value(), value())]
-    out = covariance_characters(random_lorentz(rng), DEFAULT_FRAME, values)
+    out = covariance_characters(random_lorentz(np.random.default_rng(79), 1), DEFAULT_FRAME,
+                                values)
     assert {key for key, worst in out.items() if not math.isnan(worst)} == set()
 
 
 def _character_stacks(seed):
     """5 sampled L with components of shape (5, 1) and one pair of values
     with components of shape (5,)."""
-    rng = random.Random(seed)
-    a, b = stacked_draws(5, lambda: (complex_gauss(rng, 4), complex_gauss(rng, 4)))
-    L = make_lorentz(*(d[:, None] for d in stacked_draws(5, lambda: lorentz_draw(rng))))
-    return L, Biquaternion(*a.T), Biquaternion(*b.T)
+    gen = np.random.default_rng(seed)
+    a, b = (Biquaternion(*complex_normals(gen, (4, 5))) for _ in range(2))
+    return _entry(random_lorentz(gen, 5), slice(None), None), a, b
 
 
 def _entry(q, *index):

@@ -21,6 +21,7 @@ from bqspin.lorentz import (
     action_op,
     best_fit_defect,
     boost_counterexample,
+    complex_normals,
     invariance_report,
     l32_invariance_report,
     make_lorentz,
@@ -40,15 +41,13 @@ def _rand_axis(rng):
 
 
 def test_make_lorentz_invariants():
-    rng = random.Random(60)
     one = Biquaternion.scalar(1.0)
-    for _ in range(25):
-        L = random_lorentz(rng)
-        r2 = rotation_square(L)
-        # unit norm, and a real unit-norm squared rotation factor
-        assert (L * L.bar() - one).max_abs() < 1e-12
-        assert (r2.star() - r2).max_abs() < 1e-12
-        assert (r2 * r2.bar() - one).max_abs() < 1e-12
+    L = random_lorentz(np.random.default_rng(60), 25)
+    r2 = rotation_square(L)
+    # unit norm, and a real unit-norm squared rotation factor
+    assert (L * L.bar() - one).max_abs() < 1e-12
+    assert (r2.star() - r2).max_abs() < 1e-12
+    assert (r2 * r2.bar() - one).max_abs() < 1e-12
 
 
 def test_make_lorentz_pure_cases():
@@ -130,16 +129,14 @@ def test_identity_action_fixes_field_values(row):
 
 @pytest.mark.parametrize("row", ["zero", "half_plus", "half_minus", "one"])
 def test_actions_are_group_actions(row):
-    rng = random.Random(64)
+    gen = np.random.default_rng(64)
     f = DEFAULT_FRAME
-    for _ in range(10):
-        L1 = random_lorentz(rng)
-        L2 = random_lorentz(rng)
-        L12 = L1 * L2
-        for role in ("A", "B"):
-            lhs = action_op(row, role, L1, f) @ action_op(row, role, L2, f)
-            rhs = action_op(row, role, L12, f)
-            assert lhs.equal(rhs, tol=1e-11), (row, role)
+    L1, L2 = random_lorentz(gen, 10), random_lorentz(gen, 10)
+    L12 = L1 * L2
+    for role in ("A", "B"):
+        lhs = action_op(row, role, L1, f) @ action_op(row, role, L2, f)
+        rhs = action_op(row, role, L12, f)
+        assert lhs.equal(rhs, tol=1e-11), (row, role)
 
 
 def test_spinor_action_agrees_with_rotation_rep_on_subspace():
@@ -159,25 +156,23 @@ def test_spinor_action_agrees_with_rotation_rep_on_subspace():
 def test_four_vector_and_six_vector_laws():
     # the spin-one row implements the four-vector law L [.] L.plus() and the
     # six-vector law L.star() [.] L.plus()
-    rng = random.Random(66)
+    gen = np.random.default_rng(66)
     f = DEFAULT_FRAME
-    for _ in range(10):
-        L = random_lorentz(rng)
-        x = Biquaternion(*(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)))
-        assert (act("one", "A", L, x, f) - L * x * L.plus()).max_abs() < 1e-12
-        assert (act("one", "B", L, x, f) - L.star() * x * L.plus()).max_abs() < 1e-12
+    L = random_lorentz(gen, 10)
+    x = Biquaternion(*complex_normals(gen, (4, 10)))
+    assert (act("one", "A", L, x, f) - L * x * L.plus()).max_abs() < 1e-12
+    assert (act("one", "B", L, x, f) - L.star() * x * L.plus()).max_abs() < 1e-12
 
 
 def test_act_is_the_table_operator_applied():
-    rng = random.Random(70)
+    gen = np.random.default_rng(70)
     f = DEFAULT_FRAME
+    L = random_lorentz(gen, 10)
+    x = Biquaternion(*complex_normals(gen, (4, 10)))
     for row in ROWS:
         for role in ("A", "B"):
-            L = random_lorentz(rng)
-            x = Biquaternion(*(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)))
             expect = action_op(row, role, L, f).apply(x)
             assert (act(row, role, L, x, f) - expect).max_abs() < 1e-12, (row, role)
-    L = random_lorentz(rng)
     with pytest.raises(ValueError):
         action_factors("two", "A", L, f)
     with pytest.raises(ValueError):
