@@ -423,78 +423,43 @@ def random_rational_biquaternion(rng, span=6):
 
 # the lcm of the denominators 1, 2, 3 that random_rational_biquaternion draws
 _BATCH_SCALE = 6
-# 6 // d for the denominator d = 1, 2, 3 read from the top two bits 0, 1, 2 of a word
+# 6 // d for the denominator d = 1, 2, 3, indexed by d - 1
 _DEN_FACTOR = np.array([6, 3, 2], dtype=np.int64)
 # 32-bit generator words read at once by random_rational_batch
 _CHUNK = 4096
-_TWICE_INDEX = 2 * np.arange(_CHUNK)
 
 
 def random_rational_batch(rng, n, k, span=6):
     """k biquaternions whose components are batches of n exact samples.
 
-    Sample i of the j-th element is the biquaternion that the (i*k + j)-th of
-    n*k calls of random_rational_biquaternion(rng, span) would draw, and rng
-    is left in the state those calls would leave.  Each drawn numerator is
-    stored as an integer over the common denominator 6.
+    Each real and each imaginary part is drawn as random_rational_biquaternion
+    draws it: a numerator uniform in [-span, span] over a denominator uniform
+    in {1, 2, 3}, stored as an integer over the common denominator 6.  Sample
+    i of the j-th element is the (i*k + j)-th biquaternion drawn.
 
-    rng must be a ``random.Random``: the draws replay its ``randint``
-    without calling it.  ``randint`` draws from a range of width w by
-    reading one 32-bit Mersenne Twister word, keeping its top
-    ``w.bit_length()`` bits and reading another word while that value is
-    >= w.  Here the words come from ``getrandbits`` in chunks and numpy
-    applies that rejection to a whole chunk, so the numerator width
-    2*span + 1 must fit in 32 bits (ValueError otherwise).
+    A (numerator, denominator) pair is one value v uniform below
+    3 * (2*span + 1), split as ``den - 1, num + span = divmod(v, 2*span + 1)``.
+    v is the top bits of a 32-bit word of ``rng.getrandbits``, kept when it
+    falls in range, so ``rng`` is read through ``getrandbits`` alone and the
+    3 * (2*span + 1) values must fit in one word (ValueError otherwise).
     """
     width = 2 * span + 1
-    if not 0 < width < 1 << 32:
-        raise ValueError(f"span {span} is not in 0..2**31 - 1")
-    shift = 32 - width.bit_length()
-    # per sample, per element: re and im of w, x, y, z, each a numerator
-    # and then a denominator, as comp() in random_rational_biquaternion draws them;
-    # draw 2m is the numerator of flat[m], and draw 2m + 1 its denominator d,
-    # which multiplies it by 6 // d
+    pairs = 3 * width
+    # 3 does not divide 2**32, so this is pairs <= 2**32
+    if not 0 < pairs < 1 << 32:
+        raise ValueError(f"span {span} is not in 0..{((1 << 32) // 3 - 1) // 2}")
+    shift = 32 - pairs.bit_length()
+    # per sample, per element: re and im of w, x, y, z
     flat = np.empty(n * k * 8, dtype=np.int64)
-    draws = 2 * flat.size
     filled = 0
-    while filled < draws:
-        # a chunk draws at most one value per word, so only one that could
-        # reach the last draw needs the state to give back its unused words
-        state = rng.getstate() if draws - filled <= _CHUNK else None
-        # The chunk is worked in int64 and bool only, through numpy loops that
-        # the batched products run anyway: each loop first run maps more of
-        # numpy's code into memory (64 KB each for a uint32 compare, an int64
-        # `& 1` and a slice copy), so a parity is read with a shift and the
-        # numerators are written through a ufunc's out argument.
+    while filled < flat.size:
         words = np.frombuffer(rng.getrandbits(32 * _CHUNK).to_bytes(4 * _CHUNK, "little"),
                               "<u4").astype(np.int64)
-        num, den = words >> shift, words >> 30
-        num_ok, den_ok = num < width, den < 3
-        # While waiting for a numerator (False) or a denominator (True), a word
-        # that passes both tests flips the wait, one that passes one test sets
-        # it to the other draw, and one that passes neither leaves it.  So the
-        # wait after word i is the one set by the last setting word j <= i,
-        # flipped by each flipping word in (j, i]; before any setting word, it
-        # is the chunk's first wait: True after an odd count of draws.
-        sets = num_ok ^ den_ok
-        flipped = np.logical_xor.accumulate(num_ok & den_ok)
-        start = filled & 1
-        # 2j + (wait set by j) ^ flipped[j] at a setting word j, start - 2 at
-        # any other: the running maximum reads the last setting word's bit
-        last = np.where(sets, np.where(num_ok ^ flipped, _TWICE_INDEX + 1, _TWICE_INDEX), start - 2)
-        np.maximum.accumulate(last, out=last)
-        wait = np.empty(_CHUNK, dtype=bool)
-        wait[0] = start
-        np.not_equal((last[:-1] >> 1) * 2 != last[:-1], flipped[:-1], out=wait[1:])
-        taken = np.flatnonzero(num_ok ^ (wait & sets))[:draws - filled]
-        nums, dens = taken[start::2], taken[1 - start::2]
-        np.subtract(num[nums], span, out=flat[(filled + 1) // 2:][:nums.size])
-        flat[filled // 2:][:dens.size] *= _DEN_FACTOR[den[dens]]
-        filled += taken.size
-        if filled == draws:
-            # give back the words after the last one drawn
-            rng.setstate(state)
-            rng.getrandbits(32 * (int(taken[-1]) + 1))
+        v = words >> shift
+        v = v[v < pairs][:flat.size - filled]
+        den, num = np.divmod(v, width)
+        np.multiply(num - span, _DEN_FACTOR[den], out=flat[filled:filled + v.size])
+        filled += v.size
     parts = flat.reshape(n, k, 4, 2).transpose(1, 2, 3, 0)
     # no entry exceeds span * 6 // 1
     bound = span * _BATCH_SCALE

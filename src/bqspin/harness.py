@@ -351,7 +351,7 @@ def _s_boost(rng, check):
     for s, axis, rho in zip(SpinLabel, lor.random_axes(gen, 4), gen.uniform(-1.2, 1.2, 4)):
         forward, backward = (RealLinearOp(m) for m in
                              boost(s, [axis, axis], [rho, -rho], DEFAULT_FRAME).matrix)
-        check.within((forward @ backward).max_abs_diff(RealLinearOp.identity()))
+        check.within((forward @ backward).max_abs_diff(RealLinearOp(np.eye(8))))
         if s is SpinLabel.HALF_PLUS:
             closed = closed_form_half_boost(axis, rho)
             check.within(*((forward.apply(b) - closed.apply(b)).max_abs()
@@ -364,9 +364,10 @@ def _s_boost(rng, check):
 @_suite("products.low_spin_matrix", "eq.1", "float", 1e-10)
 def _s_products_low(rng, check):
     payload = {}
+    gen = _generator(rng)
     for s in (SpinLabel.HALF_PLUS, SpinLabel.HALF_MINUS, SpinLabel.ONE):
-        rot = lor.invariance_report(s, "rotation", seed=rng.randint(0, 10 ** 6))
-        boo = lor.invariance_report(s, "boost", seed=rng.randint(0, 10 ** 6))
+        rot = lor.invariance_report(s, "rotation", gen)
+        boo = lor.invariance_report(s, "boost", gen)
         # rotations keep both products, boosts only the Minkowski one: they
         # break the unitary product by more than 0.1
         check.within(rot["minkowski_violation"], rot["unitary_violation"],
@@ -378,7 +379,7 @@ def _s_products_low(rng, check):
 
 @_suite("products.three_half_matrix", "eq.3", "float", 1e-10, kind="witness")
 def _s_products_three_half(rng, check):
-    rot = lor.invariance_report(SpinLabel.THREE_HALF, "rotation", seed=rng.randint(0, 10 ** 6))
+    rot = lor.invariance_report(SpinLabel.THREE_HALF, "rotation", _generator(rng))
     check.within(rot["unitary_violation"])
     check.exceeds(rot["minkowski_violation"])
     return {"minkowski_violation_margin": rot["minkowski_violation"]}
@@ -386,8 +387,9 @@ def _s_products_three_half(rng, check):
 
 @_suite("products.l32_matrix", "eq.2", "float", 1e-10)
 def _s_products_l32(rng, check):
-    rot = lor.l32_invariance_report("rotation", seed=rng.randint(0, 10 ** 6))
-    boo = lor.l32_invariance_report("boost", seed=rng.randint(0, 10 ** 6))
+    gen = _generator(rng)
+    rot = lor.l32_invariance_report("rotation", gen)
+    boo = lor.l32_invariance_report("boost", gen)
     check.within(rot["minkowski_violation"], rot["unitary_violation"],
                  boo["minkowski_violation"])
     payload = {"boost_unitary_violation": boo["unitary_violation"]}
@@ -412,8 +414,9 @@ def _s_actions(rng, check):
 def _s_subspaces(rng, check):
     expected = {"zero": (4, 2), "half_plus": (4, 4), "half_minus": (4, 4),
                 "one": (4, 6), "three_half_L": (8, 8)}
+    gen = _generator(rng)
     for row, dims in expected.items():
-        out = lor.subspace_closure(row, DEFAULT_FRAME, seed=rng.randint(0, 10 ** 6))
+        out = lor.subspace_closure(row, DEFAULT_FRAME, gen)
         check.within(out["max_residual"], witness={"row": row})
         check.holds((out["real_dim_A"], out["real_dim_B"]) == dims, {"row": row})
 

@@ -142,14 +142,15 @@ def _orthonormal_columns(m):
 _CLOSURE_SAMPLES = 10
 
 
-def subspace_closure(row: str, f: Frame, seed=0):
+def subspace_closure(row: str, f: Frame, gen):
     """The real dimensions of the designated value subspaces and the largest
-    distance from them of an image under sampled actions.
+    distance from them of an image under actions sampled from the numpy
+    Generator gen.
 
     All sampled actions of one field type form one stack, and the images of
     every basis vector are projected at once onto the subspace."""
     basis_a, basis_b = row_subspaces(row, f)
-    L = random_lorentz(np.random.default_rng(seed), _CLOSURE_SAMPLES)
+    L = random_lorentz(gen, _CLOSURE_SAMPLES)
     residuals = []
     for role, basis in (("A", basis_a), ("B", basis_b)):
         m = np.array([b.real_coords() for b in basis], dtype=float).T
@@ -177,11 +178,10 @@ _REPORT_SAMPLES = 40
 _PARAMETER_RANGE = {"rotation": (0.3, math.pi), "boost": (0.4, 1.4)}
 
 
-def _report_samples(seed, transform_kind, dim):
+def _report_samples(gen, transform_kind, dim):
     """The axes, angles or rapidities, and x and y coefficients of the
-    sampled triples, each drawn for all samples at once from a numpy
-    Generator seeded with seed."""
-    gen = np.random.default_rng(seed)
+    sampled triples, each drawn for all samples at once from the numpy
+    Generator gen."""
     low, high = _PARAMETER_RANGE[transform_kind]
     return (random_axes(gen, _REPORT_SAMPLES), gen.uniform(low, high, _REPORT_SAMPLES),
             complex_normals(gen, (_REPORT_SAMPLES, dim)),
@@ -198,19 +198,20 @@ def _product_report(op, x, y):
                                               - unitary_product(x, y))])}
 
 
-def invariance_report(s: SpinLabel, transform_kind: str, seed=0):
+def invariance_report(s: SpinLabel, transform_kind: str, gen):
     """Sample transformed pairs from the representation's invariant domain
-    and report how far each scalar product moves."""
+    with the numpy Generator gen and report how far each scalar product
+    moves."""
     basis = subspace_basis(s, DEFAULT_FRAME)
-    axes, params, xs, ys = _report_samples(seed, transform_kind, len(basis))
+    axes, params, xs, ys = _report_samples(gen, transform_kind, len(basis))
     transform = spin_rotate if transform_kind == "rotation" else spin_boost
     return _product_report(transform(s, axes, params, DEFAULT_FRAME),
                            _combination(basis, xs), _combination(basis, ys))
 
 
-def l32_invariance_report(transform_kind: str, seed=0):
+def l32_invariance_report(transform_kind: str, gen):
     """Same report for the whole-algebra action x -> L x R^2."""
-    axes, params, xs, ys = _report_samples(seed, transform_kind, 4)
+    axes, params, xs, ys = _report_samples(gen, transform_kind, 4)
     zero = np.zeros_like(params)
     if transform_kind == "rotation":
         L = make_lorentz(axes, params, axes, zero)

@@ -2,22 +2,21 @@
 
 A ``GaussianIntArray`` holds one exact Gaussian rational per sample, so the
 unchanged biquaternion code checks an identity on a whole batch at once.
-These tests tie the batch to the scalar path it replaces: the same draws,
-the same products, and a sweep that fails when the product is wrong.
+These tests tie the batch to the scalar path it replaces: a draw with the
+scalar draw's values and distribution that reads the generator only
+through ``getrandbits``, the same products on every decoded sample, and a
+sweep that fails when the product is wrong.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from bqspin import biquaternion, harness
-from bqspin.biquaternion import (
-    Biquaternion,
-    random_rational_batch,
-    random_rational_biquaternion,
-)
+from bqspin.biquaternion import Biquaternion, random_rational_batch
 from bqspin.errors import MixedBackend
 from bqspin.scalars import GaussianIntArray, gr, is_exact
 
@@ -34,75 +33,115 @@ def _sample(q, i):
     return Biquaternion(*(_scalar(c, i) for c in q.components()))
 
 
+def _parts(batch):
+    """Every real and imaginary part of a batch, over the denominator 6."""
+    return np.concatenate([part for q in batch for c in q.components() for part in (c.re, c.im)])
+
+
 # -- the draws -------------------------------------------------------------------
 
 
-class _WordCounting(random.Random):
-    """A generator that counts the 32-bit words its draws read."""
-
-    words = 0
-
-    def getrandbits(self, k):
-        self.words += (k + 31) // 32
-        return super().getrandbits(k)
+def _scalar_values(span):
+    """The parts random_rational_biquaternion(rng, span) can draw, over 6,
+    each with the count of the (numerator, denominator) pairs that give it."""
+    return Counter(num * 6 // den for num in range(-span, span + 1) for den in (1, 2, 3))
 
 
-# 1200 elements of 16 draws read about 47 000 words: a dozen chunks at every span
+def _is_scalar_part(p, span):
+    """p is 6 * num // den for a numerator num in [-span, span] and a
+    denominator den in {1, 2, 3}."""
+    return any(p % f == 0 and abs(p // f) <= span for f in (6, 3, 2))
+
+
+# the (400, 3) batch needs 9600 pairs: at every span, several chunks of 4096 words
 @pytest.mark.parametrize("span", [0, 1, 2, 6, 9, 12, 2 ** 20])
 @pytest.mark.parametrize("n, k", [(1, 1), (40, 2), (50, 3), (400, 3)])
 def test_batch_sample_is_the_scalar_draw(n, k, span):
-    rng = random.Random(7)
-    batch = random_rational_batch(rng, n, k, span)
-    scalar = random.Random(7)
-    for i in range(n):
-        for element in batch:
-            assert _sample(element, i) == random_rational_biquaternion(scalar, span)
-    # the batch consumed the generator exactly as the scalar draws did
-    assert rng.getstate() == scalar.getstate()
+    # every sample is a biquaternion that random_rational_biquaternion(rng,
+    # span) can draw: k elements of n samples, each part a numerator in
+    # [-span, span] over 1, 2 or 3, held over 6 within the kept bound
+    batch = random_rational_batch(random.Random(7), n, k, span)
+    assert len(batch) == k
+    for q in batch:
+        for c in q.components():
+            assert c.scale == 6 and c._bound == 6 * span
+            assert c.re.shape == c.im.shape == (n,)
+    assert all(_is_scalar_part(p, span) for p in _parts(batch).tolist())
 
 
-def test_a_chunk_can_end_between_a_numerator_and_its_denominator():
-    # the first chunk of the (400, 3, span 6) draw from seed 7 ends after an
-    # odd count of draws, so the batch must carry a numerator into the next chunk
-    rng = _WordCounting(7)
-    done = 0
-    while rng.words < biquaternion._CHUNK:
-        if done % 2 == 0:
-            rng.randint(-6, 6)
-        else:
-            rng.randint(1, 3)
-        done += rng.words <= biquaternion._CHUNK
-    assert done % 2 == 1
+def _support_defects(draw):
+    """How a large span-2 draw departs from the scalar draw's distribution.
+
+    The 15 (numerator, denominator) pairs are equally likely; pairs with the
+    same quotient, such as 0/1, 0/2 and 0/3, give one stored value, so each
+    of the 11 values is expected in proportion to its count of pairs.  Every
+    value must appear, and the chi-square statistic of the value counts
+    (10 degrees of freedom) must stay below 29.59, its 0.1 % upper tail.
+    """
+    parts = _parts(draw(random.Random(2024), 2000, 3, 2))
+    expected = _scalar_values(2)
+    seen = Counter(parts.tolist())
+    defects = [f"value {v}/6 never drawn" for v in expected if not seen[v]]
+    defects += [f"value {v}/6 is not a draw" for v in seen if v not in expected]
+    total = sum(expected.values())
+    chi2 = sum((seen[v] - parts.size * m / total) ** 2 / (parts.size * m / total)
+               for v, m in expected.items())
+    if chi2 >= 29.59:
+        defects.append(f"chi-square {chi2:.1f}")
+    return defects
 
 
-def test_the_draw_never_calls_randint(monkeypatch):
-    want = random_rational_batch(random.Random(2), 30, 2, 9)
+def test_the_draw_hits_every_pair_in_proportion():
+    assert _support_defects(random_rational_batch) == []
 
-    def refuse(self, a, b):
-        raise AssertionError("randint called")
 
-    monkeypatch.setattr(random.Random, "randint", refuse)
-    got = random_rational_batch(random.Random(2), 30, 2, 9)
-    for g, w in zip(got, want):
-        for cg, cw in zip(g.components(), w.components()):
-            assert cg.re.tolist() == cw.re.tolist() and cg.im.tolist() == cw.im.tolist()
+def test_a_draw_that_never_yields_denominator_3_fails_the_support_test(monkeypatch):
+    # denominator 3 read as 2: the factor 6 // 3 becomes 6 // 2
+    monkeypatch.setattr(biquaternion, "_DEN_FACTOR", np.array([6, 3, 3], dtype=np.int64))
+    defects = _support_defects(random_rational_batch)
+    assert {"value -4/6 never drawn", "value -2/6 never drawn",
+            "value 2/6 never drawn", "value 4/6 never drawn"} <= set(defects)
+    assert defects[-1].startswith("chi-square")
+
+
+def test_equal_seeds_give_equal_arrays():
+    first, again, other = (_parts(random_rational_batch(random.Random(seed), 300, 2, 9))
+                           for seed in (17, 17, 18))
+    assert np.array_equal(first, again)
+    assert not np.array_equal(first, other)
+
+
+class _GetrandbitsOnly(random.Random):
+    """A generator whose every draw but getrandbits raises."""
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("the draw read the generator through more than getrandbits")
+
+    randint = randrange = random = getstate = setstate = _refuse
+
+
+def test_the_draw_reads_the_generator_only_through_getrandbits():
+    got = _parts(random_rational_batch(_GetrandbitsOnly(2), 3000, 2, 9))
+    want = _parts(random_rational_batch(random.Random(2), 3000, 2, 9))
+    assert np.array_equal(got, want)
 
 
 def test_a_span_wider_than_one_word_is_refused():
-    # width 2**32 - 1 still fits in one 32-bit word
-    rng, scalar = random.Random(4), random.Random(4)
-    (q,) = random_rational_batch(rng, 3, 1, 2 ** 31 - 1)
-    for i in range(3):
-        assert _sample(q, i) == random_rational_biquaternion(scalar, 2 ** 31 - 1)
-    assert rng.getstate() == scalar.getstate()
-    for span in (2 ** 31, -1):
+    # 3 * (2 * span + 1) values must fit in one 32-bit word
+    widest = ((1 << 32) // 3 - 1) // 2
+    assert 3 * (2 * widest + 1) <= 1 << 32 < 3 * (2 * widest + 3)
+    (q,) = random_rational_batch(random.Random(4), 300, 1, widest)
+    parts = _parts([q]).tolist()
+    assert all(_is_scalar_part(p, widest) for p in parts)
+    # the draws spread over the whole range
+    assert max(parts) > 3 * widest and min(parts) < -3 * widest
+    for span in (widest + 1, -1):
         with pytest.raises(ValueError):
             random_rational_batch(random.Random(4), 3, 1, span)
 
 
 def test_batch_operations_agree_with_gaussian_rationals():
     a, b = random_rational_batch(random.Random(11), 100, 2)
-    rng = random.Random(11)
     ops = {
         "product": lambda x, y: x * y,
         "bar": lambda x, y: x.bar(),
@@ -113,8 +152,7 @@ def test_batch_operations_agree_with_gaussian_rationals():
     batched = {name: op(a, b) for name, op in ops.items()}
     norm = a.norm()
     for i in range(100):
-        qa = random_rational_biquaternion(rng)
-        qb = random_rational_biquaternion(rng)
+        qa, qb = _sample(a, i), _sample(b, i)
         for name, op in ops.items():
             assert _sample(batched[name], i) == op(qa, qb), (name, i)
         assert _scalar(norm, i) == qa.norm()
@@ -212,12 +250,16 @@ def test_a_wrong_product_fails_every_batched_sweep(monkeypatch):
         (row,) = harness.run(sid, seed=0)
         assert row.status == "fail", sid
         assert set(row.witness_payload) == {"sample_index"}, sid
-    # the witness is the first sample on which the scalar check fails
+    # the witness is the first sample, in draw order, on which the scalar
+    # check of the decoded sample fails
     (row,) = harness.run("algebra.associativity", seed=0)
+    witness = row.witness_payload["sample_index"]
     rng = harness._rng_for(0, "algebra.associativity")
-    for i in range(row.witness_payload["sample_index"] + 1):
-        a, b, c = (random_rational_biquaternion(rng, span=9) for _ in range(3))
-        assert ((a * b) * c - a * (b * c)).is_zero() == (i < row.witness_payload["sample_index"])
+    for start in range(0, witness + 1, harness._BATCH):
+        batch = random_rational_batch(rng, harness._BATCH, 3, span=9)
+        for i in range(start, min(start + harness._BATCH, witness + 1)):
+            a, b, c = (_sample(q, i - start) for q in batch)
+            assert ((a * b) * c - a * (b * c)).is_zero() == (i < witness)
 
 
 def test_sweep_witness_counts_samples_across_batches():

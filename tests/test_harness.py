@@ -483,8 +483,9 @@ def test_a_batched_suite_evaluates_each_sweep_once(monkeypatch, suite_id, origin
 
 # fake lorentz reports: every quantity a suite bounds is the given violation
 def _fake_invariance(violation):
-    def report(*args, seed):
-        if args[-1] == "rotation":
+    def report(*args):
+        *_, transform_kind, gen = args
+        if transform_kind == "rotation":
             return {"minkowski_violation": violation, "unitary_violation": violation}
         return {"minkowski_violation": violation, "unitary_violation": 0.5}
     return report
@@ -495,7 +496,7 @@ _ROW_DIMS = {"zero": (4, 2), "half_plus": (4, 4), "half_minus": (4, 4),
 
 
 def _fake_closure(violation):
-    def closure(row, f, seed):
+    def closure(row, f, gen):
         dim_a, dim_b = _ROW_DIMS[row]
         return {"max_residual": violation, "real_dim_A": dim_a, "real_dim_B": dim_b}
     return closure

@@ -1,8 +1,7 @@
 """The exact suites, and the bare imports, never load numpy.random.
 
-``random_rational_batch`` replays ``random.Random.randint`` on raw
-Mersenne Twister words, and the float suites reach for ``numpy.random``
-only when they run; loading it would add about 5 MB to the peak memory of
+``random_rational_batch`` draws from ``random.Random.getrandbits`` words,
+and the float suites reach for ``numpy.random`` only when they run; loading it would add about 5 MB to the peak memory of
 an exact run.  Each check runs in a subprocess, because this test process
 may have loaded numpy.random already through other tests.
 """
