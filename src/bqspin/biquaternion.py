@@ -320,6 +320,9 @@ class Frame:
     tau_sigma_bar: Biquaternion
     # the float copy, made by the first to_float() call
     _float: Frame | None = field(default=None, init=False, repr=False, compare=False)
+    # the row kernels of ``fields.pibar`` on this frame, one per gradient
+    # convention, built on first use
+    _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def i_nu(self):

@@ -54,6 +54,7 @@ from .scalars import (
     _reduced,
     _row_map,
     _unit_map,
+    _unit_pairs,
     gr,
 )
 
@@ -118,6 +119,12 @@ def _canonical(rows, den):
     return Poly._exact(rows, den)
 
 
+def _element(r, d):
+    """The Biquaternion of the row r over d."""
+    return Biquaternion(_reduced(r[0], r[1], d), _reduced(r[2], r[3], d),
+                        _reduced(r[4], r[5], d), _reduced(r[6], r[7], d))
+
+
 class _Terms(Mapping):
     """Read-only view of a Poly's coefficients: each Biquaternion is
     built from its row when it is read, and the length costs O(1)."""
@@ -129,9 +136,7 @@ class _Terms(Mapping):
         self._den = den
 
     def __getitem__(self, e):
-        r, d = self._rows[e], self._den
-        return Biquaternion(_reduced(r[0], r[1], d), _reduced(r[2], r[3], d),
-                            _reduced(r[4], r[5], d), _reduced(r[6], r[7], d))
+        return _element(self._rows[e], self._den)
 
     def __len__(self):
         return len(self._rows)
@@ -377,9 +382,19 @@ def _multiplier(q, left):
     The last two multiply the denominators and reduce once.
     """
     qr, dq = _exact_row(q)
-    nonzero = [k for k in range(4) if qr[2 * k] or qr[2 * k + 1]]
-    if not nonzero:
+    if not any(qr):
         return lambda p: Poly()
+    unit = _unit_of(qr, dq)
+    if unit is not None:
+        unit = _unit_map(unit[0], left, unit[1], unit[2])
+        return lambda p: Poly._exact({e: unit(r) for e, r in p._rows.items()}, p._den)
+    if not any(qr[1:]):
+        # a real scalar a/dq
+        a = qr[0]
+        if a == 1:
+            return lambda p: _canonical(p._rows, p._den * dq)
+        return lambda p: _canonical({e: tuple([a * x for x in r])
+                                     for e, r in p._rows.items()}, p._den * dq)
 
     def general(p):
         rows = {}
@@ -389,19 +404,20 @@ def _multiplier(q, left):
                 rows[e] = v
         return _canonical(rows, p._den * dq)
 
-    if len(nonzero) == 1:
-        j = nonzero[0]
-        a, b = qr[2 * j], qr[2 * j + 1]
-        if dq == 1 and a * a + b * b == 1:
-            unit = _unit_map(j, left, a, b)
-            return lambda p: Poly._exact({e: unit(r) for e, r in p._rows.items()}, p._den)
-        if j == 0 and b == 0:
-            # a real scalar a/dq
-            if a == 1:
-                return lambda p: _canonical(p._rows, p._den * dq)
-            return lambda p: _canonical({e: tuple([a * x for x in r])
-                                         for e, r in p._rows.items()}, p._den * dq)
     return general
+
+
+def _unit_of(qr, dq):
+    """(j, a, b) when the exact row qr over dq is c*e_j for a unit
+    c = a + ib in {1, -1, i, -i}; None otherwise."""
+    if dq != 1:
+        return None
+    nonzero = [j for j in range(4) if qr[2 * j] or qr[2 * j + 1]]
+    if len(nonzero) != 1:
+        return None
+    j = nonzero[0]
+    a, b = qr[2 * j], qr[2 * j + 1]
+    return (j, a, b) if a * a + b * b == 1 else None
 
 
 def _wave_vector(k):
@@ -452,9 +468,9 @@ class Field:
     ``modes`` maps a wave vector k to its (cos_poly, sin_poly) pair; the zero
     vector holds the polynomial part.  By construction every key is
     sign-canonical (first nonzero entry positive), no pair is zero, and the
-    zero vector's sin Poly is empty.  Only ``trig`` and ``__mul__`` make wave
-    vectors, through ``_canonical_mode``; the linear operations keep their
-    operands' keys.  A difference is taken mode by mode, with no negated
+    zero vector's sin Poly is empty.  Only ``trig``, ``plane_wave_field`` and
+    ``__mul__`` make wave vectors, through ``_canonical_mode``; the linear
+    operations and the first-order operators keep their operands' keys.  A difference is taken mode by mode, with no negated
     copy of the subtrahend.  ``lmul``, ``rmul`` and ``scale`` read their
     constant once per call, not once per Poly.  The product and
     ``scalar_of_product`` share one mode loop, ``_product``.  Like its
@@ -668,6 +684,136 @@ class Field:
         return f"Field({len(self.modes)} modes)"
 
 
+# -- first-order operators as row kernels ------------------------------------------------
+#
+# Every operator of the wave equations is a sum of terms K(d f/dx_v), and of
+# order-0 terms K(f), where each K is x -> left * x * right for constants
+# fixed by the operator: a gradient unit, a bireal unit, nu or i nu.  A
+# kernel K is a map of coefficient rows built once per operator (``_kernel``)
+# and applied by ``_first_order`` in one pass over the rows of the input.
+
+_IDENTITY_PAIRS = tuple((n, 1) for n in range(8))
+
+
+def _kernel(left=None, right=None):
+    """The row map of x -> left * x * right for exact constants (None is 1),
+    as (map, den): map takes a coefficient row to den times the row of the
+    product.
+
+    The unit factors c*e_j (c = 1, -1, i or -i) compose into one signed
+    permutation (``scalars._unit_pairs``); any other factor is the integer
+    Hamilton product by its row, and its denominator goes into den.  Left
+    and right products commute, so the order of the two does not matter.  A
+    float constant raises MixedBackend.
+    """
+    pairs, products, den = _IDENTITY_PAIRS, [], 1
+    for q, side in ((left, True), (right, False)):
+        if q is None:
+            continue
+        qr, dq = _exact_row(q)
+        unit = _unit_of(qr, dq)
+        if unit is None:
+            products.append((qr, side))
+            den *= dq
+        else:
+            outer = _unit_pairs(unit[0], side, unit[1], unit[2])
+            pairs = tuple((pairs[i][0], sign * pairs[i][1]) for i, sign in outer)
+    perm = None if pairs == _IDENTITY_PAIRS else _row_map(pairs)
+    if not products:
+        return perm or (lambda r: r), den
+
+    def mapped(r):
+        for qr, side in products:
+            r = _hamilton_int(qr, r) if side else _hamilton_int(r, qr)
+        return r if perm is None else perm(r)
+
+    return mapped, den
+
+
+def _kernels(terms):
+    """The kernels of (v, left, right) terms, one per variable v (None for
+    an order-0 term), as (((v, map), ...), den) over their shared den."""
+    built = [(v, *_kernel(left, right)) for v, left, right in terms]
+    return tuple((v, mapped) for v, mapped, _ in built), built[0][2]
+
+
+_NO_PHASE = (0, 0, 0, 0)
+
+# a row's exponent lowered by one in variable v
+_LOWER = (lambda e: (e[0] - 1, e[1], e[2], e[3]),
+          lambda e: (e[0], e[1] - 1, e[2], e[3]),
+          lambda e: (e[0], e[1], e[2] - 1, e[3]),
+          lambda e: (e[0], e[1], e[2], e[3] - 1))
+
+
+def _put(acc, e, c, row):
+    """Add c * row into the rows acc at exponent e."""
+    if c != 1:
+        row = tuple([c * x for x in row])
+    old = acc.get(e)
+    acc[e] = row if old is None else _add_rows(old, row)
+
+
+def _first_order(terms, den=1):
+    """The sum over (f, kernels) terms of K(d f/dx_v) for each kernel (v, K)
+    of f, or K(f) when v is None; every K is a row map over the one
+    denominator den (``_kernels``).
+
+    One pass over the rows of each input mode: a row r at exponent e adds
+    n_v K(r) at e lowered in x_v, and in a trigonometric mode it adds the
+    phase term into the partner Poly at e, since d(P cos phi) = P' cos phi
+    - dphi_v P sin phi and d(Q sin phi) = Q' sin phi + dphi_v Q cos phi.
+    Each mode is summed over one denominator, the lcm of its input
+    denominators times that of dphi, and each output Poly is reduced once.
+    """
+    groups = {}
+    for f, kernels in terms:
+        for k, pair in f.modes.items():
+            group = groups.get(k)
+            if group is None:
+                groups[k] = [(pair, kernels)]
+            else:
+                group.append((pair, kernels))
+    out = {}
+    for k, group in groups.items():
+        dk, dphi = 1, _NO_PHASE
+        if any(k):
+            # dphi = (k0, -k1, -k2, -k3) as ints over dk
+            dk = math.lcm(*[c.denominator for c in k])
+            dphi = [c.numerator * (dk // c.denominator) for c in k]
+            dphi[1:] = [-c for c in dphi[1:]]
+        common = math.lcm(*[p._den for pair, _ in group for p in pair])
+        acc = ({}, {})
+        for pair, kernels in group:
+            for side, p in enumerate(pair):
+                rows = p._rows
+                if not rows:
+                    continue
+                s = common // p._den
+                if s != 1:
+                    rows = {e: tuple([s * x for x in r]) for e, r in rows.items()}
+                same, other = acc[side], acc[1 - side]
+                for v, kernel in kernels:
+                    if v is None:
+                        for e, r in rows.items():
+                            _put(same, e, dk, kernel(r))
+                        continue
+                    phase = dphi[v] if side else -dphi[v]
+                    lower = _LOWER[v]
+                    for e, r in rows.items():
+                        n = e[v]
+                        if n or phase:
+                            kr = kernel(r)
+                            if n:
+                                _put(same, lower(e), n * dk, kr)
+                            if phase:
+                                _put(other, e, phase, kr)
+        total = common * dk * den
+        out[k] = tuple(_canonical({e: r for e, r in rows.items() if any(r)}, total)
+                       if rows else Poly() for rows in acc)
+    return Field._of(out)
+
+
 # -- the quaternion four-gradient ----------------------------------------------------------
 
 
@@ -711,29 +857,37 @@ def _bar_units(spec: NablaSpec):
     return tuple(u.bar() for u in _units(spec))
 
 
+@functools.cache
+def _gradient_kernels(spec: NablaSpec, bar: bool, from_right: bool):
+    """The kernels of the four-gradient (its units, or their bars), each
+    unit multiplied from the left or the right: built once per case."""
+    units = _bar_units(spec) if bar else _units(spec)
+    return _kernels([(v, None, u) if from_right else (v, u, None)
+                     for v, u in enumerate(units)])
+
+
 FROZEN_NABLA = NablaSpec(i_on_time=True, space_sign=1)
 
 
-def _apply_gradient(f: Field, units, from_right=False):
-    derivs = [f.dt(), f.dx(1), f.dx(2), f.dx(3)]
-    terms = (d.rmul(u) if from_right else d.lmul(u) for u, d in zip(units, derivs))
-    return sum(terms, Field.zero())
+def _gradient(f: Field, spec, bar, from_right):
+    kernels, den = _gradient_kernels(spec, bar, from_right)
+    return _first_order([(f, kernels)], den)
 
 
 def nabla(f: Field, spec: NablaSpec = FROZEN_NABLA) -> Field:
-    return _apply_gradient(f, spec.units())
+    return _gradient(f, spec, False, False)
 
 
 def nabla_bar(f: Field, spec: NablaSpec = FROZEN_NABLA) -> Field:
-    return _apply_gradient(f, _bar_units(spec))
+    return _gradient(f, spec, True, False)
 
 
 def nabla_from_right(f: Field, spec: NablaSpec = FROZEN_NABLA) -> Field:
-    return _apply_gradient(f, spec.units(), from_right=True)
+    return _gradient(f, spec, False, True)
 
 
 def nabla_bar_from_right(f: Field, spec: NablaSpec = FROZEN_NABLA) -> Field:
-    return _apply_gradient(f, _bar_units(spec), from_right=True)
+    return _gradient(f, spec, True, True)
 
 
 def box(f: Field) -> Field:
@@ -827,23 +981,37 @@ def _conserves_current(spec) -> bool:
     return True
 
 
-def _extract_mode_cos(f: Field, k):
-    """The constant cos coefficient of a field that is one plane-wave mode at k.
+_ZERO_ROW = (0,) * 8
 
-    The zero field gives zero.  Raises NotAPlaneWave if the field has a mode
-    at another wave vector or a non-constant coefficient, which this
-    amplitude would drop.
+
+def _mode_key(k):
+    """The canonical mode key of the wave vector k."""
+    return _canonical_mode(_wave_vector(k), Poly())[0]
+
+
+def _mode_row(f: Field, kc):
+    """(row, den) of the constant cos coefficient of a field that is one
+    plane-wave mode at the canonical key kc.
+
+    The zero field gives the zero row.  Raises NotAPlaneWave if the field
+    has a mode at another wave vector or a non-constant coefficient, which
+    this amplitude would drop.
     """
     if not f.modes:
-        return Biquaternion.zero()
-    kc, _ = _canonical_mode(_wave_vector(k), Poly())
+        return _ZERO_ROW, 1
     pair = f.modes.get(kc)
     if pair is None or len(f.modes) != 1:
         raise NotAPlaneWave(f"expected one mode at {kc}, got modes {list(f.modes)}")
     pc, ps = pair
     if any(e != (0, 0, 0, 0) for e in (*pc._rows, *ps._rows)):
         raise NotAPlaneWave("the plane-wave mode has a non-constant coefficient")
-    return pc.terms.get((0, 0, 0, 0), Biquaternion.zero())
+    return pc._rows.get((0, 0, 0, 0), _ZERO_ROW), pc._den
+
+
+def _extract_mode_cos(f: Field, k):
+    """The constant cos coefficient of a field that is one plane-wave mode
+    at k, as ``_mode_row`` reads it."""
+    return _element(*_mode_row(f, _mode_key(k)))
 
 
 def _unit_waves(k, frame: Frame):
@@ -854,10 +1022,15 @@ def _unit_waves(k, frame: Frame):
 def _plane_wave_symbol(op, k, waves):
     """The real matrix of op on plane-wave amplitudes at k, as a list of rows.
 
-    Column a holds the real coordinates of the amplitude of op(waves[a]);
-    op must map each wave to one plane-wave mode at k.
+    Column a holds the real coordinates of the amplitude of op(waves[a]),
+    read from its row in the order of ``Biquaternion.real_coords``; op must
+    map each wave to one plane-wave mode at k.
     """
-    cols = [_extract_mode_cos(op(w), k).real_coords() for w in waves]
+    kc = _mode_key(k)
+    cols = []
+    for w in waves:
+        r, d = _mode_row(op(w), kc)
+        cols.append([Fraction(r[n], d) for n in (0, 2, 4, 6, 1, 3, 5, 7)])
     return [list(row) for row in zip(*cols)]
 
 
@@ -884,9 +1057,10 @@ class Momentum:
 
 def plane_wave_field(amplitude: Biquaternion, k, frame: Frame) -> Field:
     """The field amplitude * exp(-nu * phi) with phi = k0 t - k.x; the ansatz
-    is independent of the gradient convention."""
-    zero = Biquaternion.zero()
-    return Field.trig(k, amplitude, zero) - Field.trig(k, zero, amplitude * frame.nu)
+    is independent of the gradient convention: one mode, cos Poly amplitude
+    and sin Poly -amplitude * nu."""
+    k, ps = _canonical_mode(_wave_vector(k), Poly.constant(-(amplitude * frame.nu)))
+    return Field._of({k: (Poly.constant(amplitude), ps)})
 
 
 def plane_wave_solutions(p: Momentum, frame: Frame, spec: NablaSpec = FROZEN_NABLA):
@@ -972,12 +1146,25 @@ def lanczos_residual(a: Field, b: Field, ext: ExternalField, m):
 def pibar(x: Field, ext: ExternalField, frame: Frame, spec: NablaSpec = FROZEN_NABLA) -> Field:
     """The minimally coupled spinor operator nabla_bar(x) i nu - e phi_bar x.
 
-    The coupling term is skipped when e is zero.
+    The derivative part is one pass of the kernels ubar_v (.) i nu
+    (``_pibar_kernels``); the coupling term is skipped when e is zero.
     """
-    out = nabla_bar(x, spec).rmul(frame.i_nu)
+    kernels, den = _pibar_kernels(frame, spec)
+    out = _first_order([(x, kernels)], den)
     if bool(ext.e):
         out = out - (ext.phi_bar() * x).scale(ext.e)
     return out
+
+
+def _pibar_kernels(frame: Frame, spec: NablaSpec):
+    """The kernels x -> ubar_v x i nu of pibar's derivative part, built
+    once per frame and gradient convention and kept on the frame."""
+    kernels = frame._kernels.get(spec)
+    if kernels is None:
+        i_nu = frame.i_nu
+        kernels = _kernels([(v, u, i_nu) for v, u in enumerate(_bar_units(spec))])
+        frame._kernels[spec] = kernels
+    return kernels
 
 
 def dirac_lanczos_residual(psi: Field, ext: ExternalField, m, frame: Frame,

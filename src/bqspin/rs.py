@@ -32,6 +32,9 @@ from .fields import (
     ExternalField,
     Field,
     Momentum,
+    _first_order,
+    _kernel,
+    _kernels,
     _plane_wave_symbol,
     _unit_waves,
     current,
@@ -69,9 +72,26 @@ def _d_lower(f: Field, mu: int) -> Field:
     return f.dt() if mu == 0 else -f.dx(mu)
 
 
+@functools.cache
+def _contraction_kernels(name: str):
+    """The order-0 kernels x -> u_lam x of the bireal units ``eps_units()[name]``."""
+    return _kernels([(None, u, None) for u in eps_units()[name]])
+
+
+def _contraction(name: str, psi) -> Field:
+    """sum_lam u_lam psi_lam for the bireal units u = ``eps_units()[name]``."""
+    kernels, den = _contraction_kernels(name)
+    return _first_order([(x, (kernel,)) for x, kernel in zip(psi, kernels)], den)
+
+
 @dataclass(frozen=True)
 class RSContext:
-    """Shared data for the vector-spinor operators."""
+    """Shared data for the vector-spinor operators.
+
+    The derivative parts of pi_mu, pi^mu and pi^lam psi_lam are row kernels
+    (``fields._first_order``) of x -> x nu and x -> -x nu, built on first use
+    and kept on the context.
+    """
 
     ext: ExternalField
     m: object
@@ -84,15 +104,34 @@ class RSContext:
     def nu(self):
         return self.frame.nu
 
-    def pi_lower(self, mu: int, x: Field) -> Field:
-        out = _d_lower(x, mu).rmul(self.nu)
-        if bool(self.ext.e):
-            out = out - (self._phi_comps[mu] * x).scale(self.ext.e)
+    @functools.cached_property
+    def _nu_kernels(self):
+        """The row maps of x -> x nu and x -> -x nu, and their denominator."""
+        (plus, den), (minus, _) = _kernel(right=self.nu), _kernel(right=-self.nu)
+        return plus, minus, den
+
+    def _coupled(self, out: Field, terms, upper: bool) -> Field:
+        """out - e sum of phi_mu x over the (mu, x) terms, with phi^mu for
+        phi_mu when upper; out itself when e is zero."""
+        e = self.ext.e
+        if not bool(e):
+            return out
+        for mu, x in terms:
+            term = (self._phi_comps[mu] * x).scale(e)
+            out = out + term if upper and ETA[mu] < 0 else out - term
         return out
 
+    def pi_lower(self, mu: int, x: Field) -> Field:
+        plus, minus, den = self._nu_kernels
+        # d_mu = (d/dt, -d/dx_n)
+        out = _first_order([(x, ((mu, minus if mu else plus),))], den)
+        return self._coupled(out, [(mu, x)], False)
+
     def pi_upper(self, mu: int, x: Field) -> Field:
-        p = self.pi_lower(mu, x)
-        return p if ETA[mu] > 0 else -p
+        plus, _, den = self._nu_kernels
+        # d^mu = (d/dt, d/dx_n)
+        out = _first_order([(x, ((mu, plus),))], den)
+        return self._coupled(out, [(mu, x)], True)
 
     def pibar(self, x: Field) -> Field:
         return pibar(x, self.ext, self.frame)
@@ -107,12 +146,14 @@ class RSContext:
 
     def algebraic(self, psi) -> Field:
         """The algebraic contraction u = eps_bar^lam psi_lam."""
-        ebu = eps_units()["bar_upper"]
-        return sum((psi[lam].lmul(ebu[lam]) for lam in range(4)), Field.zero())
+        return _contraction("bar_upper", psi)
 
     def differential(self, psi) -> Field:
-        """The differential contraction w3 = pi^lam psi_lam."""
-        return sum((self.pi_upper(lam, psi[lam]) for lam in range(4)), Field.zero())
+        """The differential contraction w3 = pi^lam psi_lam, in one pass
+        over the four components."""
+        plus, _, den = self._nu_kernels
+        out = _first_order([(x, ((lam, plus),)) for lam, x in enumerate(psi)], den)
+        return self._coupled(out, enumerate(psi), True)
 
     @functools.cached_property
     def curvature(self):
@@ -288,8 +329,7 @@ def coupled_equation(g, ext: ExternalField, m, frame: Frame) -> CoupledSystem:
 
 def eps_contraction(rows) -> Field:
     """sum_mu eps^mu times the mu-th row."""
-    eu = eps_units()["upper"]
-    return sum((rows[mu].lmul(eu[mu]) for mu in range(4)), Field.zero())
+    return _contraction("upper", rows)
 
 
 def eps_contraction_closed_form(parts: CoupledParts, g) -> Field:

@@ -197,17 +197,23 @@ def _pairing_int(p, q):
             aw * ew + bw * cw + ax * ex + bx * cx + ay * ey + by * cy + az * ez + bz * cz)
 
 
-@functools.cache
-def _unit_map(j, left, re, im):
+def _unit_pairs(j, left, re, im):
     """The product of a row (see :func:`_hamilton_int`) by u*e_j, from the
     left or the right, for a unit u = re + i*im in {1, -1, i, -i}: a signed
-    permutation of the row's entries (:func:`_row_map`), built once per unit."""
+    permutation of the row's entries, as the (index, sign) pairs of
+    :func:`_row_map`."""
     pairs = []
     for index, sign in (_LEFT_UNITS if left else _RIGHT_UNITS)[j]:
         a, b = sign * re, sign * im
         # (a + ib)(x + iy) = (ax - by) + i(ay + bx), and one of a, b is 0
         pairs += [(2 * index, a), (2 * index + 1, a)] if a else [(2 * index + 1, -b), (2 * index, b)]
-    return _row_map(pairs)
+    return pairs
+
+
+@functools.cache
+def _unit_map(j, left, re, im):
+    """The map of :func:`_unit_pairs`, built once per unit."""
+    return _row_map(_unit_pairs(j, left, re, im))
 
 
 def _row_map(pairs):

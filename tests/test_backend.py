@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 import bqspin
+from bqspin import fields
 from bqspin.biquaternion import (
     Biquaternion,
     DEFAULT_FRAME,
@@ -22,6 +23,7 @@ from bqspin.biquaternion import (
 )
 from bqspin.errors import MixedBackend
 from bqspin.fields import (
+    ExternalField,
     Field,
     Momentum,
     Poly,
@@ -32,6 +34,7 @@ from bqspin.fields import (
     nabla_bar,
     nabla_bar_from_right,
     nabla_from_right,
+    pibar,
     plane_wave_field,
     proca_residual,
     random_linear_potential,
@@ -252,6 +255,29 @@ def test_rs_operators_stay_exact(exact_fields):
     _assert_exact(ctx.pibar_star(f))
     for units in eps_units().values():
         assert all(u.is_exact() for u in units)
+
+
+def test_operators_refuse_a_float_frame_and_keep_no_kernel_for_it(exact_fields):
+    # the row kernels are built from the frame's nu on first use: a float
+    # frame raises there, and nothing is kept for it
+    _, _, f = exact_fields
+    frame = DEFAULT_FRAME.to_float()
+    free = ExternalField.zero()
+    ctx = RSContext(free, Fraction(2), frame)
+    entries = {
+        "pibar": lambda: pibar(f, free, frame),
+        "dirac_lanczos_residual": lambda: dirac_lanczos_residual(f, free, 2, frame),
+        "pi_lower": lambda: ctx.pi_lower(1, f),
+        "pi_upper": lambda: ctx.pi_upper(0, f),
+        "differential": lambda: ctx.differential([f] * 4),
+        "plane_wave_field": lambda: plane_wave_field(Biquaternion.one(), ON_SHELL.k_tuple(), frame),
+        "a float factor": lambda: fields._kernel(Biquaternion.one(), Biquaternion.scalar(0.5)),
+    }
+    for name, entry in entries.items():
+        with pytest.raises(MixedBackend):
+            entry()
+        assert frame._kernels == {}, name
+        assert "_nu_kernels" not in vars(ctx), name
 
 
 # -- no hand-threaded flag -------------------------------------------------------------

@@ -343,6 +343,70 @@ def test_a_wrong_shared_part_fails_the_chains(monkeypatch, name, mutant, suite_i
         _fail_row(suite_id)
 
 
+# -- mutants of the first-order row kernels ------------------------------------------------
+
+
+def _flipped_phase(first_order):
+    # negating the sin Polys of the input and of the output keeps every
+    # derivative term and negates every phase term
+    def sin_negated(f):
+        return Field._of({k: (pc, -ps) for k, (pc, ps) in f.modes.items()})
+
+    return lambda terms, den=1: sin_negated(
+        first_order([(sin_negated(f), kernels) for f, kernels in terms], den))
+
+
+def _i_nu_on_the_left(pibar_kernels):
+    # x -> i nu ubar_v x in place of ubar_v x i nu
+    return lambda frame, spec: harness.flds._kernels(
+        [(v, frame.i_nu * u, None) for v, u in enumerate(harness.flds._bar_units(spec))])
+
+
+def _flipped_space_sign(units):
+    def flipped(spec):
+        time, e1, *rest = units(spec)
+        return (time, -e1, *rest)
+    return flipped
+
+
+@pytest.fixture
+def clear_kernels(monkeypatch):
+    """The function that empties the kernel caches: the gradient units and
+    kernels of each spec and the pibar kernels kept on DEFAULT_FRAME.  A
+    mutant of the units reaches only kernels built after it; the caches are
+    emptied again after the test, before the mutant is undone."""
+    def clear():
+        harness.flds._bar_units.cache_clear()
+        harness.flds._gradient_kernels.cache_clear()
+        harness.DEFAULT_FRAME._kernels.clear()
+
+    yield clear
+    clear()
+
+
+@pytest.mark.parametrize("name,mutant,suite_ids", [
+    ("_first_order", _flipped_phase,
+     ["covariants.lagrangian", "dirac.doublet", "lanczos.free_solutions"]),
+    ("_pibar_kernels", _i_nu_on_the_left,
+     ["dirac.nullspace", "dirac.doublet", "rs.identities", "rs.free_system",
+      "rs.constraint_counting", "rs.contraction_chain"]),
+    ("_units", _flipped_space_sign,
+     ["lanczos.free_solutions", "proca.tensor_equivalence", "proca.maxwell_limit",
+      "rs.identities", "rs.commutator", "rs.free_system"]),
+])
+def test_a_wrong_row_kernel_fails_the_suites_built_on_it(
+        monkeypatch, clear_kernels, name, mutant, suite_ids):
+    # every suite passes first, which fills the kernel caches; the mutant is
+    # installed after that, and the caches are emptied so that it is seen
+    for suite_id in suite_ids:
+        assert [row.status for row in run(suite_id, seed=0)] == ["pass"]
+    original = getattr(harness.flds, name)
+    _rebind_everywhere(monkeypatch, original, mutant(original))
+    clear_kernels()
+    for suite_id in suite_ids:
+        _fail_row(suite_id)
+
+
 def test_boost_fails_with_generators_that_are_not_the_columns(monkeypatch):
     # boost(rho) boost(-rho) = 1 holds for any generator; footnote 8's
     # closed form on the HALF_PLUS subspace does not

@@ -19,8 +19,22 @@ from bqspin.biquaternion import (
     Biquaternion,
     DEFAULT_FRAME,
     random_rational_biquaternion,
+    random_rational_frame,
 )
-from bqspin.fields import Field, Poly, random_poly_field
+from bqspin.fields import (
+    ExternalField,
+    Field,
+    NablaSpec,
+    Poly,
+    nabla,
+    nabla_bar,
+    nabla_bar_from_right,
+    nabla_from_right,
+    pibar,
+    random_linear_potential,
+    random_poly_field,
+)
+from bqspin.rs import ETA, RSContext, eps_contraction, eps_units
 from bqspin.scalars import GaussianRational, _hamilton_int, _pairing_int, gr
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -283,3 +297,134 @@ def test_integer_formulas_match_the_matrix_oracle():
             m = oracle._matmul(oracle._adjugate(mp), mq)
             trace = oracle._add(m[0][0], m[1][1])
             assert (Fraction(re), Fraction(im)) == (trace[0] / 2, trace[1] / 2)
+
+
+# -- first-order operators: the row kernels against the coefficient arithmetic -----------
+
+
+_SPECS = [NablaSpec(True, 1), NablaSpec(True, -1), NablaSpec(False, 1), NablaSpec(False, -1)]
+
+
+def _ref_sum(snaps):
+    out = {}
+    for snap in snaps:
+        out = _ref_field_add(out, snap)
+    return out
+
+
+def _ref_first_order(sx, var_factors):
+    """sum over (v, fn) of fn applied to every coefficient of d x/dx_v."""
+    return _ref_sum(_ref_field_map(_ref_field_derivative(sx, v), fn) for v, fn in var_factors)
+
+
+def _ref_coupled(ref, phi, sx, e):
+    """ref - e phi x, or ref when e is zero."""
+    if not e:
+        return ref
+    coupling = _ref_field_mul(_snapshot(phi), sx, lambda a, b: a * b)
+    return _ref_field_add(ref, _ref_field_map(coupling, lambda c: c * e), -1)
+
+
+def _assert_rows_equal(got: Field, want, name):
+    """got equals the reference modes in canonical rows and denominators."""
+    assert set(got.modes) == set(want), name
+    for k, (pc, ps) in got.modes.items():
+        for p, terms in zip((pc, ps), want[k]):
+            ref = Poly(terms)
+            assert (p._rows, p._den) == (ref._rows, ref._den), (name, k)
+
+
+def test_gradient_kernels_match_the_coefficient_arithmetic():
+    rng = random.Random(56)
+    for x in _operands(rng) + _operands(rng):
+        sx = _snapshot(x)
+        for spec in _SPECS:
+            units = spec.units()
+            bars = [u.bar() for u in units]
+            cases = {
+                "nabla": (nabla(x, spec), [(v, lambda c, u=u: u * c) for v, u in enumerate(units)]),
+                "nabla_bar": (nabla_bar(x, spec),
+                              [(v, lambda c, u=u: u * c) for v, u in enumerate(bars)]),
+                "nabla_from_right": (nabla_from_right(x, spec),
+                                     [(v, lambda c, u=u: c * u) for v, u in enumerate(units)]),
+                "nabla_bar_from_right": (nabla_bar_from_right(x, spec),
+                                         [(v, lambda c, u=u: c * u) for v, u in enumerate(bars)]),
+            }
+            for name, (got, factors) in cases.items():
+                _assert_rows_equal(got, _ref_first_order(sx, factors), (spec, name))
+
+
+def test_pibar_kernels_match_the_coefficient_arithmetic():
+    # on a random frame i nu is not a unit, so its kernel is a Hamilton
+    # product over a denominator
+    rng = random.Random(57)
+    frames = [DEFAULT_FRAME, random_rational_frame(rng), random_rational_frame(rng)]
+    exts = [ExternalField.zero(), random_linear_potential(rng)]
+    for x in _operands(rng):
+        sx = _snapshot(x)
+        for frame in frames:
+            i_nu = frame.i_nu
+            for spec in _SPECS:
+                factors = [(v, lambda c, u=u.bar(): u * c * i_nu)
+                           for v, u in enumerate(spec.units())]
+                ref = _ref_first_order(sx, factors)
+                for ext in exts:
+                    want = _ref_coupled(ref, ext.phi_bar(), sx, ext.e)
+                    _assert_rows_equal(pibar(x, ext, frame, spec), want, (frame, spec, ext.e))
+
+
+def test_vector_spinor_kernels_match_the_coefficient_arithmetic():
+    rng = random.Random(58)
+    frames = [DEFAULT_FRAME, random_rational_frame(rng)]
+    exts = [ExternalField.zero(), random_linear_potential(rng)]
+    xs = _operands(rng)
+    psi = xs[:4]
+    units = eps_units()
+    for frame in frames:
+        nu = frame.nu
+        for ext in exts:
+            ctx = RSContext(ext, Fraction(2), frame)
+            phis = ext.component_fields()
+
+            def pi_lower(mu, sx):
+                # d_mu = (d/dt, -d/dx_n)
+                ref = _ref_first_order(sx, [(mu, lambda c: c * (nu if mu == 0 else -nu))])
+                return _ref_coupled(ref, phis[mu], sx, ext.e)
+
+            def pi_upper(mu, sx):
+                return _ref_field_map(pi_lower(mu, sx), lambda c: c * ETA[mu])
+
+            for x in xs:
+                sx = _snapshot(x)
+                for mu in range(4):
+                    _assert_rows_equal(ctx.pi_lower(mu, x), pi_lower(mu, sx), (frame, ext.e, mu))
+                    _assert_rows_equal(ctx.pi_upper(mu, x), pi_upper(mu, sx), (frame, ext.e, mu))
+            snaps = [_snapshot(p) for p in psi]
+            _assert_rows_equal(ctx.differential(psi),
+                               _ref_sum(pi_upper(lam, sx) for lam, sx in enumerate(snaps)),
+                               (frame, ext.e, "differential"))
+    for name, got in (("bar_upper", RSContext(ExternalField.zero(), 1, DEFAULT_FRAME).algebraic(psi)),
+                      ("upper", eps_contraction(psi))):
+        want = _ref_sum(_ref_field_map(_snapshot(p), lambda c, u=u: u * c)
+                        for u, p in zip(units[name], psi))
+        _assert_rows_equal(got, want, name)
+
+
+def test_first_order_operators_neither_differentiate_nor_add_fields(monkeypatch):
+    # the kernels read the rows of the input once: no derivative Field, and
+    # no sum of per-variable Fields
+    rng = random.Random(59)
+    f = _operands(rng)[4]
+    psi = [random_poly_field(rng) for _ in range(3)] + [f]
+    ctx = RSContext(ExternalField.zero(), Fraction(2), DEFAULT_FRAME)
+    calls = []
+    for name in ("derivative", "__add__"):
+        original = getattr(Field, name)
+        monkeypatch.setattr(Field, name, lambda *args, original=original, name=name:
+                            calls.append(name) or original(*args))
+    for result in (nabla_bar(f), ctx.pibar(f), ctx.pi_lower(2, f), ctx.differential(psi)):
+        assert not result.is_zero()
+    assert calls == []
+    # the check sees the calls it counts
+    f.derivative(0), f + f
+    assert calls == ["derivative", "__add__"]
