@@ -7,7 +7,9 @@ are either exact :class:`~bqspin.scalars.GaussianRational` values or Python
 an element is the type of its components (see :meth:`Biquaternion.is_exact`).
 The ring operations, the involutions and ``norm`` also run unchanged on
 :class:`~bqspin.scalars.GaussianIntArray` components, one sample per entry
-(see :func:`random_rational_batch`).
+(see :func:`random_rational_batch`).  Every random exact element is decoded
+from one draw of ``getrandbits`` words (``_draw_parts``): as coefficient
+rows, as one element, or as a batch.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidFrame, MixedBackend, SingularOperand
 from .scalars import (GR_I, GR_ONE, GR_ZERO, GaussianIntArray, GaussianRational, _hamilton,
-                      _pairing, gr, is_exact, largest)
+                      _pairing, _reduced, gr, is_exact, largest)
 
 # the operands a Biquaternion scales component by component; for any other
 # type (a Field, say) its product returns NotImplemented
@@ -416,65 +418,90 @@ def basis_elements(exact=True):
     return basis if exact else [b.to_float() for b in basis]
 
 
-def random_rational_biquaternion(rng, span=6):
-    """Random exact biquaternion with small rational components."""
-    def comp():
-        return gr(Fraction(rng.randint(-span, span), rng.randint(1, 3)),
-                  Fraction(rng.randint(-span, span), rng.randint(1, 3)))
-    return Biquaternion(comp(), comp(), comp(), comp())
-
-
-# the lcm of the denominators 1, 2, 3 that random_rational_biquaternion draws
-_BATCH_SCALE = 6
+# the lcm of the denominators 1, 2, 3 of a drawn part
+_DRAW_SCALE = 6
 # 6 // d for the denominator d = 1, 2, 3, indexed by d - 1
 _DEN_FACTOR = np.array([6, 3, 2], dtype=np.int64)
-# 32-bit generator words read at once by random_rational_batch
+# the most 32-bit generator words read at once by a draw
 _CHUNK = 4096
 
 
-def random_rational_batch(rng, n, k, span=6):
-    """k biquaternions whose components are batches of n exact samples.
+def _draw_parts(rng, count, span):
+    """count exact rational parts, each an int over 6, as an int64 array.
 
-    Each real and each imaginary part is drawn as random_rational_biquaternion
-    draws it: a numerator uniform in [-span, span] over a denominator uniform
-    in {1, 2, 3}, stored as an integer over the common denominator 6.  Sample
-    i of the j-th element is the (i*k + j)-th biquaternion drawn.
-
-    A (numerator, denominator) pair is one value v uniform below
-    3 * (2*span + 1), split as ``den - 1, num + span = divmod(v, 2*span + 1)``.
-    v is the top bits of a 32-bit word of ``rng.getrandbits``, kept when it
-    falls in range, so ``rng`` is read through ``getrandbits`` alone and the
-    3 * (2*span + 1) values must fit in one word (ValueError otherwise).
+    A part is a numerator uniform in [-span, span] over a denominator
+    uniform in {1, 2, 3}.  The (numerator, denominator) pair is one value v
+    uniform below 3 * (2*span + 1), split as
+    ``den - 1, num + span = divmod(v, 2*span + 1)``.  v is the top bits of
+    a 32-bit word of ``rng.getrandbits``, kept when it falls in range, so
+    ``rng`` is read through ``getrandbits`` alone and the 3 * (2*span + 1)
+    values must fit in one word (ValueError otherwise).  Each pass reads
+    about as many words as the parts still missing need, at most
+    ``_CHUNK``; the parts are the first count values kept, however the
+    words are split into passes.
     """
     width = 2 * span + 1
     pairs = 3 * width
     # 3 does not divide 2**32, so this is pairs <= 2**32
     if not 0 < pairs < 1 << 32:
         raise ValueError(f"span {span} is not in 0..{((1 << 32) // 3 - 1) // 2}")
-    shift = 32 - pairs.bit_length()
-    # per sample, per element: re and im of w, x, y, z
-    flat = np.empty(n * k * 8, dtype=np.int64)
+    bits = pairs.bit_length()
+    shift = 32 - bits
+    flat = np.empty(count, dtype=np.int64)
     filled = 0
-    while filled < flat.size:
-        words = np.frombuffer(rng.getrandbits(32 * _CHUNK).to_bytes(4 * _CHUNK, "little"),
-                              "<u4").astype(np.int64)
-        v = words >> shift
-        v = v[v < pairs][:flat.size - filled]
+    while filled < count:
+        # a word is kept with probability pairs / 2**bits > 1/2
+        words = min(_CHUNK, ((count - filled) << bits) // pairs + 4)
+        v = np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"),
+                          "<u4").astype(np.int64) >> shift
+        v = v[v < pairs][:count - filled]
         den, num = np.divmod(v, width)
         np.multiply(num - span, _DEN_FACTOR[den], out=flat[filled:filled + v.size])
         filled += v.size
-    parts = flat.reshape(n, k, 4, 2).transpose(1, 2, 3, 0)
+    return flat
+
+
+def _element(r, d):
+    """The Biquaternion of the coefficient row r over d > 0: the eight ints
+    (A_w, B_w, A_x, B_x, A_y, B_y, A_z, B_z) of the components (A + iB)/d."""
+    return Biquaternion(_reduced(r[0], r[1], d), _reduced(r[2], r[3], d),
+                        _reduced(r[4], r[5], d), _reduced(r[6], r[7], d))
+
+
+def random_rational_rows(rng, n, span=6):
+    """n random exact biquaternions as coefficient rows over 6.
+
+    Each row is a tuple of eight ints, the real and imaginary parts of
+    w, x, y, z in the order of ``_element``, each drawn as ``_draw_parts``
+    draws it.
+    """
+    return [tuple(row) for row in _draw_parts(rng, 8 * n, span).reshape(n, 8).tolist()]
+
+
+def random_rational_biquaternion(rng, span=6):
+    """Random exact biquaternion with small rational components: the
+    first row of ``random_rational_rows``."""
+    return _element(random_rational_rows(rng, 1, span)[0], _DRAW_SCALE)
+
+
+def random_rational_batch(rng, n, k, span=6):
+    """k biquaternions whose components are batches of n exact samples.
+
+    Sample i of the j-th element is row i*k + j of
+    ``random_rational_rows(rng, n * k, span)``, each part an integer over
+    the common denominator 6.
+    """
+    parts = _draw_parts(rng, n * k * 8, span).reshape(n, k, 4, 2).transpose(1, 2, 3, 0)
     # no entry exceeds span * 6 // 1
-    bound = span * _BATCH_SCALE
-    return [Biquaternion(*(GaussianIntArray._of(re, im, _BATCH_SCALE, bound) for re, im in element))
+    bound = span * _DRAW_SCALE
+    return [Biquaternion(*(GaussianIntArray._of(re, im, _DRAW_SCALE, bound) for re, im in element))
             for element in parts]
 
 
 def random_real_quaternion(rng, span=6):
-    """Random exact quaternion with real rational components."""
-    def comp():
-        return gr(Fraction(rng.randint(-span, span), rng.randint(1, 3)))
-    return Biquaternion(comp(), comp(), comp(), comp())
+    """Random exact quaternion with real rational components, each drawn
+    as ``_draw_parts`` draws a part."""
+    return Biquaternion(*(_reduced(a, 0, _DRAW_SCALE) for a in _draw_parts(rng, 4, span).tolist()))
 
 
 def random_rational_frame(rng):

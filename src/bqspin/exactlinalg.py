@@ -1,12 +1,14 @@
 """Exact rational linear algebra: row reduction, rank, nullspace.
 
 Small dense systems only (the constraint-counting and plane-wave symbol
-computations never exceed 48x32).  ``rref`` is a fraction-free
-Gauss-Jordan elimination: each row is cleared of denominators once, rows
-are combined by integer cross-multiplication and divided by their content
-(the gcd of their entries), and Fractions are built only for the rows it
-returns.  The reduced row echelon form is unique, so the result equals that
-of Gauss-Jordan over the rationals.
+computations never exceed 48x32).  The elimination is fraction-free: each
+row is cleared of denominators once, rows are combined by integer
+cross-multiplication and divided by their content (the gcd of their
+entries).  A row of plain ints, the form of every plane-wave symbol the
+suites build, is taken as it is.  ``rank`` reads the pivot columns of that
+integer elimination and builds no Fraction; ``rref`` builds Fractions only
+for the rows it returns.  The reduced row echelon form is unique, so its
+result equals that of Gauss-Jordan over the rationals.
 """
 
 from __future__ import annotations
@@ -14,20 +16,27 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+_ZERO = Fraction(0)
+
 
 def _integer_row(row):
     """The row times the lcm of its denominators, divided by its content."""
-    vals = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-    den = lcm(*(v.denominator for v in vals))
-    ints = [v.numerator * (den // v.denominator) for v in vals]
+    if all(type(x) is int for x in row):
+        ints = list(row)
+    else:
+        vals = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+        den = lcm(*(v.denominator for v in vals))
+        ints = [v.numerator * (den // v.denominator) for v in vals]
     g = gcd(*ints)
     return [a // g for a in ints] if g > 1 else ints
 
 
-def rref(matrix):
-    """Reduced row echelon form.  Returns (rows, pivot_columns).
+def _eliminate(matrix, above):
+    """(rows, pivot_columns) of the integer elimination of the matrix.
 
-    The rows are lists of Fractions, as many as the matrix has.
+    Each pivot column is cleared below its pivot, and above it too when
+    ``above``.  The pivot columns are the same either way: clearing above a
+    pivot changes only rows that already hold a pivot.
     """
     rows = [_integer_row(row) for row in matrix]
     if not rows:
@@ -46,7 +55,8 @@ def rref(matrix):
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         prow = rows[r]
         pv = prow[c]
-        for i, row in enumerate(rows):
+        for i in range(0 if above else r + 1, len(rows)):
+            row = rows[i]
             f = row[c]
             if i == r or not f:
                 continue
@@ -58,15 +68,28 @@ def rref(matrix):
         r += 1
         if r == len(rows):
             break
-    # rows below the rank are zero; each pivot row is divided by its pivot
-    out = [[Fraction(a, rows[i][c]) for a in rows[i]] for i, c in enumerate(pivots)]
-    out += [[Fraction(0)] * ncols for _ in range(len(rows) - len(pivots))]
+    return rows, pivots
+
+
+def rref(matrix):
+    """Reduced row echelon form.  Returns (rows, pivot_columns).
+
+    The rows are lists of Fractions, as many as the matrix has.
+    """
+    rows, pivots = _eliminate(matrix, True)
+    if not rows:
+        return rows, pivots
+    ncols = len(rows[0])
+    # rows below the rank are zero; each pivot row is divided by its pivot,
+    # and its zeros, most of its entries, share one Fraction
+    out = [[Fraction(a, rows[i][c]) if a else _ZERO for a in rows[i]]
+           for i, c in enumerate(pivots)]
+    out += [[_ZERO] * ncols for _ in range(len(rows) - len(pivots))]
     return out, pivots
 
 
 def rank(matrix) -> int:
-    _, pivots = rref(matrix)
-    return len(pivots)
+    return len(_eliminate(matrix, False)[1])
 
 
 def nullspace(matrix):
@@ -78,10 +101,12 @@ def nullspace(matrix):
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        vec = [Fraction(0)] * ncols
+        vec = [_ZERO] * ncols
         vec[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][fc]
+            x = rows[r][fc]
+            if x:
+                vec[pc] = -x
         basis.append(vec)
     return basis
 

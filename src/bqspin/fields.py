@@ -22,6 +22,7 @@ the procedure that singles this form out.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import random
@@ -33,8 +34,10 @@ from .biquaternion import (
     DEFAULT_FRAME,
     Biquaternion,
     Frame,
+    _DRAW_SCALE,
+    _element,
     basis_elements,
-    random_rational_biquaternion,
+    random_rational_rows,
 )
 from .errors import (
     DegenerateMass,
@@ -51,7 +54,6 @@ from .scalars import (
     _hamilton_int,
     _integral,
     _pairing_int,
-    _reduced,
     _row_map,
     _unit_map,
     _unit_pairs,
@@ -117,12 +119,6 @@ def _canonical(rows, den):
             den //= g
             rows = {e: tuple([x // g for x in row]) for e, row in rows.items()}
     return Poly._exact(rows, den)
-
-
-def _element(r, d):
-    """The Biquaternion of the row r over d."""
-    return Biquaternion(_reduced(r[0], r[1], d), _reduced(r[2], r[3], d),
-                        _reduced(r[4], r[5], d), _reduced(r[6], r[7], d))
 
 
 class _Terms(Mapping):
@@ -430,10 +426,14 @@ def _wave_vector(k):
     """
     out = []
     for c in k:
-        if isinstance(c, (float, complex)):
-            raise MixedBackend(f"a field is exact; got the float wave vector {k!r}")
-        c = Fraction(c)
-        out.append(c.numerator if c.denominator == 1 else c)
+        if type(c) is not int:
+            if isinstance(c, (float, complex)):
+                raise MixedBackend(f"a field is exact; got the float wave vector {k!r}")
+            if not isinstance(c, Fraction):
+                c = Fraction(c)
+            if c.denominator == 1:
+                c = c.numerator
+        out.append(c)
     return tuple(out)
 
 
@@ -763,8 +763,11 @@ def _first_order(terms, den=1):
     n_v K(r) at e lowered in x_v, and in a trigonometric mode it adds the
     phase term into the partner Poly at e, since d(P cos phi) = P' cos phi
     - dphi_v P sin phi and d(Q sin phi) = Q' sin phi + dphi_v Q cos phi.
-    Each mode is summed over one denominator, the lcm of its input
-    denominators times that of dphi, and each output Poly is reduced once.
+    Each output Poly is summed over one denominator, the lcm of the
+    denominators of the inputs that reach it times that of dphi, and
+    reduced once.  An order-0 term, or a derivative along a variable the
+    phase does not depend on, keeps a Poly on its own side, so the cos and
+    the sin output of a mode can have different denominators.
     """
     groups = {}
     for f, kernels in terms:
@@ -782,35 +785,44 @@ def _first_order(terms, den=1):
             dk = math.lcm(*[c.denominator for c in k])
             dphi = [c.numerator * (dk // c.denominator) for c in k]
             dphi[1:] = [-c for c in dphi[1:]]
-        common = math.lcm(*[p._den for pair, _ in group for p in pair])
+        # the denominators of the inputs that reach each output side
+        reach = ([], [])
+        for pair, kernels in group:
+            crosses = any(v is not None and dphi[v] for v, _ in kernels)
+            for side, p in enumerate(pair):
+                if p._rows:
+                    reach[side].append(p._den)
+                    if crosses:
+                        reach[1 - side].append(p._den)
+        common = (math.lcm(*reach[0]), math.lcm(*reach[1]))
         acc = ({}, {})
         for pair, kernels in group:
             for side, p in enumerate(pair):
                 rows = p._rows
                 if not rows:
                     continue
-                s = common // p._den
-                if s != 1:
-                    rows = {e: tuple([s * x for x in r]) for e, r in rows.items()}
                 same, other = acc[side], acc[1 - side]
+                # each term is scaled onto its output's denominator; s_other
+                # is read only by phase terms, so only when p reaches there
+                s_same = common[side] // p._den * dk
+                s_other = common[1 - side] // p._den
                 for v, kernel in kernels:
                     if v is None:
                         for e, r in rows.items():
-                            _put(same, e, dk, kernel(r))
+                            _put(same, e, s_same, kernel(r))
                         continue
-                    phase = dphi[v] if side else -dphi[v]
+                    phase = (dphi[v] if side else -dphi[v]) * s_other
                     lower = _LOWER[v]
                     for e, r in rows.items():
                         n = e[v]
                         if n or phase:
                             kr = kernel(r)
                             if n:
-                                _put(same, lower(e), n * dk, kr)
+                                _put(same, lower(e), n * s_same, kr)
                             if phase:
                                 _put(other, e, phase, kr)
-        total = common * dk * den
-        out[k] = tuple(_canonical({e: r for e, r in rows.items() if any(r)}, total)
-                       if rows else Poly() for rows in acc)
+        out[k] = tuple(_canonical({e: r for e, r in rows.items() if any(r)}, c * dk * den)
+                       if rows else Poly() for rows, c in zip(acc, common))
     return Field._of(out)
 
 
@@ -1030,7 +1042,8 @@ def _plane_wave_symbol(op, k, waves):
     cols = []
     for w in waves:
         r, d = _mode_row(op(w), kc)
-        cols.append([Fraction(r[n], d) for n in (0, 2, 4, 6, 1, 3, 5, 7)])
+        col = [r[n] for n in (0, 2, 4, 6, 1, 3, 5, 7)]
+        cols.append(col if d == 1 else [Fraction(c, d) for c in col])
     return [list(row) for row in zip(*cols)]
 
 
@@ -1212,15 +1225,26 @@ def proca_residual(a: Field, m):
 # -- random field generators ----------------------------------------------------------
 
 
+@functools.cache
+def _exponents(max_deg):
+    """The exponent tuples of (t, x1, x2, x3) of degree at most max_deg."""
+    return tuple(e for e in itertools.product(range(max_deg + 1), repeat=4) if sum(e) <= max_deg)
+
+
 def random_poly_field(rng, n_terms=4, max_deg=3):
-    """Sparse random polynomial field with small rational coefficients."""
-    terms = {}
-    for _ in range(n_terms):
-        exps = tuple(rng.randint(0, max_deg) for _ in range(4))
-        while sum(exps) > max_deg:
-            exps = tuple(rng.randint(0, max_deg) for _ in range(4))
-        terms[exps] = random_rational_biquaternion(rng, span=4)
-    return Field.polynomial(Poly(terms))
+    """Sparse random polynomial field with small rational coefficients.
+
+    The n_terms coefficient rows are drawn at once (``random_rational_rows``
+    with span 4), then one exponent for each, uniform over the exponents of
+    degree at most max_deg; a later term at the same exponent replaces an
+    earlier one.
+    """
+    exps = _exponents(max_deg)
+    rows = {}
+    for row in random_rational_rows(rng, n_terms, span=4):
+        rows[exps[rng.randrange(len(exps))]] = row
+    return Field.polynomial(_canonical({e: r for e, r in rows.items() if any(r)},
+                                        _DRAW_SCALE))
 
 
 def random_linear_potential(rng):

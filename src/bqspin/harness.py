@@ -35,12 +35,15 @@ from . import rs
 from .biquaternion import (
     Biquaternion,
     DEFAULT_FRAME,
+    _DRAW_SCALE,
+    _element,
     basis_elements,
     peirce_compose,
     peirce_decompose,
     random_rational_batch,
     random_rational_biquaternion,
     random_rational_frame,
+    random_rational_rows,
     random_real_quaternion,
 )
 from .errors import ConfigError, DegenerateMass, OffShell, UnknownSuite
@@ -268,8 +271,8 @@ def _s_idem(rng, check):
 @_suite("peirce.roundtrip", "eq.8", "exact", 0.0)
 def _s_peirce(rng, check):
     for f in (DEFAULT_FRAME, random_rational_frame(rng)):
-        for _ in range(100):
-            q = random_rational_biquaternion(rng)
+        for row in random_rational_rows(rng, 100):
+            q = _element(row, _DRAW_SCALE)
             check.holds(peirce_compose(peirce_decompose(q, f), f) == q)
 
 
@@ -622,13 +625,19 @@ def _witness_potential():
     return ExternalField.from_components(phi0, (lin, zero, zero), gr(Fraction(1, 2)))
 
 
+# t x1 x2 x3 times a coefficient with every real coordinate nonzero: a
+# sample field plus this term depends on every variable at every seed
+_MULTILINEAR = Field.polynomial(Poly({(1, 1, 1, 1): Biquaternion.from_real_coords(
+    (1, -2, 3, 1, 2, -1, -3, 1))}))
+
+
 @_suite("rs.identities", "eq.19", "exact", 0.0)
 def _s_rs_identities(rng, check):
     ext = _witness_potential()
     ctx = rs.RSContext(ext, Fraction(2), DEFAULT_FRAME)
     units = rs.eps_units()
     eu, ebu, el = units["upper"], units["bar_upper"], units["lower"]
-    x = random_poly_field(rng, n_terms=3, max_deg=4)
+    x = random_poly_field(rng, n_terms=3, max_deg=4) + _MULTILINEAR
     terms = [ctx.pi_lower(mu, x) for mu in range(4)]
     acc_bar = sum((t.lmul(ebu[mu]) for mu, t in enumerate(terms)), Field.zero())
     acc_star = sum((t.lmul(eu[mu]) for mu, t in enumerate(terms)), Field.zero())
@@ -729,7 +738,7 @@ def _curl(v):
 
 @_suite("proca.tensor_equivalence", "eq.A.8", "exact", 0.0)
 def _s_proca(rng, check):
-    f = random_poly_field(rng, n_terms=4, max_deg=3)
+    f = random_poly_field(rng, n_terms=4, max_deg=3) + _MULTILINEAR
     a = f + f.plus()
     m = Fraction(3)
     b, res = proca_residual(a, m)

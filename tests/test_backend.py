@@ -208,10 +208,15 @@ def _assert_exact(f: Field):
 
 @pytest.fixture(scope="module")
 def exact_fields():
-    rng = random.Random(12)
-    poly = random_poly_field(rng, n_terms=3, max_deg=2)
-    wave = Field.trig((2, 1, 0, -1), random_rational_biquaternion(rng),
-                      random_rational_biquaternion(rng))
+    # fixed fields: the polynomial depends on each of t, x1, x2, x3, so no
+    # derivative of it is zero
+    poly = Field.polynomial(Poly({
+        (1, 0, 0, 0): Biquaternion.from_real_coords((1, 2, 0, -1, Fraction(1, 2), 0, 3, 1)),
+        (0, 1, 1, 0): Biquaternion.from_real_coords((0, Fraction(-2, 3), 1, 0, 4, 1, 0, -1)),
+        (0, 0, 0, 2): Biquaternion.from_real_coords((3, 0, 0, 1, 0, -1, Fraction(5, 2), 0)),
+    }))
+    wave = Field.trig((2, 1, 0, -1), Biquaternion.from_real_coords((1, 0, -1, 2, 0, 3, 0, 1)),
+                      Biquaternion.from_real_coords((0, Fraction(1, 3), 2, 0, -1, 0, 1, 4)))
     return poly, wave, poly + wave
 
 

@@ -1,11 +1,17 @@
-"""Batched exact sweeps: the Gaussian-integer array scalar and its draws.
+"""Exact draws and batched exact sweeps: one draw, its rows and batches,
+and the Gaussian-integer array scalar.
 
-A ``GaussianIntArray`` holds one exact Gaussian rational per sample, so the
-unchanged biquaternion code checks an identity on a whole batch at once.
-These tests tie the batch to the scalar path it replaces: a draw with the
-scalar draw's values and distribution that reads the generator only
-through ``getrandbits``, the same products on every decoded sample, and a
-sweep that fails when the product is wrong.
+Every exact sample is decoded by one draw from 32-bit ``getrandbits``
+words: ``random_rational_rows`` gives coefficient rows of ints over 6,
+``random_rational_biquaternion`` is its first row, ``random_rational_batch``
+lays its rows out as batches, and ``random_poly_field`` puts its rows
+straight into a Poly.  These tests check the draw's support and
+distribution, that the three forms agree, that exponents are uniform over
+the admissible ones, and that neither the field draw nor the rank of an
+integer matrix builds a Fraction.  A ``GaussianIntArray`` holds one exact
+Gaussian rational per sample, so the unchanged biquaternion code checks an
+identity on a whole batch at once: the batch gives the same products on
+every decoded sample, and a sweep fails when the product is wrong.
 """
 
 import random
@@ -15,9 +21,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bqspin import biquaternion, harness
-from bqspin.biquaternion import Biquaternion, random_rational_batch
+from bqspin import biquaternion, exactlinalg, fields, harness, rs
+from bqspin.biquaternion import (
+    Biquaternion,
+    random_rational_batch,
+    random_rational_biquaternion,
+    random_rational_rows,
+    random_real_quaternion,
+)
 from bqspin.errors import MixedBackend
+from bqspin.fields import random_poly_field
 from bqspin.scalars import GaussianIntArray, gr, is_exact
 
 SWEEPS = ("algebra.associativity", "algebra.conjugation_laws",
@@ -69,16 +82,25 @@ def test_batch_sample_is_the_scalar_draw(n, k, span):
     assert all(_is_scalar_part(p, span) for p in _parts(batch).tolist())
 
 
+def _batch_parts(rng):
+    return _parts(random_rational_batch(rng, 2000, 3, 2))
+
+
+def _row_parts(rng):
+    return np.array(random_rational_rows(rng, 6000, 2)).ravel()
+
+
 def _support_defects(draw):
     """How a large span-2 draw departs from the scalar draw's distribution.
 
-    The 15 (numerator, denominator) pairs are equally likely; pairs with the
+    ``draw(rng)`` gives the 48000 parts of 6000 span-2 biquaternions.  The
+    15 (numerator, denominator) pairs are equally likely; pairs with the
     same quotient, such as 0/1, 0/2 and 0/3, give one stored value, so each
     of the 11 values is expected in proportion to its count of pairs.  Every
     value must appear, and the chi-square statistic of the value counts
     (10 degrees of freedom) must stay below 29.59, its 0.1 % upper tail.
     """
-    parts = _parts(draw(random.Random(2024), 2000, 3, 2))
+    parts = draw(random.Random(2024))
     expected = _scalar_values(2)
     seen = Counter(parts.tolist())
     defects = [f"value {v}/6 never drawn" for v in expected if not seen[v]]
@@ -92,16 +114,42 @@ def _support_defects(draw):
 
 
 def test_the_draw_hits_every_pair_in_proportion():
-    assert _support_defects(random_rational_batch) == []
+    for draw in (_batch_parts, _row_parts):
+        assert _support_defects(draw) == [], draw
 
 
 def test_a_draw_that_never_yields_denominator_3_fails_the_support_test(monkeypatch):
     # denominator 3 read as 2: the factor 6 // 3 becomes 6 // 2
     monkeypatch.setattr(biquaternion, "_DEN_FACTOR", np.array([6, 3, 3], dtype=np.int64))
-    defects = _support_defects(random_rational_batch)
-    assert {"value -4/6 never drawn", "value -2/6 never drawn",
-            "value 2/6 never drawn", "value 4/6 never drawn"} <= set(defects)
-    assert defects[-1].startswith("chi-square")
+    for draw in (_batch_parts, _row_parts):
+        defects = _support_defects(draw)
+        assert {"value -4/6 never drawn", "value -2/6 never drawn",
+                "value 2/6 never drawn", "value 4/6 never drawn"} <= set(defects), draw
+        assert defects[-1].startswith("chi-square"), draw
+
+
+# 1000 rows need 8000 parts: more than one pass of 4096 words at every span
+@pytest.mark.parametrize("span", [0, 2, 4, 6, 9])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 31])
+def test_the_three_draws_are_one_draw(seed, span):
+    # the first rows of a draw do not depend on how many rows it makes,
+    # random_rational_biquaternion is row 0 and a batch lays the rows out
+    # sample by sample, element by element
+    rows = random_rational_rows(random.Random(seed), 1000, span)
+    assert random_rational_rows(random.Random(seed), 7, span) == rows[:7]
+    assert all(type(x) is int for row in rows for x in row)
+    assert random_rational_biquaternion(random.Random(seed), span) == \
+        biquaternion._element(rows[0], 6)
+    a, b = random_rational_batch(random.Random(seed), 500, 2, span)
+    for i in (0, 1, 250, 499):
+        assert _sample(a, i) == biquaternion._element(rows[2 * i], 6)
+        assert _sample(b, i) == biquaternion._element(rows[2 * i + 1], 6)
+
+
+def test_a_real_quaternion_is_four_parts_of_the_draw():
+    parts = biquaternion._draw_parts(random.Random(9), 4, 4).tolist()
+    q = random_real_quaternion(random.Random(9), 4)
+    assert q == Biquaternion(*(gr(Fraction(p, 6)) for p in parts))
 
 
 def test_equal_seeds_give_equal_arrays():
@@ -124,6 +172,9 @@ def test_the_draw_reads_the_generator_only_through_getrandbits():
     got = _parts(random_rational_batch(_GetrandbitsOnly(2), 3000, 2, 9))
     want = _parts(random_rational_batch(random.Random(2), 3000, 2, 9))
     assert np.array_equal(got, want)
+    for draw in (lambda rng: random_rational_rows(rng, 40, 4), random_rational_biquaternion,
+                 random_real_quaternion):
+        assert draw(_GetrandbitsOnly(5)) == draw(random.Random(5))
 
 
 def test_a_span_wider_than_one_word_is_refused():
@@ -138,6 +189,70 @@ def test_a_span_wider_than_one_word_is_refused():
     for span in (widest + 1, -1):
         with pytest.raises(ValueError):
             random_rational_batch(random.Random(4), 3, 1, span)
+
+
+def _exponent_defects(exps, max_deg, chi2_bound):
+    """How drawn exponents depart from the uniform draw over the exponents
+    of degree at most max_deg: an exponent above it, an admissible exponent
+    never drawn, or a chi-square statistic at or above its 0.1 % tail."""
+    admissible = fields._exponents(max_deg)
+    seen = Counter(exps)
+    defects = [f"{e} exceeds degree {max_deg}" for e in seen if sum(e) > max_deg]
+    defects += [f"{e} never drawn" for e in admissible if not seen[e]]
+    mean = len(exps) / len(admissible)
+    chi2 = sum((seen[e] - mean) ** 2 / mean for e in admissible)
+    if chi2 >= chi2_bound:
+        defects.append(f"chi-square {chi2:.1f}")
+    return defects
+
+
+def _one_term_exponents(rng, n, max_deg):
+    """The exponent of each of n one-term fields."""
+    return [e for _ in range(n) for e in random_poly_field(rng, 1, max_deg).modes[(0, 0, 0, 0)][0]._rows]
+
+
+def test_poly_field_exponents_are_uniform_below_the_degree():
+    # 15 exponents of degree at most 2 (14 degrees of freedom, 0.1 % tail
+    # 36.12) and 35 of degree at most 3 (34, 65.25)
+    rng = random.Random(77)
+    assert _exponent_defects(_one_term_exponents(rng, 3000, 2), 2, 36.12) == []
+    assert _exponent_defects(_one_term_exponents(rng, 7000, 3), 3, 65.25) == []
+    for max_deg in range(5):
+        for _ in range(50):
+            f = random_poly_field(rng, 4, max_deg)
+            assert all(sum(e) <= max_deg for e in f.modes[(0, 0, 0, 0)][0]._rows)
+    assert random_poly_field(rng, 0).is_zero()
+
+
+def test_a_degree_by_degree_exponent_draw_fails_the_uniformity_test(monkeypatch):
+    # each degree equally likely: the 10 exponents of degree 2 are drawn
+    # as often as the 1 of degree 0 and the 4 of degree 1 together
+    by_degree = [[e for e in fields._exponents(2) if sum(e) == d] for d in range(3)]
+
+    class Skewed(random.Random):
+        def randrange(self, n):
+            group = by_degree[super().randrange(3)]
+            return fields._exponents(2).index(group[super().randrange(len(group))])
+
+    defects = _exponent_defects(_one_term_exponents(Skewed(77), 3000, 2), 2, 36.12)
+    assert defects and defects[-1].startswith("chi-square")
+
+
+def test_field_draws_and_integer_ranks_build_no_fraction(monkeypatch):
+    # the constraint-counting symbol is all ints, and its rank, like the
+    # draw of a polynomial field, takes the integers as they are
+    m = harness.ONSHELL.m
+    dl, alg, diff = rs._free_symbol(harness.ONSHELL, m, biquaternion.DEFAULT_FRAME)
+    assert all(type(x) is int for row in dl + alg + diff for x in row)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    with pytest.raises(AssertionError):
+        Fraction(1, 2)
+    assert [exactlinalg.rank(rows) for rows in (dl, alg, diff, alg + diff)] == [16, 8, 8, 16]
+    assert not random_poly_field(random.Random(3), n_terms=6, max_deg=4).is_zero()
 
 
 def test_batch_operations_agree_with_gaussian_rationals():

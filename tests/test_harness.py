@@ -407,6 +407,18 @@ def test_a_wrong_row_kernel_fails_the_suites_built_on_it(
         _fail_row(suite_id)
 
 
+def test_a_wrong_gradient_unit_fails_at_every_seed(monkeypatch, clear_kernels):
+    # a random polynomial field need not depend on x1, and then a wrong e1
+    # unit goes unseen; the fixed term t x1 x2 x3 of these suites' sample
+    # fields rules that out at every seed
+    original = harness.flds._units
+    _rebind_everywhere(monkeypatch, original, _flipped_space_sign(original))
+    clear_kernels()
+    for suite_id in ("rs.identities", "proca.tensor_equivalence"):
+        passing = [seed for seed in range(60) if run(suite_id, seed=seed)[0].status != "fail"]
+        assert passing == [], suite_id
+
+
 def test_boost_fails_with_generators_that_are_not_the_columns(monkeypatch):
     # boost(rho) boost(-rho) = 1 holds for any generator; footnote 8's
     # closed form on the HALF_PLUS subspace does not

@@ -172,18 +172,34 @@ def _assert_canonical_field(f: Field, name):
 # -- operands ----------------------------------------------------------------------------
 
 
-def _operands(rng):
-    """Exact fields with polynomial parts, trig modes and products of two trig modes."""
-    k1 = (2, 1, 0, 0)
-    k2 = (1, 0, Fraction(-1, 2), 3)
+_K1 = (2, 1, 0, 0)
+_K2 = (1, 0, Fraction(-1, 2), 3)
 
+
+def _mixed_denominators(k):
+    """A trig mode at k whose cos Poly is over 36 and whose sin Poly is over
+    12, each with three terms, plus a polynomial mode."""
+    cos = Biquaternion.from_real_coords((Fraction(5, 36), 1, 0, Fraction(-1, 4), 0, 2, Fraction(7, 9), 0))
+    sin = Biquaternion.from_real_coords((Fraction(1, 12), 0, -3, 0, Fraction(5, 6), 1, 0, 2))
+    x = Field.polynomial(Poly({(0, 0, 0, 0): Biquaternion.scalar(3), (1, 0, 0, 0): Biquaternion.one(),
+                               (0, 2, 1, 1): Biquaternion.scalar(-2)}))
+    f = Field.trig(k, cos, sin) * x
+    ((pc, ps),) = f.modes.values()
+    assert (pc._den, ps._den) == (36, 12)
+    return f + x
+
+
+def _operands(rng):
+    """Exact fields with polynomial parts, trig modes and products of two
+    trig modes; the last two have trig modes whose cos and sin Polys have
+    different denominators."""
     def trig(k):
         return Field.trig(k, random_rational_biquaternion(rng), random_rational_biquaternion(rng))
 
-    return [random_poly_field(rng), trig(k1), random_poly_field(rng) + trig(k2),
-            trig(k1) * trig(k2) + random_poly_field(rng),
-            (random_poly_field(rng, n_terms=2, max_deg=2) * trig(k2)) * trig(k1),
-            Field.zero()]
+    return [random_poly_field(rng), trig(_K1), random_poly_field(rng) + trig(_K2),
+            trig(_K1) * trig(_K2) + random_poly_field(rng),
+            (random_poly_field(rng, n_terms=2, max_deg=2) * trig(_K2)) * trig(_K1),
+            Field.zero(), _mixed_denominators(_K1), _mixed_denominators(_K2)]
 
 
 def _constants(rng):
@@ -379,6 +395,11 @@ def test_vector_spinor_kernels_match_the_coefficient_arithmetic():
     exts = [ExternalField.zero(), random_linear_potential(rng)]
     xs = _operands(rng)
     psi = xs[:4]
+    # the mode at _K1 is reached by a derivative with a phase term (lam = 0,
+    # integer coefficients) and by one without (lam = 2, cos over 36 and
+    # sin over 12), so its cos and sin outputs have different denominators
+    mixed_psi = [Field.trig(_K1, Biquaternion.one(), Biquaternion.vector(1, 0, 0)), xs[3],
+                 _mixed_denominators(_K1), xs[0]]
     units = eps_units()
     for frame in frames:
         nu = frame.nu
@@ -399,15 +420,20 @@ def test_vector_spinor_kernels_match_the_coefficient_arithmetic():
                 for mu in range(4):
                     _assert_rows_equal(ctx.pi_lower(mu, x), pi_lower(mu, sx), (frame, ext.e, mu))
                     _assert_rows_equal(ctx.pi_upper(mu, x), pi_upper(mu, sx), (frame, ext.e, mu))
-            snaps = [_snapshot(p) for p in psi]
-            _assert_rows_equal(ctx.differential(psi),
-                               _ref_sum(pi_upper(lam, sx) for lam, sx in enumerate(snaps)),
-                               (frame, ext.e, "differential"))
-    for name, got in (("bar_upper", RSContext(ExternalField.zero(), 1, DEFAULT_FRAME).algebraic(psi)),
-                      ("upper", eps_contraction(psi))):
-        want = _ref_sum(_ref_field_map(_snapshot(p), lambda c, u=u: u * c)
-                        for u, p in zip(units[name], psi))
-        _assert_rows_equal(got, want, name)
+            for components in (psi, mixed_psi):
+                snaps = [_snapshot(p) for p in components]
+                _assert_rows_equal(ctx.differential(components),
+                                   _ref_sum(pi_upper(lam, sx) for lam, sx in enumerate(snaps)),
+                                   (frame, ext.e, "differential"))
+    # order-0 terms alone, also on trig modes whose cos and sin Polys have
+    # different denominators
+    mixed = [xs[0], _mixed_denominators(_K1), xs[3], _mixed_denominators(_K2)]
+    for components in (psi, mixed):
+        for name, got in (("bar_upper", RSContext(ExternalField.zero(), 1, DEFAULT_FRAME).algebraic(components)),
+                          ("upper", eps_contraction(components))):
+            want = _ref_sum(_ref_field_map(_snapshot(p), lambda c, u=u: u * c)
+                            for u, p in zip(units[name], components))
+            _assert_rows_equal(got, want, name)
 
 
 def test_first_order_operators_neither_differentiate_nor_add_fields(monkeypatch):
