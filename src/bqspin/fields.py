@@ -27,7 +27,7 @@ import math
 import operator
 import random
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .biquaternion import (
@@ -691,8 +691,21 @@ class Field:
 # fixed by the operator: a gradient unit, a bireal unit, nu or i nu.  A
 # kernel K is a map of coefficient rows built once per operator (``_kernel``)
 # and applied by ``_first_order`` in one pass over the rows of the input.
+# Minimal coupling is order-0 too: x -> c phi x, for a polynomial phi, adds
+# the product of each term of phi with each row of x at the sum of their
+# exponents (``_multiplier_entries``), and so does a mass term x -> c x or
+# x -> c x* at no shift.
+#
+# A kernel entry is (v, K, s): v is a variable 0..3 for a derivative term,
+# or an exponent shift for an order-0 term, and the int s scales K onto the
+# denominator that all the entries of one operator share (``_joined``).
 
 _IDENTITY_PAIRS = tuple((n, 1) for n in range(8))
+_NO_SHIFT = (0, 0, 0, 0)
+
+
+def _same_row(r):
+    return r
 
 
 def _kernel(left=None, right=None):
@@ -720,7 +733,7 @@ def _kernel(left=None, right=None):
             pairs = tuple((pairs[i][0], sign * pairs[i][1]) for i, sign in outer)
     perm = None if pairs == _IDENTITY_PAIRS else _row_map(pairs)
     if not products:
-        return perm or (lambda r: r), den
+        return perm or _same_row, den
 
     def mapped(r):
         for qr, side in products:
@@ -731,10 +744,65 @@ def _kernel(left=None, right=None):
 
 
 def _kernels(terms):
-    """The kernels of (v, left, right) terms, one per variable v (None for
-    an order-0 term), as (((v, map), ...), den) over their shared den."""
+    """The kernel entries of (v, left, right) terms, one per variable v
+    (None for an order-0 term), as (entries, den) over their shared den."""
     built = [(v, *_kernel(left, right)) for v, left, right in terms]
-    return tuple((v, mapped) for v, mapped, _ in built), built[0][2]
+    den = math.lcm(*(d for _, _, d in built))
+    return tuple((_NO_SHIFT if v is None else v, mapped, den // d)
+                 for v, mapped, d in built), den
+
+
+def _joined(groups):
+    """The (entries, den) groups over one den, the lcm of theirs: each
+    entry's scale takes the factor that brings its group there.  Returns the
+    list of rescaled entry tuples and that den."""
+    den = math.lcm(*(d for _, d in groups))
+    return [entries if d == den else tuple((v, kernel, s * (den // d)) for v, kernel, s in entries)
+            for entries, d in groups], den
+
+
+def _complex_product(a, b):
+    """The row map of x -> (a + ib) x for ints a, b."""
+    def mapped(r):
+        r0, r1, r2, r3, r4, r5, r6, r7 = r
+        return (a * r0 - b * r1, a * r1 + b * r0, a * r2 - b * r3, a * r3 + b * r2,
+                a * r4 - b * r5, a * r5 + b * r4, a * r6 - b * r7, a * r7 + b * r6)
+
+    return mapped
+
+
+def _row_entry(shift, row):
+    """The order-0 entry of x -> q x at shift, for the row of q: a real
+    scalar a is the scale a, any other scalar a + ib the complex product,
+    and any other q the Hamilton product by its row from the left."""
+    a, b = row[0], row[1]
+    if any(row[2:]):
+        return shift, functools.partial(_hamilton_int, row), 1
+    if not b:
+        return shift, _same_row, a
+    return shift, _complex_product(a, b), 1
+
+
+def _multiplier_entries(p: Poly):
+    """The order-0 entries of x -> p x for a Poly p, as (entries, den): one
+    entry per term of p, shifted by its exponent (``_row_entry``)."""
+    return tuple(_row_entry(e, row) for e, row in p._rows.items()), p._den
+
+
+def _scalar_entries(c, row_map):
+    """The order-0 entries of x -> c row_map(x) for an exact scalar c, as
+    (entries, den): none for c = 0.  A float c raises MixedBackend."""
+    row, den = _exact_row(c)
+    if not any(row):
+        return (), 1
+    shift, kernel, scale = _row_entry(_NO_SHIFT, row)
+    if row_map is not _same_row:
+        kernel = row_map if kernel is _same_row else _composed(kernel, row_map)
+    return ((shift, kernel, scale),), den
+
+
+def _composed(outer, inner):
+    return lambda r: outer(inner(r))
 
 
 _NO_PHASE = (0, 0, 0, 0)
@@ -755,19 +823,21 @@ def _put(acc, e, c, row):
 
 
 def _first_order(terms, den=1):
-    """The sum over (f, kernels) terms of K(d f/dx_v) for each kernel (v, K)
-    of f, or K(f) when v is None; every K is a row map over the one
-    denominator den (``_kernels``).
+    """The sum over (f, kernels) terms of s K(d f/dx_v) for each kernel
+    entry (v, K, s) of f, or s K(f) shifted by v for an order-0 entry; every
+    K is a row map over the one denominator den, s included (``_kernels``,
+    ``_joined``).
 
     One pass over the rows of each input mode: a row r at exponent e adds
-    n_v K(r) at e lowered in x_v, and in a trigonometric mode it adds the
+    n_v s K(r) at e lowered in x_v, and in a trigonometric mode it adds the
     phase term into the partner Poly at e, since d(P cos phi) = P' cos phi
-    - dphi_v P sin phi and d(Q sin phi) = Q' sin phi + dphi_v Q cos phi.
-    Each output Poly is summed over one denominator, the lcm of the
-    denominators of the inputs that reach it times that of dphi, and
-    reduced once.  An order-0 term, or a derivative along a variable the
-    phase does not depend on, keeps a Poly on its own side, so the cos and
-    the sin output of a mode can have different denominators.
+    - dphi_v P sin phi and d(Q sin phi) = Q' sin phi + dphi_v Q cos phi; an
+    order-0 entry adds s K(r) at e + v.  Each output Poly is summed over one
+    denominator, the lcm of the denominators of the inputs that reach it
+    times that of dphi, and reduced once.  An order-0 term, or a derivative
+    along a variable the phase does not depend on, keeps a Poly on its own
+    side, so the cos and the sin output of a mode can have different
+    denominators.
     """
     groups = {}
     for f, kernels in terms:
@@ -788,7 +858,7 @@ def _first_order(terms, den=1):
         # the denominators of the inputs that reach each output side
         reach = ([], [])
         for pair, kernels in group:
-            crosses = any(v is not None and dphi[v] for v, _ in kernels)
+            crosses = any(type(v) is int and dphi[v] for v, _, _ in kernels)
             for side, p in enumerate(pair):
                 if p._rows:
                     reach[side].append(p._den)
@@ -806,19 +876,25 @@ def _first_order(terms, den=1):
                 # is read only by phase terms, so only when p reaches there
                 s_same = common[side] // p._den * dk
                 s_other = common[1 - side] // p._den
-                for v, kernel in kernels:
-                    if v is None:
-                        for e, r in rows.items():
-                            _put(same, e, s_same, kernel(r))
+                for v, kernel, scale in kernels:
+                    c = s_same * scale
+                    if type(v) is not int:
+                        if v == _NO_SHIFT:
+                            for e, r in rows.items():
+                                _put(same, e, c, kernel(r))
+                            continue
+                        t0, x0, y0, z0 = v
+                        for (t, x, y, z), r in rows.items():
+                            _put(same, (t + t0, x + x0, y + y0, z + z0), c, kernel(r))
                         continue
-                    phase = (dphi[v] if side else -dphi[v]) * s_other
+                    phase = (dphi[v] if side else -dphi[v]) * s_other * scale
                     lower = _LOWER[v]
                     for e, r in rows.items():
                         n = e[v]
                         if n or phase:
                             kr = kernel(r)
                             if n:
-                                _put(same, lower(e), n * s_same, kr)
+                                _put(same, lower(e), n * c, kr)
                             if phase:
                                 _put(other, e, phase, kr)
         out[k] = tuple(_canonical({e: r for e, r in rows.items() if any(r)}, c * dk * den)
@@ -1108,10 +1184,20 @@ def lanczos_plane_wave(p: Momentum, frame: Frame, a0: Biquaternion):
 
 @dataclass(frozen=True)
 class ExternalField:
-    """Polynomial electromagnetic potential phi = phi0 - i*phivec with coupling e."""
+    """Polynomial electromagnetic potential phi = phi0 - i*phivec with coupling e.
+
+    The coupling terms -e phi x and -e phi_bar x of the operators are
+    order-0 kernel entries (``_multiplier_entries``) built from phi's rows
+    on first use and kept on the instance, and so are the joined kernels of
+    ``pibar`` and ``dirac_lanczos_residual``, one per frame, gradient
+    convention and mass.
+    """
 
     phi: Field
     e: object
+    # (id(frame), spec, m) -> (frame, kernels, den) of ``_coupled_kernels``;
+    # the frame is kept, so its id is not reused while the entry lives
+    _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
     def zero():
@@ -1119,27 +1205,61 @@ class ExternalField:
 
     @staticmethod
     def from_components(phi0: Poly, phivec, e):
-        """Build from a scalar polynomial and three real vector polynomials."""
-        i_neg = gr(0, -1)
+        """Build from a scalar polynomial and three real vector polynomials;
+        the factor -i e_n of component n is a signed permutation of its rows."""
         total = Field.polynomial(phi0)
         for n, comp in enumerate(phivec):
-            unit = _E_UNITS[n] * i_neg
-            total = total + Field.polynomial(comp).lmul(unit)
+            unit = _unit_map(n + 1, True, 0, -1)
+            total = total + Field.polynomial(
+                Poly._exact({exps: unit(r) for exps, r in comp._rows.items()}, comp._den))
         return ExternalField(total, e)
 
     def is_zero(self):
         return self.phi.is_zero() or (not bool(self.e))
 
-    def phi_bar(self):
+    @functools.cached_property
+    def _phi_bar(self):
         return self.phi.bar()
+
+    def phi_bar(self):
+        return self._phi_bar
+
+    @functools.cached_property
+    def _minus_e_phi(self):
+        """The Poly of -e phi, empty when e or phi is zero; a potential with
+        a trigonometric mode raises ValueError."""
+        modes = self.phi.modes
+        if not modes or not self.e:
+            return Poly()
+        if any(any(k) for k in modes):
+            raise ValueError("the potential must be a polynomial field")
+        return modes[_NO_SHIFT][0].scale(-self.e)
+
+    @functools.cached_property
+    def _coupling(self):
+        """The order-0 entries of x -> -e phi x and x -> -e phi_bar x (bar
+        commutes with the complex scalar -e)."""
+        p = self._minus_e_phi
+        return _multiplier_entries(p), _multiplier_entries(p._involution(_BAR_ROW))
 
     def component_fields(self):
         """Scalar fields (phi0, phi1, phi2, phi3): the potential components.
 
         The quaternion field stores phi0 - i*phivec, so the n-th component
-        is i times the n-th vector part.
+        is i times the n-th vector part: the row (-B_n, A_n, 0, ...) of each
+        row (A_w, B_w, ..., A_n, B_n, ...).
         """
-        return [self.phi.scalar_part()] + _vector_components(self.phi, GR_I)
+        return [self.phi._each(functools.partial(_component, n=n)) for n in range(4)]
+
+
+def _component(p: Poly, n):
+    """The scalar Poly of component n of a potential p = phi0 - i*phivec:
+    the scalar part for n = 0, and i times vector component n for n = 1..3."""
+    if not n:
+        return p._scalar_part()
+    a, b = 2 * n, 2 * n + 1
+    return _canonical({e: (-r[b], r[a], 0, 0, 0, 0, 0, 0)
+                       for e, r in p._rows.items() if r[a] or r[b]}, p._den)
 
 
 def _vector_components(f: Field, factor):
@@ -1149,24 +1269,31 @@ def _vector_components(f: Field, factor):
 
 
 def lanczos_residual(a: Field, b: Field, ext: ExternalField, m):
-    """Residual pair of the coupled fundamental system."""
-    e = ext.e
-    ra = nabla_bar(a) - (ext.phi_bar() * a).scale(e) - b.scale(m)
-    rb = nabla(b) - (ext.phi * b).scale(e) - a.scale(m)
+    """Residual pair (nabla_bar a - e phi_bar a - m b, nabla b - e phi b - m a)
+    of the coupled fundamental system.
+
+    Each residual is one pass (``_first_order``): the gradient kernels and
+    the coupling entries on the first input, the mass entry on the second.
+    """
+    plain, bar = ext._coupling
+    mass = _scalar_entries(-m, _same_row)
+    (grad_bar, coupling_bar, mass_a), den_a = _joined(
+        [_gradient_kernels(FROZEN_NABLA, True, False), bar, mass])
+    (grad, coupling, mass_b), den_b = _joined(
+        [_gradient_kernels(FROZEN_NABLA, False, False), plain, mass])
+    ra = _first_order([(a, grad_bar + coupling_bar)] + ([(b, mass_a)] if mass_a else []), den_a)
+    rb = _first_order([(b, grad + coupling)] + ([(a, mass_b)] if mass_b else []), den_b)
     return ra, rb
 
 
 def pibar(x: Field, ext: ExternalField, frame: Frame, spec: NablaSpec = FROZEN_NABLA) -> Field:
     """The minimally coupled spinor operator nabla_bar(x) i nu - e phi_bar x.
 
-    The derivative part is one pass of the kernels ubar_v (.) i nu
-    (``_pibar_kernels``); the coupling term is skipped when e is zero.
+    One pass of the kernels ubar_v (.) i nu (``_pibar_kernels``) and the
+    coupling entries of -e phi_bar (``_coupled_kernels``).
     """
-    kernels, den = _pibar_kernels(frame, spec)
-    out = _first_order([(x, kernels)], den)
-    if bool(ext.e):
-        out = out - (ext.phi_bar() * x).scale(ext.e)
-    return out
+    kernels, den = _coupled_kernels(ext, frame, spec, None)
+    return _first_order([(x, kernels)], den)
 
 
 def _pibar_kernels(frame: Frame, spec: NablaSpec):
@@ -1180,11 +1307,28 @@ def _pibar_kernels(frame: Frame, spec: NablaSpec):
     return kernels
 
 
+def _coupled_kernels(ext: ExternalField, frame: Frame, spec: NablaSpec, m):
+    """The kernels of x -> pibar(x) - m x* on ext (no mass term for m
+    None), as (entries, den): those of ``_pibar_kernels``, the coupling
+    entries of -e phi_bar and the star entry of -m, joined over one den,
+    built once per frame, spec and m and kept on ext."""
+    key = (id(frame), spec, m)
+    hit = ext._kernels.get(key)
+    if hit is None:
+        groups = [_pibar_kernels(frame, spec), ext._coupling[1]]
+        if m is not None:
+            groups.append(_scalar_entries(-m, _STAR_ROW))
+        entries, den = _joined(groups)
+        hit = ext._kernels[key] = (frame, sum(entries, ()), den)
+    return hit[1], hit[2]
+
+
 def dirac_lanczos_residual(psi: Field, ext: ExternalField, m, frame: Frame,
                            spec: NablaSpec = FROZEN_NABLA) -> Field:
     """Residual Pibar(psi) - m psi* of the minimally coupled four-component
-    spinor equation."""
-    return pibar(psi, ext, frame, spec) - psi.star().scale(m)
+    spinor equation, in one pass (``_coupled_kernels``)."""
+    kernels, den = _coupled_kernels(ext, frame, spec, m)
+    return _first_order([(psi, kernels)], den)
 
 
 def build_doublet(a: Field, b: Field, frame: Frame):
@@ -1247,29 +1391,32 @@ def random_poly_field(rng, n_terms=4, max_deg=3):
                                         _DRAW_SCALE))
 
 
+# the constant term, then t, x1, x2, x3
+_LINEAR_EXPONENTS = ((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
 def random_linear_potential(rng):
     """External field with degree-1 polynomial components."""
     def lin():
-        terms = {(0, 0, 0, 0): Biquaternion.scalar(gr(rng.randint(-3, 3)))}
-        for var in range(4):
-            exps = [0, 0, 0, 0]
-            exps[var] = 1
-            terms[tuple(exps)] = Biquaternion.scalar(gr(rng.randint(-3, 3)))
-        return Poly(terms)
+        values = [rng.randint(-3, 3) for _ in range(5)]
+        return _canonical({e: (v, 0, 0, 0, 0, 0, 0, 0)
+                           for e, v in zip(_LINEAR_EXPONENTS, values) if v}, 1)
 
     coupling = gr(Fraction(rng.randint(1, 3), rng.randint(1, 2)))
     return ExternalField.from_components(lin(), (lin(), lin(), lin()), coupling)
 
 
 def random_quadratic_potential(rng):
+    """External field with three terms of degree at most 2 in each component;
+    a later term at the same exponent replaces an earlier one."""
     def quad():
-        terms = {}
+        values = {}
         for _ in range(3):
             exps = tuple(rng.randint(0, 2) for _ in range(4))
             while sum(exps) > 2:
                 exps = tuple(rng.randint(0, 2) for _ in range(4))
-            terms[exps] = Biquaternion.scalar(gr(rng.randint(-2, 2)))
-        return Poly(terms)
+            values[exps] = rng.randint(-2, 2)
+        return _canonical({e: (v, 0, 0, 0, 0, 0, 0, 0) for e, v in values.items() if v}, 1)
 
     coupling = gr(Fraction(rng.randint(1, 3), rng.randint(1, 2)))
     return ExternalField.from_components(quad(), (quad(), quad(), quad()), coupling)

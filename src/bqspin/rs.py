@@ -32,9 +32,12 @@ from .fields import (
     ExternalField,
     Field,
     Momentum,
+    _component,
     _first_order,
+    _joined,
     _kernel,
     _kernels,
+    _multiplier_entries,
     _plane_wave_symbol,
     _unit_waves,
     current,
@@ -88,50 +91,51 @@ def _contraction(name: str, psi) -> Field:
 class RSContext:
     """Shared data for the vector-spinor operators.
 
-    The derivative parts of pi_mu, pi^mu and pi^lam psi_lam are row kernels
-    (``fields._first_order``) of x -> x nu and x -> -x nu, built on first use
-    and kept on the context.
+    pi_mu, pi^mu and pi^lam psi_lam are one pass each of row kernels
+    (``fields._first_order``): the derivative kernel x -> x nu or x -> -x nu
+    and the order-0 coupling entries of -e phi_mu, built on first use and
+    kept on the context.
     """
 
     ext: ExternalField
     m: object
     frame: Frame
 
-    def __post_init__(self):
-        object.__setattr__(self, "_phi_comps", self.ext.component_fields())
-
     @property
     def nu(self):
         return self.frame.nu
 
     @functools.cached_property
-    def _nu_kernels(self):
-        """The row maps of x -> x nu and x -> -x nu, and their denominator."""
-        (plus, den), (minus, _) = _kernel(right=self.nu), _kernel(right=-self.nu)
-        return plus, minus, den
+    def _pi_kernels(self):
+        """The kernel entries of pi_mu and of pi^mu for mu = 0..3, and the
+        den they share.
 
-    def _coupled(self, out: Field, terms, upper: bool) -> Field:
-        """out - e sum of phi_mu x over the (mu, x) terms, with phi^mu for
-        phi_mu when upper; out itself when e is zero."""
-        e = self.ext.e
-        if not bool(e):
-            return out
-        for mu, x in terms:
-            term = (self._phi_comps[mu] * x).scale(e)
-            out = out + term if upper and ETA[mu] < 0 else out - term
-        return out
+        pi_mu is x -> d_mu x nu - e phi_mu x with d_mu = (d/dt, -d/dx_n),
+        and pi^mu = eta_mu pi_mu takes x -> x nu under d/dx_mu and the
+        coupling entries of -e phi_mu times eta_mu.
+        """
+        (plus, den), (minus, _) = _kernel(right=self.nu), _kernel(right=-self.nu)
+        # the components of -e phi are -e phi_mu: both maps are complex-linear
+        coupled = self.ext._minus_e_phi
+        groups = [(((mu, minus if mu else plus, 1),), den) for mu in range(4)]
+        groups += [_multiplier_entries(_component(coupled, mu)) for mu in range(4)]
+        entries, den = _joined(groups)
+        lower, upper = [], []
+        for mu in range(4):
+            derivative, coupling = entries[mu], entries[4 + mu]
+            scale = derivative[0][2]
+            lower.append(derivative + coupling)
+            upper.append(((mu, plus, scale),)
+                         + tuple((v, kernel, ETA[mu] * s) for v, kernel, s in coupling))
+        return lower, upper, den
 
     def pi_lower(self, mu: int, x: Field) -> Field:
-        plus, minus, den = self._nu_kernels
-        # d_mu = (d/dt, -d/dx_n)
-        out = _first_order([(x, ((mu, minus if mu else plus),))], den)
-        return self._coupled(out, [(mu, x)], False)
+        lower, _, den = self._pi_kernels
+        return _first_order([(x, lower[mu])], den)
 
     def pi_upper(self, mu: int, x: Field) -> Field:
-        plus, _, den = self._nu_kernels
-        # d^mu = (d/dt, d/dx_n)
-        out = _first_order([(x, ((mu, plus),))], den)
-        return self._coupled(out, [(mu, x)], True)
+        _, upper, den = self._pi_kernels
+        return _first_order([(x, upper[mu])], den)
 
     def pibar(self, x: Field) -> Field:
         return pibar(x, self.ext, self.frame)
@@ -151,9 +155,8 @@ class RSContext:
     def differential(self, psi) -> Field:
         """The differential contraction w3 = pi^lam psi_lam, in one pass
         over the four components."""
-        plus, _, den = self._nu_kernels
-        out = _first_order([(x, ((lam, plus),)) for lam, x in enumerate(psi)], den)
-        return self._coupled(out, enumerate(psi), True)
+        _, upper, den = self._pi_kernels
+        return _first_order([(x, kernels) for x, kernels in zip(psi, upper)], den)
 
     @functools.cached_property
     def curvature(self):

@@ -282,7 +282,7 @@ def test_operators_refuse_a_float_frame_and_keep_no_kernel_for_it(exact_fields):
         with pytest.raises(MixedBackend):
             entry()
         assert frame._kernels == {}, name
-        assert "_nu_kernels" not in vars(ctx), name
+        assert "_pi_kernels" not in vars(ctx), name
 
 
 # -- no hand-threaded flag -------------------------------------------------------------

@@ -419,6 +419,36 @@ def test_a_wrong_gradient_unit_fails_at_every_seed(monkeypatch, clear_kernels):
         assert passing == [], suite_id
 
 
+def _flipped_coupling(multiplier_entries):
+    # every entry of x -> p x negated: the coupling terms of pibar, the
+    # Dirac residual, pi_mu, pi^mu, pi^lam psi_lam and the Lanczos pair
+    # enter as +e phi x
+    def flipped(p):
+        entries, den = multiplier_entries(p)
+        return tuple((v, kernel, -scale) for v, kernel, scale in entries), den
+    return flipped
+
+
+_COUPLING_SUITES = ("covariants.divergences", "rs.commutator", "rs.extra_constraint",
+                    "rs.g1_chain")
+
+
+def test_a_flipped_coupling_fails_at_every_seed(monkeypatch):
+    # the coupling entries are kept on each ExternalField and RSContext,
+    # and every suite builds its own, so no cache holds the original.  A
+    # flip of every entry is the coupling -e, under which rs.identities and
+    # rs.contraction_chain still hold; the suites listed compare the coupled
+    # operators with a side built without the entries: phi_bar itself
+    # (covariants.divergences) or the curvature of rs.dual_tensor
+    for suite_id in _COUPLING_SUITES:
+        assert run(suite_id, seed=0)[0].status != "fail", suite_id
+    original = harness.flds._multiplier_entries
+    _rebind_everywhere(monkeypatch, original, _flipped_coupling(original))
+    for suite_id in _COUPLING_SUITES:
+        passing = [seed for seed in range(60) if run(suite_id, seed=seed)[0].status != "fail"]
+        assert passing == [], suite_id
+
+
 def test_boost_fails_with_generators_that_are_not_the_columns(monkeypatch):
     # boost(rho) boost(-rho) = 1 holds for any generator; footnote 8's
     # closed form on the HALF_PLUS subspace does not

@@ -15,6 +15,8 @@ import os
 import random
 from fractions import Fraction
 
+import pytest
+
 from bqspin.biquaternion import (
     Biquaternion,
     DEFAULT_FRAME,
@@ -22,10 +24,13 @@ from bqspin.biquaternion import (
     random_rational_frame,
 )
 from bqspin.fields import (
+    FROZEN_NABLA,
     ExternalField,
     Field,
     NablaSpec,
     Poly,
+    dirac_lanczos_residual,
+    lanczos_residual,
     nabla,
     nabla_bar,
     nabla_bar_from_right,
@@ -33,6 +38,7 @@ from bqspin.fields import (
     pibar,
     random_linear_potential,
     random_poly_field,
+    random_quadratic_potential,
 )
 from bqspin.rs import ETA, RSContext, eps_contraction, eps_units
 from bqspin.scalars import GaussianRational, _hamilton_int, _pairing_int, gr
@@ -341,6 +347,21 @@ def _ref_coupled(ref, phi, sx, e):
     return _ref_field_add(ref, _ref_field_map(coupling, lambda c: c * e), -1)
 
 
+def _ref_mass(ref, sx, m, conjugate):
+    """ref - m x*, or ref - m x when conjugate is False."""
+    term = _ref_field_map(sx, (lambda c: c.star() * m) if conjugate else (lambda c: c * m))
+    return _ref_field_add(ref, term, -1)
+
+
+def _potentials(rng):
+    """No field; linear and quadratic potentials with a real coupling; a
+    linear one with a complex-rational coupling and one with e = 0."""
+    linear = random_linear_potential(rng)
+    return [ExternalField.zero(), linear, random_quadratic_potential(rng),
+            ExternalField(linear.phi, gr(Fraction(-2, 3), Fraction(5, 4))),
+            ExternalField(linear.phi, gr(0))]
+
+
 def _assert_rows_equal(got: Field, want, name):
     """got equals the reference modes in canonical rows and denominators."""
     assert set(got.modes) == set(want), name
@@ -372,10 +393,12 @@ def test_gradient_kernels_match_the_coefficient_arithmetic():
 
 def test_pibar_kernels_match_the_coefficient_arithmetic():
     # on a random frame i nu is not a unit, so its kernel is a Hamilton
-    # product over a denominator
+    # product over a denominator; the coupling and mass terms ride in the
+    # same pass, and each result must equal the composed reference
     rng = random.Random(57)
     frames = [DEFAULT_FRAME, random_rational_frame(rng), random_rational_frame(rng)]
-    exts = [ExternalField.zero(), random_linear_potential(rng)]
+    exts = _potentials(rng)
+    masses = [Fraction(3, 2), gr(Fraction(1, 3), -2)]
     for x in _operands(rng):
         sx = _snapshot(x)
         for frame in frames:
@@ -384,15 +407,40 @@ def test_pibar_kernels_match_the_coefficient_arithmetic():
                 factors = [(v, lambda c, u=u.bar(): u * c * i_nu)
                            for v, u in enumerate(spec.units())]
                 ref = _ref_first_order(sx, factors)
-                for ext in exts:
+                for ext in exts if spec == FROZEN_NABLA else exts[:2]:
                     want = _ref_coupled(ref, ext.phi_bar(), sx, ext.e)
-                    _assert_rows_equal(pibar(x, ext, frame, spec), want, (frame, spec, ext.e))
+                    name = (frame, spec, ext.e)
+                    _assert_rows_equal(pibar(x, ext, frame, spec), want, name)
+                    for m in masses:
+                        _assert_rows_equal(dirac_lanczos_residual(x, ext, m, frame, spec),
+                                           _ref_mass(want, sx, m, True), (name, m))
+
+
+def test_lanczos_pair_matches_the_coefficient_arithmetic():
+    # each half is one pass: the gradient and coupling terms on the first
+    # input and the mass term on the second
+    rng = random.Random(60)
+    units = FROZEN_NABLA.units()
+    grad = [(v, lambda c, u=u: u * c) for v, u in enumerate(units)]
+    grad_bar = [(v, lambda c, u=u.bar(): u * c) for v, u in enumerate(units)]
+    xs, ys = _operands(rng), _operands(rng)
+    for ext in _potentials(rng):
+        for m in (Fraction(3), Fraction(-5, 2), gr(Fraction(1, 2), 1), 0):
+            for a, b in zip(xs, reversed(ys)):
+                sa, sb = _snapshot(a), _snapshot(b)
+                want_a = _ref_mass(_ref_coupled(_ref_first_order(sa, grad_bar), ext.phi_bar(),
+                                                sa, ext.e), sb, m, False)
+                want_b = _ref_mass(_ref_coupled(_ref_first_order(sb, grad), ext.phi, sb, ext.e),
+                                   sa, m, False)
+                ra, rb = lanczos_residual(a, b, ext, m)
+                _assert_rows_equal(ra, want_a, (ext.e, m, "ra"))
+                _assert_rows_equal(rb, want_b, (ext.e, m, "rb"))
 
 
 def test_vector_spinor_kernels_match_the_coefficient_arithmetic():
     rng = random.Random(58)
     frames = [DEFAULT_FRAME, random_rational_frame(rng)]
-    exts = [ExternalField.zero(), random_linear_potential(rng)]
+    exts = _potentials(rng)
     xs = _operands(rng)
     psi = xs[:4]
     # the mode at _K1 is reached by a derivative with a phase term (lam = 0,
@@ -454,3 +502,36 @@ def test_first_order_operators_neither_differentiate_nor_add_fields(monkeypatch)
     # the check sees the calls it counts
     f.derivative(0), f + f
     assert calls == ["derivative", "__add__"]
+
+
+def test_coupled_operators_make_no_field_product(monkeypatch):
+    # with the coupling switched on, the terms -e phi x and the mass terms
+    # are kernel entries of the one pass: no Field product, and so no
+    # separate scale or difference pass over its result
+    rng = random.Random(61)
+    f = _operands(rng)[3]
+    psi = [random_poly_field(rng) for _ in range(3)] + [f]
+    ext = random_quadratic_potential(rng)
+    ctx = RSContext(ext, Fraction(2), DEFAULT_FRAME)
+    calls = []
+    original = Field._product
+    monkeypatch.setattr(Field, "_product", lambda *args: calls.append(1) or original(*args))
+    results = [pibar(f, ext, DEFAULT_FRAME), dirac_lanczos_residual(f, ext, 2, DEFAULT_FRAME),
+               *lanczos_residual(f, psi[0], ext, 3), ctx.differential(psi)]
+    results += [ctx.pi_lower(mu, f) for mu in range(4)] + [ctx.pi_upper(mu, f) for mu in range(4)]
+    assert bool(ext.e) and not any(r.is_zero() for r in results)
+    assert calls == []
+    # the check sees the calls it counts
+    f * f
+    assert calls == [1]
+
+
+def test_a_trigonometric_potential_is_refused():
+    # the coupling entries are shifts of the rows of a polynomial potential,
+    # so a trigonometric mode of phi, which they would drop, raises
+    ext = ExternalField(Field.trig(_K1, Biquaternion.one(), Biquaternion.zero()), gr(1))
+    x = random_poly_field(random.Random(62))
+    for call in (lambda: pibar(x, ext, DEFAULT_FRAME), lambda: lanczos_residual(x, x, ext, 1),
+                 lambda: RSContext(ext, 1, DEFAULT_FRAME).pi_lower(0, x)):
+        with pytest.raises(ValueError):
+            call()
