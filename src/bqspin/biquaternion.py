@@ -322,8 +322,9 @@ class Frame:
     tau_sigma_bar: Biquaternion
     # the float copy, made by the first to_float() call
     _float: Frame | None = field(default=None, init=False, repr=False, compare=False)
-    # the row kernels of ``fields.pibar`` on this frame, one per gradient
-    # convention, built on first use
+    # built on first use by ``fields``: the row kernels of ``pibar`` on this
+    # frame, one per gradient convention, those of a free potential's
+    # operators, and nu's row
     _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property

@@ -91,6 +91,17 @@ def _neg_row(p):
     return (-a0, -a1, -a2, -a3, -a4, -a5, -a6, -a7)
 
 
+def _scaled_row(c, p):
+    a0, a1, a2, a3, a4, a5, a6, a7 = p
+    return (c * a0, c * a1, c * a2, c * a3, c * a4, c * a5, c * a6, c * a7)
+
+
+def _divided_row(p, g):
+    """p with every entry divided by g, which divides them all."""
+    a0, a1, a2, a3, a4, a5, a6, a7 = p
+    return (a0 // g, a1 // g, a2 // g, a3 // g, a4 // g, a5 // g, a6 // g, a7 // g)
+
+
 def _sign_pattern(*signs):
     return _row_map(list(enumerate(signs)))
 
@@ -117,7 +128,7 @@ def _canonical(rows, den):
                 break
         if g != 1:
             den //= g
-            rows = {e: tuple([x // g for x in row]) for e, row in rows.items()}
+            rows = {e: _divided_row(row, g) for e, row in rows.items()}
     return Poly._exact(rows, den)
 
 
@@ -171,7 +182,7 @@ class Poly:
             if any(row[0]):
                 parts[tuple(e)] = row
         den = math.lcm(*(d for _, d in parts.values()))
-        p = _canonical({e: row if d == den else tuple([x * (den // d) for x in row])
+        p = _canonical({e: row if d == den else _scaled_row(den // d, row)
                         for e, (row, d) in parts.items()}, den)
         self._rows, self._den = p._rows, p._den
 
@@ -218,9 +229,9 @@ class Poly:
             den = math.lcm(d1, d2)
             s1, s2 = den // d1, den // d2
             if s1 != 1:
-                r1 = {e: tuple([s1 * x for x in row]) for e, row in r1.items()}
+                r1 = {e: _scaled_row(s1, row) for e, row in r1.items()}
             if s2 != 1:
-                r2 = {e: tuple([s2 * x for x in row]) for e, row in r2.items()}
+                r2 = {e: _scaled_row(s2, row) for e, row in r2.items()}
         out = dict(r1)
         met = False
         for e, row in r2.items():
@@ -318,7 +329,7 @@ class Poly:
             if n == 1:
                 out[tuple(ne)] = c
             else:
-                out[tuple(ne)] = tuple([n * x for x in c])
+                out[tuple(ne)] = _scaled_row(n, c)
         return _canonical(out, self._den)
 
     def eval_float(self, point):
@@ -389,8 +400,8 @@ def _multiplier(q, left):
         a = qr[0]
         if a == 1:
             return lambda p: _canonical(p._rows, p._den * dq)
-        return lambda p: _canonical({e: tuple([a * x for x in r])
-                                     for e, r in p._rows.items()}, p._den * dq)
+        return lambda p: _canonical({e: _scaled_row(a, r) for e, r in p._rows.items()},
+                                    p._den * dq)
 
     def general(p):
         rows = {}
@@ -814,14 +825,6 @@ _LOWER = (lambda e: (e[0] - 1, e[1], e[2], e[3]),
           lambda e: (e[0], e[1], e[2], e[3] - 1))
 
 
-def _put(acc, e, c, row):
-    """Add c * row into the rows acc at exponent e."""
-    if c != 1:
-        row = tuple([c * x for x in row])
-    old = acc.get(e)
-    acc[e] = row if old is None else _add_rows(old, row)
-
-
 def _first_order(terms, den=1):
     """The sum over (f, kernels) terms of s K(d f/dx_v) for each kernel
     entry (v, K, s) of f, or s K(f) shifted by v for an order-0 entry; every
@@ -876,27 +879,45 @@ def _first_order(terms, den=1):
                 # is read only by phase terms, so only when p reaches there
                 s_same = common[side] // p._den * dk
                 s_other = common[1 - side] // p._den
+                # each loop adds c K(r) into the rows of its output at an
+                # exponent, scaling only when c is not 1
                 for v, kernel, scale in kernels:
                     c = s_same * scale
                     if type(v) is not int:
                         if v == _NO_SHIFT:
                             for e, r in rows.items():
-                                _put(same, e, c, kernel(r))
+                                r = kernel(r)
+                                if c != 1:
+                                    r = _scaled_row(c, r)
+                                old = same.get(e)
+                                same[e] = r if old is None else _add_rows(old, r)
                             continue
                         t0, x0, y0, z0 = v
                         for (t, x, y, z), r in rows.items():
-                            _put(same, (t + t0, x + x0, y + y0, z + z0), c, kernel(r))
+                            e = (t + t0, x + x0, y + y0, z + z0)
+                            r = kernel(r)
+                            if c != 1:
+                                r = _scaled_row(c, r)
+                            old = same.get(e)
+                            same[e] = r if old is None else _add_rows(old, r)
                         continue
                     phase = (dphi[v] if side else -dphi[v]) * s_other * scale
                     lower = _LOWER[v]
                     for e, r in rows.items():
                         n = e[v]
-                        if n or phase:
-                            kr = kernel(r)
-                            if n:
-                                _put(same, lower(e), n * c, kr)
-                            if phase:
-                                _put(other, e, phase, kr)
+                        if not (n or phase):
+                            continue
+                        kr = kernel(r)
+                        if n:
+                            nc = n * c
+                            r = kr if nc == 1 else _scaled_row(nc, kr)
+                            e2 = lower(e)
+                            old = same.get(e2)
+                            same[e2] = r if old is None else _add_rows(old, r)
+                        if phase:
+                            r = kr if phase == 1 else _scaled_row(phase, kr)
+                            old = other.get(e)
+                            other[e] = r if old is None else _add_rows(old, r)
         out[k] = tuple(_canonical({e: r for e, r in rows.items() if any(r)}, c * dk * den)
                        if rows else Poly() for rows, c in zip(acc, common))
     return Field._of(out)
@@ -1102,9 +1123,14 @@ def _extract_mode_cos(f: Field, k):
     return _element(*_mode_row(f, _mode_key(k)))
 
 
+# the rows of the real basis units (1, e1, e2, e3, i, ie1, ie2, ie3)
+_UNIT_ROWS = tuple(tuple(int(n == j) for n in range(8)) for j in (0, 2, 4, 6, 1, 3, 5, 7))
+
+
 def _unit_waves(k, frame: Frame):
     """The eight plane waves at k whose amplitudes are the real basis units."""
-    return [plane_wave_field(b, k, frame) for b in basis_elements()]
+    k = _wave_vector(k)
+    return [_plane_wave(row, 1, k, frame) for row in _UNIT_ROWS]
 
 
 def _plane_wave_symbol(op, k, waves):
@@ -1121,6 +1147,14 @@ def _plane_wave_symbol(op, k, waves):
         col = [r[n] for n in (0, 2, 4, 6, 1, 3, 5, 7)]
         cols.append(col if d == 1 else [Fraction(c, d) for c in col])
     return [list(row) for row in zip(*cols)]
+
+
+def _coords_row(coords):
+    """(row, den) in lowest terms of the amplitude with the eight rational
+    real coordinates coords, in the order of ``Biquaternion.real_coords``."""
+    den = math.lcm(*[c.denominator for c in coords])
+    a = [c.numerator * (den // c.denominator) for c in coords]
+    return (a[0], a[4], a[1], a[5], a[2], a[6], a[3], a[7]), den
 
 
 # -- momenta and plane waves ------------------------------------------------------------
@@ -1147,9 +1181,32 @@ class Momentum:
 def plane_wave_field(amplitude: Biquaternion, k, frame: Frame) -> Field:
     """The field amplitude * exp(-nu * phi) with phi = k0 t - k.x; the ansatz
     is independent of the gradient convention: one mode, cos Poly amplitude
-    and sin Poly -amplitude * nu."""
-    k, ps = _canonical_mode(_wave_vector(k), Poly.constant(-(amplitude * frame.nu)))
-    return Field._of({k: (Poly.constant(amplitude), ps)})
+    and sin Poly -amplitude * nu (``_plane_wave``)."""
+    return _plane_wave(*_exact_row(amplitude), _wave_vector(k), frame)
+
+
+def _plane_wave(row, den, k, frame: Frame) -> Field:
+    """``plane_wave_field`` of the amplitude with the row over den, in
+    lowest terms, at a wave vector k of ``_wave_vector``.
+
+    The cos Poly is the row itself and the sin Poly the integer Hamilton
+    product -row * nu over den times nu's den, reduced once; the zero row
+    gives the zero field.
+    """
+    if not any(row):
+        return Field()
+    nu, dn = _nu_row(frame)
+    k, ps = _canonical_mode(k, _canonical({_NO_SHIFT: _neg_row(_hamilton_int(row, nu))},
+                                          den * dn))
+    return Field._of({k: (Poly._exact({_NO_SHIFT: row}, den), ps)})
+
+
+def _nu_row(frame: Frame):
+    """(row, den) of the frame's nu, read once per frame and kept on it."""
+    hit = frame._kernels.get("nu")
+    if hit is None:
+        hit = frame._kernels["nu"] = _exact_row(frame.nu)
+    return hit
 
 
 def plane_wave_solutions(p: Momentum, frame: Frame, spec: NablaSpec = FROZEN_NABLA):
@@ -1190,13 +1247,15 @@ class ExternalField:
     order-0 kernel entries (``_multiplier_entries``) built from phi's rows
     on first use and kept on the instance, and so are the joined kernels of
     ``pibar`` and ``dirac_lanczos_residual``, one per frame, gradient
-    convention and mass.
+    convention and mass (a free potential's are kept on the frame), and
+    the curvature multipliers of ``rs.RSContext.curvature``.
     """
 
     phi: Field
     e: object
-    # (id(frame), spec, m) -> (frame, kernels, den) of ``_coupled_kernels``;
-    # the frame is kept, so its id is not reused while the entry lives
+    # (id(frame), spec, m) -> (frame, kernels, den) of ``_coupled_kernels``,
+    # where the frame is kept, so its id is not reused while the entry
+    # lives; "curvature" -> the multipliers of ``rs._curvature``
     _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
@@ -1311,15 +1370,27 @@ def _coupled_kernels(ext: ExternalField, frame: Frame, spec: NablaSpec, m):
     """The kernels of x -> pibar(x) - m x* on ext (no mass term for m
     None), as (entries, den): those of ``_pibar_kernels``, the coupling
     entries of -e phi_bar and the star entry of -m, joined over one den,
-    built once per frame, spec and m and kept on ext."""
-    key = (id(frame), spec, m)
-    hit = ext._kernels.get(key)
+    built once per frame, spec and m and kept on ext.
+
+    A free potential has no coupling entries, so its kernels depend on the
+    frame, spec and m alone and are kept on the frame, next to those of
+    ``_pibar_kernels``: every ``ExternalField.zero()`` shares them.  The
+    type of m is in that key, so a float mass equal to an exact one reaches
+    ``_scalar_entries`` and raises MixedBackend.
+    """
+    if ext.is_zero():
+        cache, key, keep = frame._kernels, (spec, type(m), m), None
+    else:
+        cache, key, keep = ext._kernels, (id(frame), spec, m), frame
+    hit = cache.get(key)
     if hit is None:
-        groups = [_pibar_kernels(frame, spec), ext._coupling[1]]
+        groups = [_pibar_kernels(frame, spec)]
+        if keep is not None:
+            groups.append(ext._coupling[1])
         if m is not None:
             groups.append(_scalar_entries(-m, _STAR_ROW))
         entries, den = _joined(groups)
-        hit = ext._kernels[key] = (frame, sum(entries, ()), den)
+        hit = cache[key] = (keep, sum(entries, ()), den)
     return hit[1], hit[2]
 
 

@@ -33,19 +33,21 @@ from .fields import (
     Field,
     Momentum,
     _component,
+    _coords_row,
     _first_order,
     _joined,
     _kernel,
     _kernels,
     _multiplier_entries,
+    _plane_wave,
     _plane_wave_symbol,
     _unit_waves,
+    _wave_vector,
     current,
     dirac_lanczos_residual,
     nabla_bar,
     nabla_bar_from_right,
     pibar,
-    plane_wave_field,
 )
 from .scalars import gr
 
@@ -158,11 +160,15 @@ class RSContext:
         _, upper, den = self._pi_kernels
         return _first_order([(x, kernels) for x, kernels in zip(psi, upper)], den)
 
-    @functools.cached_property
+    @property
     def curvature(self):
         """The four curvature multipliers Phi(eps_bar^mu) of ``_curvature``,
-        built on first use and kept for the life of the context."""
-        return _curvature(self.ext)
+        built once per potential and kept on it, so that every context of
+        one potential reads the same copy."""
+        kept = self.ext._kernels.get("curvature")
+        if kept is None:
+            kept = self.ext._kernels["curvature"] = _curvature(self.ext)
+        return kept
 
     def extra_constraint(self, psi) -> Field:
         """The field sum_mu Phi(eps_bar^mu) psi_mu i nu, whose vanishing the
@@ -228,7 +234,9 @@ def commutator_identity(ext: ExternalField, frame: Frame, fields, m=Fraction(1))
     """Max residual of [pi^mu, Pibar] = e Phi(eps_bar^mu) [.] i nu over the
     supplied sample fields, per index; exact zero in the rational backend."""
     ctx = RSContext(ext, m, frame)
-    curvature = ctx.curvature
+    # the right-hand side is built here, not read from the potential, so it
+    # is the curvature of ``dual_tensor`` whatever other checks have kept
+    curvature = _curvature(ext)
     worst = 0.0
     for x in fields:
         pibar_x = ctx.pibar(x)
@@ -547,10 +555,11 @@ def free_rs_solutions(p: Momentum, m, frame: Frame):
 
     One solution per basis vector of the nullspace of the stacked symbol of
     ``_free_symbol`` (the block-diagonal Dirac rows over the two constraint
-    groups); no ranks are computed.
+    groups); no ranks are computed.  Each component is the plane wave of the
+    amplitude row read from its eight coordinates (``fields._coords_row``).
     """
     dl, alg, diff = _free_symbol(p, m, frame)
-    k = p.k_tuple()
-    return [tuple(plane_wave_field(Biquaternion.from_real_coords(vec[8 * mu: 8 * mu + 8]),
-                                   k, frame) for mu in range(4))
+    k = _wave_vector(p.k_tuple())
+    return [tuple(_plane_wave(*_coords_row(vec[8 * mu: 8 * mu + 8]), k, frame)
+                  for mu in range(4))
             for vec in nullspace(dl + alg + diff)]

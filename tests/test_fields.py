@@ -464,6 +464,51 @@ def test_nabla_units_are_built_once_per_spec():
         assert fields._bar_units(spec) is bar_units
 
 
+def test_free_potentials_share_their_kernels_on_the_frame():
+    # with no coupling entries the kernels depend on the frame, the
+    # convention and the mass alone: every zero potential reads the copy
+    # kept on the frame and keeps none itself
+    rng = random.Random(36)
+    frame = random_rational_frame(rng)
+    f = random_poly_field(rng)
+    a, b = ExternalField.zero(), ExternalField.zero()
+    want = dirac_lanczos_residual(f, a, Fraction(3), frame)
+    assert dirac_lanczos_residual(f, b, Fraction(3), frame).equal(want)
+    assert fields._coupled_kernels(a, frame, FROZEN_NABLA, Fraction(3))[0] is \
+        fields._coupled_kernels(b, frame, FROZEN_NABLA, Fraction(3))[0]
+    assert a._kernels == {} and b._kernels == {}
+    # a coupling of zero is a free potential too
+    assert dirac_lanczos_residual(f, ExternalField(f, gr(0)), 3, frame).equal(want)
+    # a float mass equal to a kept exact one is still refused
+    with pytest.raises(MixedBackend):
+        dirac_lanczos_residual(f, a, 3.0, frame)
+
+
+def test_unit_waves_and_free_solutions_take_no_biquaternion_product(monkeypatch):
+    # once nu's row and the kernels are kept on the frame, the plane waves
+    # and the free vector-spinor solutions are built from integer rows
+    from bqspin.rs import free_rs_solutions
+    frames = (DEFAULT_FRAME, random_rational_frame(random.Random(37)))
+    k = ON_SHELL.k_tuple()
+    for frame in frames:
+        fields._unit_waves(k, frame)
+        free_rs_solutions(ON_SHELL, ON_SHELL.m, frame)
+    calls = []
+    mul, from_coords = Biquaternion.__mul__, Biquaternion.from_real_coords
+    monkeypatch.setattr(Biquaternion, "__mul__",
+                        lambda *args: calls.append("__mul__") or mul(*args))
+    monkeypatch.setattr(Biquaternion, "from_real_coords", staticmethod(
+        lambda coords: calls.append("from_real_coords") or from_coords(coords)))
+    for frame in frames:
+        assert len(fields._unit_waves(k, frame)) == 8
+        assert len(free_rs_solutions(ON_SHELL, ON_SHELL.m, frame)) == 8
+    assert calls == []
+    # the check sees the calls it counts
+    Biquaternion.one() * Biquaternion.one()
+    Biquaternion.from_real_coords([0] * 8)
+    assert calls == ["__mul__", "from_real_coords"]
+
+
 def test_klein_gordon_on_shell():
     frame = DEFAULT_FRAME
     rng = random.Random(35)

@@ -369,12 +369,33 @@ def _flipped_space_sign(units):
     return flipped
 
 
+def _swapped_lanes(scaled_row):
+    # lanes 0 and 1 of every scaled row exchanged: the real and imaginary
+    # parts of the scalar component
+    def swapped(c, row):
+        a0, a1, *rest = scaled_row(c, row)
+        return (a1, a0, *rest)
+    return swapped
+
+
+def _flipped_sin_row(plane_wave):
+    # the sin Poly of every plane wave negated, which is the wave at -k: the
+    # suites that take their amplitudes from the symbol of the same waves
+    # stay consistent, and those that build an amplitude in closed form
+    # (``lanczos_plane_wave``) see it
+    def flipped(row, den, k, frame):
+        f = plane_wave(row, den, k, frame)
+        return Field._of({kc: (pc, -ps) for kc, (pc, ps) in f.modes.items()})
+    return flipped
+
+
 @pytest.fixture
 def clear_kernels(monkeypatch):
     """The function that empties the kernel caches: the gradient units and
-    kernels of each spec and the pibar kernels kept on DEFAULT_FRAME.  A
-    mutant of the units reaches only kernels built after it; the caches are
-    emptied again after the test, before the mutant is undone."""
+    kernels of each spec, and the pibar kernels, the free-potential kernels
+    and nu's row kept on DEFAULT_FRAME.  A mutant of the units reaches only
+    kernels built after it; the caches are emptied again after the test,
+    before the mutant is undone."""
     def clear():
         harness.flds._bar_units.cache_clear()
         harness.flds._gradient_kernels.cache_clear()
@@ -393,13 +414,23 @@ def clear_kernels(monkeypatch):
     ("_units", _flipped_space_sign,
      ["lanczos.free_solutions", "proca.tensor_equivalence", "proca.maxwell_limit",
       "rs.identities", "rs.commutator", "rs.free_system"]),
+    # nabla.selection raises NoConsistentConvention under this mutant, so
+    # it is not a fail row and is not listed
+    ("_scaled_row", _swapped_lanes,
+     ["dirac.klein_gordon", "dirac.doublet", "covariants.current_conservation",
+      "covariants.divergences", "proca.tensor_equivalence", "proca.maxwell_limit",
+      "rs.identities", "rs.commutator", "rs.free_system", "rs.contraction_chain",
+      "rs.g1_chain", "rs.extra_constraint"]),
+    ("_plane_wave", _flipped_sin_row,
+     ["dirac.doublet", "lanczos.free_solutions", "covariants.lagrangian"]),
 ])
 def test_a_wrong_row_kernel_fails_the_suites_built_on_it(
         monkeypatch, clear_kernels, name, mutant, suite_ids):
-    # every suite passes first, which fills the kernel caches; the mutant is
-    # installed after that, and the caches are emptied so that it is seen
+    # every suite passes first (a witness suite shows its witness), which
+    # fills the kernel caches; the mutant is installed after that, and the
+    # caches are emptied so that it is seen
     for suite_id in suite_ids:
-        assert [row.status for row in run(suite_id, seed=0)] == ["pass"]
+        assert [row.status for row in run(suite_id, seed=0)] in (["pass"], ["witness"])
     original = getattr(harness.flds, name)
     _rebind_everywhere(monkeypatch, original, mutant(original))
     clear_kernels()

@@ -20,6 +20,7 @@ import pytest
 from bqspin.biquaternion import (
     Biquaternion,
     DEFAULT_FRAME,
+    basis_elements,
     random_rational_biquaternion,
     random_rational_frame,
 )
@@ -29,6 +30,11 @@ from bqspin.fields import (
     Field,
     NablaSpec,
     Poly,
+    _canonical_mode,
+    _divided_row,
+    _scaled_row,
+    _unit_waves,
+    _wave_vector,
     dirac_lanczos_residual,
     lanczos_residual,
     nabla,
@@ -36,6 +42,7 @@ from bqspin.fields import (
     nabla_bar_from_right,
     nabla_from_right,
     pibar,
+    plane_wave_field,
     random_linear_potential,
     random_poly_field,
     random_quadratic_potential,
@@ -535,3 +542,65 @@ def test_a_trigonometric_potential_is_refused():
                  lambda: RSContext(ext, 1, DEFAULT_FRAME).pi_lower(0, x)):
         with pytest.raises(ValueError):
             call()
+
+
+# -- unpacked row arithmetic and plane waves from rows ------------------------------------
+
+
+def test_row_scale_and_division_match_the_entrywise_reference():
+    # the unpacked eight-lane forms against the list comprehensions they
+    # replace, on negative entries and entries past 2^62
+    rng = random.Random(63)
+    big = 1 << 62
+    rows = [tuple(rng.randint(-8 * big, 8 * big) for _ in range(8)) for _ in range(20)]
+    rows += [(-1, 2, -3, 4, -5, 6, -7, 8), (big + 1, -big - 3, 0, 0, 1, -1, big * big, -big)]
+    for row in rows:
+        for c in (1, -1, 3, -7, big + 5, -(big * big + 1)):
+            scaled = _scaled_row(c, row)
+            assert type(scaled) is tuple and scaled == tuple([c * x for x in row])
+            assert _divided_row(scaled, c) == tuple([x // c for x in scaled]) == row
+        g = math.gcd(*row)
+        assert _divided_row(row, g) == tuple([x // g for x in row])
+
+
+def _biquaternion_plane_wave(amplitude, k, frame):
+    """The plane wave built through the Biquaternion product amplitude * nu
+    and two ``Poly.constant``s."""
+    k, ps = _canonical_mode(_wave_vector(k), Poly.constant(-(amplitude * frame.nu)))
+    return Field._of({k: (Poly.constant(amplitude), ps)})
+
+
+def _rows_and_dens(f: Field):
+    return {k: ((pc._rows, pc._den), (ps._rows, ps._den)) for k, (pc, ps) in f.modes.items()}
+
+
+_WAVE_VECTORS = [(5, 3, 0, 0), (Fraction(5, 2), Fraction(3, 2), 0, Fraction(-1, 3)),
+                 (-2, 1, Fraction(-1, 3), 0), (0, -1, 2, Fraction(1, 2)), (0, 0, 0, 0)]
+
+
+def test_plane_waves_from_rows_match_the_biquaternion_construction():
+    # the same canonical rows and denominators, over frames whose nu has a
+    # denominator, fractional and sign-flipped wave vectors, and amplitudes
+    # that are zero, units, real scalars and general elements
+    rng = random.Random(64)
+    frames = [DEFAULT_FRAME] + [random_rational_frame(rng) for _ in range(3)]
+    amplitudes = [Biquaternion.zero(), Biquaternion.one(), Biquaternion.scalar(gr(Fraction(-3, 4))),
+                  Biquaternion.vector(0, gr(0, Fraction(5, 6)), 0), DEFAULT_FRAME.sigma]
+    amplitudes += [random_rational_biquaternion(rng) for _ in range(3)]
+    for frame in frames:
+        for k in _WAVE_VECTORS:
+            for a in amplitudes:
+                got = plane_wave_field(a, k, frame)
+                assert _rows_and_dens(got) == _rows_and_dens(_biquaternion_plane_wave(a, k, frame))
+                _assert_canonical_field(got, (k, a))
+                assert got.is_zero() == (a == Biquaternion.zero())
+
+
+def test_unit_waves_are_the_plane_waves_of_the_basis_units():
+    rng = random.Random(65)
+    for frame in (DEFAULT_FRAME, random_rational_frame(rng)):
+        for k in _WAVE_VECTORS:
+            waves = _unit_waves(k, frame)
+            assert len(waves) == 8
+            for b, wave in zip(basis_elements(), waves):
+                assert _rows_and_dens(wave) == _rows_and_dens(plane_wave_field(b, k, frame))

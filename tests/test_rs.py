@@ -355,6 +355,25 @@ def test_chains_report_a_nonzero_residual_below_float_range(monkeypatch):
     assert commutator_identity(ext, FRAME, [samples[0][0]], M) > 0.0
 
 
+def test_curvature_is_built_once_per_potential(monkeypatch):
+    # every context of one potential reads the multipliers kept on it; the
+    # commutator identity builds its right-hand side itself
+    built = []
+    curvature = rs._curvature
+    monkeypatch.setattr(rs, "_curvature", lambda ext: built.append(ext) or curvature(ext))
+    rng = random.Random(127)
+    ext = _nonlorenz_potential()
+    psi = _rand_psi(rng)
+    assert extra_constraint_derivation_residual(psi, ext, M, FRAME).is_zero()
+    first = RSContext(ext, M, FRAME).curvature
+    assert RSContext(ext, None, FRAME).curvature is first
+    assert not rs.extra_constraint(psi, ext, FRAME).is_zero()
+    assert built == [ext]
+    assert all(a.equal(b) for a, b in zip(first, curvature(ext)))
+    assert commutator_identity(ext, FRAME, [psi[0]], M) == 0.0
+    assert built == [ext, ext]
+
+
 def test_second_order_defect_structure():
     # derivative-free, coupling-proportional curvature multiplier
     rng = random.Random(121)
