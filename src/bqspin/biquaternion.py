@@ -16,13 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from math import lcm
 from numbers import Number
 
 import numpy as np
 
 from .errors import InvalidFrame, MixedBackend, SingularOperand
 from .scalars import (GR_I, GR_ONE, GR_ZERO, GaussianIntArray, GaussianRational, _hamilton,
-                      _pairing, _reduced, gr, is_exact, largest)
+                      _integral, _pairing, _reduced, gr, is_exact, largest)
 
 # the operands a Biquaternion scales component by component; for any other
 # type (a Field, say) its product returns NotImplemented
@@ -394,16 +395,37 @@ def peirce_decompose(q: Biquaternion, f: Frame):
     sigma.bar()*tau.  Since scal(d q) = minkowski_product(d.bar(), q) and
     (sigma*tau).bar() = -sigma*tau, each coordinate is twice the pairing of
     q with the partner basis element: sigma.bar(), tau*sigma.bar(), sigma,
-    tau*sigma.
+    tau*sigma.  Twice a pairing is formed as its sum with itself, since a
+    ``GaussianIntArray`` combines with no int.
     """
     s, ts, sb, tsb = f.basis()
-    return tuple(2 * minkowski_product(d, q) for d in (sb, tsb, s, ts))
+    pairings = (minkowski_product(d, q) for d in (sb, tsb, s, ts))
+    return tuple(x + x for x in pairings)
 
 
 def peirce_compose(coords, f: Frame) -> Biquaternion:
     x1, x2, x3, x4 = coords
     return (f.sigma * x1 + f.tau_sigma * x2
             + f.sigma_bar * x3 + f.tau_sigma_bar * x4)
+
+
+def _batch_frame(f: Frame) -> Frame:
+    """The exact frame f with every component of every member a one-entry
+    ``GaussianIntArray`` over D, the lcm of all the members' denominators.
+
+    A one-entry batch broadcasts against a batch of samples, so
+    ``peirce_decompose`` and ``peirce_compose`` run unchanged on a batch
+    of q: each coordinate has D times the scale of q, and the recomposed
+    q D^2 times it.  The members share one bound, the largest numerator
+    of any of them.  Nothing is kept on f.
+    """
+    rows = [_integral(getattr(f, fld.name).components()) for fld in fields(f) if fld.init]
+    d = lcm(*(dm for _, dm in rows))
+    parts = np.array([[x * (d // dm) for x in r] for r, dm in rows],
+                     dtype=np.int64).reshape(len(rows), 4, 2, 1)
+    bound = int(np.abs(parts).max())
+    return Frame(*(Biquaternion(*(GaussianIntArray._of(re, im, d, bound) for re, im in member))
+                   for member in parts))
 
 
 # Basis constants ---------------------------------------------------------------

@@ -26,7 +26,12 @@ class DegenerateMass(BqspinError):
 
 
 class NoConsistentConvention(BqspinError):
-    """The gradient-convention selection did not find a unique candidate."""
+    """The gradient-convention selection did not find a unique candidate;
+    ``survivors`` is the number of candidates that met every criterion."""
+
+    def __init__(self, survivors):
+        super().__init__(f"expected exactly one gradient convention, found {survivors}")
+        self.survivors = survivors
 
 
 class UnknownSuite(BqspinError):

@@ -1049,8 +1049,7 @@ def select_nabla_convention():
             continue
         survivors.append(spec)
     if len(survivors) != 1:
-        raise NoConsistentConvention(
-            f"expected exactly one gradient convention, found {len(survivors)}")
+        raise NoConsistentConvention(len(survivors))
     return survivors[0]
 
 

@@ -11,7 +11,9 @@ the admissible ones, and that neither the field draw nor the rank of an
 integer matrix builds a Fraction.  A ``GaussianIntArray`` holds one exact
 Gaussian rational per sample, so the unchanged biquaternion code checks an
 identity on a whole batch at once: the batch gives the same products on
-every decoded sample, and a sweep fails when the product is wrong.
+every decoded sample, and a sweep fails when the product is wrong.  The
+Peirce roundtrip runs the same way, on a frame whose members are one-entry
+batches.
 """
 
 import random
@@ -23,15 +25,22 @@ import pytest
 
 from bqspin import biquaternion, exactlinalg, fields, harness, rs
 from bqspin.biquaternion import (
+    DEFAULT_FRAME,
     Biquaternion,
+    _batch_frame,
+    _element,
+    peirce_compose,
+    peirce_decompose,
     random_rational_batch,
     random_rational_biquaternion,
+    random_rational_frame,
     random_rational_rows,
     random_real_quaternion,
 )
 from bqspin.errors import MixedBackend
 from bqspin.fields import random_poly_field
 from bqspin.scalars import GaussianIntArray, gr, is_exact
+from test_harness import _rebind_everywhere
 
 SWEEPS = ("algebra.associativity", "algebra.conjugation_laws",
           "algebra.norm_multiplicativity", "algebra.reversal")
@@ -397,3 +406,68 @@ def test_sweep_witness_counts_samples_across_batches():
 def test_passing_sweeps_report_no_witness():
     for row in harness.run("algebra.*", seed=3):
         assert (row.status, row.max_residual, row.witness_payload) == ("pass", 0.0, None)
+
+
+# -- the Peirce roundtrip ----------------------------------------------------------
+
+
+def test_a_batch_frame_is_the_frame_within_its_bound():
+    # every member is the frame's own, one entry over one scale, within the
+    # kept bound; decomposing a batch on it gives each sample's coordinates,
+    # and recomposing gives the batch back
+    rng = random.Random(21)
+    (q,) = random_rational_batch(rng, 30, 1)
+    for f in [DEFAULT_FRAME] + [random_rational_frame(rng) for _ in range(30)]:
+        fb = _batch_frame(f)
+        d = fb.sigma.w.scale
+        for name in ("nu", "tau", "sigma", "sigma_bar", "tau_sigma", "tau_sigma_bar"):
+            batch = getattr(fb, name)
+            assert _sample(batch, 0) == getattr(f, name), name
+            for c in batch.components():
+                assert c.scale == d and c.re.shape == c.im.shape == (1,)
+                assert max(abs(int(c.re[0])), abs(int(c.im[0]))) <= c._bound
+        coords = peirce_decompose(q, fb)
+        back = peirce_compose(coords, fb)
+        for i in (0, 17, 29):
+            qi = _sample(q, i)
+            assert tuple(_scalar(x, i) for x in coords) == peirce_decompose(qi, f)
+            assert _sample(back, i) == qi
+    assert _batch_frame(DEFAULT_FRAME).sigma.w.scale == 2
+
+
+def _swapped_nilpotents(coords, f):
+    # peirce_compose with tau*sigma and tau*sigma.bar() exchanged
+    x1, x2, x3, x4 = coords
+    return (f.sigma * x1 + f.tau_sigma_bar * x2
+            + f.sigma_bar * x3 + f.tau_sigma * x4)
+
+
+def _first_failing(qs, f):
+    """The index of the first exact element whose scalar roundtrip on f,
+    under the swapped composition, does not give it back."""
+    return next(i for i, q in enumerate(qs) if _swapped_nilpotents(peirce_decompose(q, f), f) != q)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_wrong_peirce_compose_fails_the_roundtrip(monkeypatch, seed):
+    _rebind_everywhere(monkeypatch, peirce_compose, _swapped_nilpotents)
+    (row,) = harness.run("peirce.roundtrip", seed=seed)
+    assert row.status == "fail"
+    # the witness is the first sample, in draw order, on which the scalar
+    # roundtrip of the decoded sample fails; the random frame is drawn
+    # before the samples of either frame
+    rng = harness._rng_for(seed, "peirce.roundtrip")
+    random_rational_frame(rng)
+    qs = [_element(r, 6) for r in random_rational_rows(rng, 100)]
+    assert row.witness_payload == {"sample_index": _first_failing(qs, DEFAULT_FRAME)}
+
+
+def test_the_unit_rows_alone_fail_a_wrong_peirce_compose(monkeypatch):
+    # with the sampled check switched off, the claim on the eight unit
+    # rows still fails, at the first unit whose scalar roundtrip fails
+    _rebind_everywhere(monkeypatch, peirce_compose, _swapped_nilpotents)
+    monkeypatch.setattr(harness, "_sweep", lambda *args, **kwargs: None)
+    (row,) = harness.run("peirce.roundtrip", seed=0)
+    units = [_element(tuple(int(i == j) for j in range(8)), 1) for i in range(8)]
+    assert row.status == "fail"
+    assert row.witness_payload == {"unit_row": _first_failing(units, DEFAULT_FRAME)}

@@ -14,7 +14,7 @@ import pytest
 from bqspin import bilinears, harness, linops, lorentz, spin
 from bqspin.cli import emit, main
 from bqspin.biquaternion import Biquaternion
-from bqspin.errors import ConfigError, UnknownSuite
+from bqspin.errors import ConfigError, NoConsistentConvention, UnknownSuite
 from bqspin.fields import Field, Poly, current
 from bqspin.linops import RealLinearOp
 from bqspin.scalars import gr
@@ -272,6 +272,17 @@ def test_counting_failure_on_a_misplaced_dirac_block(monkeypatch):
     assert _fail_row("rs.constraint_counting").max_residual == 1.0
 
 
+def test_no_consistent_convention_is_a_failed_selection(monkeypatch):
+    # the selection's error is a failed claim that names how many
+    # conventions survived, not an exception out of run
+    def two_survivors():
+        raise NoConsistentConvention(2)
+
+    monkeypatch.setattr(harness, "select_nabla_convention", two_survivors)
+    row = _fail_row("nabla.selection")
+    assert (row.max_residual, row.witness_payload) == (1.0, {"survivors": 2})
+
+
 def _rebind_everywhere(monkeypatch, original, replacement):
     """Rebind a library function in every bqspin module that binds it by
     name, as the benchmark's layer tracer does, so no caller keeps it."""
@@ -381,8 +392,9 @@ def _swapped_lanes(scaled_row):
 def _flipped_sin_row(plane_wave):
     # the sin Poly of every plane wave negated, which is the wave at -k: the
     # suites that take their amplitudes from the symbol of the same waves
-    # stay consistent, and those that build an amplitude in closed form
-    # (``lanczos_plane_wave``) see it
+    # stay consistent, and those that check an amplitude against a closed
+    # form at +k (``lanczos_plane_wave``, and P.bar() X = m X* in
+    # dirac.nullspace) see it
     def flipped(row, den, k, frame):
         f = plane_wave(row, den, k, frame)
         return Field._of({kc: (pc, -ps) for kc, (pc, ps) in f.modes.items()})
@@ -414,15 +426,13 @@ def clear_kernels(monkeypatch):
     ("_units", _flipped_space_sign,
      ["lanczos.free_solutions", "proca.tensor_equivalence", "proca.maxwell_limit",
       "rs.identities", "rs.commutator", "rs.free_system"]),
-    # nabla.selection raises NoConsistentConvention under this mutant, so
-    # it is not a fail row and is not listed
     ("_scaled_row", _swapped_lanes,
-     ["dirac.klein_gordon", "dirac.doublet", "covariants.current_conservation",
+     ["nabla.selection", "dirac.klein_gordon", "dirac.doublet", "covariants.current_conservation",
       "covariants.divergences", "proca.tensor_equivalence", "proca.maxwell_limit",
       "rs.identities", "rs.commutator", "rs.free_system", "rs.contraction_chain",
       "rs.g1_chain", "rs.extra_constraint"]),
     ("_plane_wave", _flipped_sin_row,
-     ["dirac.doublet", "lanczos.free_solutions", "covariants.lagrangian"]),
+     ["dirac.nullspace", "dirac.doublet", "lanczos.free_solutions", "covariants.lagrangian"]),
 ])
 def test_a_wrong_row_kernel_fails_the_suites_built_on_it(
         monkeypatch, clear_kernels, name, mutant, suite_ids):
