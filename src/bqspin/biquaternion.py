@@ -449,37 +449,51 @@ _DEN_FACTOR = np.array([6, 3, 2], dtype=np.int64)
 _CHUNK = 4096
 
 
+def _decode(v, span):
+    """The parts over 6 that the (numerator, denominator) values v encode:
+    ``den - 1, num + span = divmod(v, 2*span + 1)``, and the part is
+    num * 6 // den, as an int64 array."""
+    den, num = np.divmod(v.astype(np.int64), 2 * span + 1)
+    return (num - span) * _DEN_FACTOR[den]
+
+
 def _draw_parts(rng, count, span):
     """count exact rational parts, each an int over 6, as an int64 array.
 
     A part is a numerator uniform in [-span, span] over a denominator
     uniform in {1, 2, 3}.  The (numerator, denominator) pair is one value v
-    uniform below 3 * (2*span + 1), split as
-    ``den - 1, num + span = divmod(v, 2*span + 1)``.  v is the top bits of
-    a 32-bit word of ``rng.getrandbits``, kept when it falls in range, so
-    ``rng`` is read through ``getrandbits`` alone and the 3 * (2*span + 1)
-    values must fit in one word (ValueError otherwise).  Each pass reads
-    about as many words as the parts still missing need, at most
-    ``_CHUNK``; the parts are the first count values kept, however the
-    words are split into passes.
+    uniform below 3 * (2*span + 1), decoded by ``_decode``.  v is the top
+    bits of a 32-bit word of ``rng.getrandbits``, kept when it falls in
+    range, so ``rng`` is read through ``getrandbits`` alone and the
+    3 * (2*span + 1) values must fit in one word (ValueError otherwise).
+    Each pass reads about as many words as the parts still missing need, at
+    most ``_CHUNK``; the parts are the first count values kept, however the
+    words are split into passes.  The words are compared and shifted as
+    uint32, and only the kept values are decoded: by indexing the decoded
+    ``arange`` of all the values when the draw needs at least as many parts
+    as there are values, and directly otherwise.
     """
-    width = 2 * span + 1
-    pairs = 3 * width
+    pairs = 3 * (2 * span + 1)
     # 3 does not divide 2**32, so this is pairs <= 2**32
     if not 0 < pairs < 1 << 32:
         raise ValueError(f"span {span} is not in 0..{((1 << 32) // 3 - 1) // 2}")
     bits = pairs.bit_length()
     shift = 32 - bits
+    # v < pairs exactly when its word is below pairs << shift, which is < 2**32
+    limit = np.uint32(pairs << shift)
+    table = _decode(np.arange(pairs), span) if count >= pairs else None
     flat = np.empty(count, dtype=np.int64)
     filled = 0
     while filled < count:
         # a word is kept with probability pairs / 2**bits > 1/2
         words = min(_CHUNK, ((count - filled) << bits) // pairs + 4)
-        v = np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"),
-                          "<u4").astype(np.int64) >> shift
-        v = v[v < pairs][:count - filled]
-        den, num = np.divmod(v, width)
-        np.multiply(num - span, _DEN_FACTOR[den], out=flat[filled:filled + v.size])
+        w = np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"), "<u4")
+        v = w[w < limit][:count - filled] >> np.uint32(shift)
+        out = flat[filled:filled + v.size]
+        if table is None:
+            out[:] = _decode(v, span)
+        else:
+            np.take(table, v, out=out)
         filled += v.size
     return flat
 
@@ -512,9 +526,11 @@ def random_rational_batch(rng, n, k, span=6):
 
     Sample i of the j-th element is row i*k + j of
     ``random_rational_rows(rng, n * k, span)``, each part an integer over
-    the common denominator 6.
+    the common denominator 6.  The draw is copied once into (k, 4, 2, n)
+    order, so every real and imaginary part is a contiguous array.
     """
-    parts = _draw_parts(rng, n * k * 8, span).reshape(n, k, 4, 2).transpose(1, 2, 3, 0)
+    parts = np.ascontiguousarray(
+        _draw_parts(rng, n * k * 8, span).reshape(n, k, 4, 2).transpose(1, 2, 3, 0))
     # no entry exceeds span * 6 // 1
     bound = span * _DRAW_SCALE
     return [Biquaternion(*(GaussianIntArray._of(re, im, _DRAW_SCALE, bound) for re, im in element))

@@ -16,6 +16,7 @@ Peirce roundtrip runs the same way, on a frame whose members are one-entry
 batches.
 """
 
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -198,6 +199,69 @@ def test_a_span_wider_than_one_word_is_refused():
     for span in (widest + 1, -1):
         with pytest.raises(ValueError):
             random_rational_batch(random.Random(4), 3, 1, span)
+
+
+_WIDEST = ((1 << 32) // 3 - 1) // 2
+
+# sha256 of the little-endian int64 bytes of _draw_parts(random.Random(span +
+# count), count, span).  A count below 3 * (2*span + 1) decodes each kept value
+# on its own, a count at or above it indexes the decoded table; 9000 parts take
+# at least three passes of 4096 words.  A change to the decode, the words read
+# or the draw order changes these digests, and with them every exact sample.
+_DRAW_DIGESTS = {
+    (0, 2): "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
+    (0, 3): "9d908ecfb6b256def8b49a7c504e6c889c4b0e41fe6ce3e01863dd7b61a20aa0",
+    (0, 9000): "36438cefa7206dac9ef150b613418d5912c3eb69ed4e0084798602985b43470d",
+    (2, 14): "487ee3a6965e8e2065b02c63bb96d7d04924fe5677fe96e809f7f88ef46e280f",
+    (2, 15): "6f25bea84b9642884e00c52a30f2149734f45fe3da3a1592cdef8a255d5d7cb1",
+    (2, 9000): "5f5df959b9dfd7cd686b64db274c66dad5ed40bc2639971045fb0c8a718d2932",
+    (4, 26): "af5736114cbf1f49453fcb6468529d75c3f50c4d49a7b109a09ccb6743237652",
+    (4, 27): "ca43cf236f8fd2889f0e49963026f10660b12eecbc54643dbd32752db3ac5340",
+    (4, 9000): "0f9f1448de195b2839ca02d0230c3190ba98d8a2bddfa4c60d54ff4a957e9e2c",
+    (6, 38): "563c56b52aef89b7d064032914e9517d7ef9c93c16e6dabfa750c09f05181d7a",
+    (6, 39): "b3e1a89b36285f5f6b6c6ffdc76c622be02cfa946478481b964188b7b828dbbc",
+    (6, 9000): "527d9228870cd3a560bbc0f84c2156a03d4b77ef2a0f0131e0b36b110ff2b405",
+    (9, 56): "725b2e012530ca81d629cbee93f6ebee6357002926d8c8a3c8d37340af912cac",
+    (9, 57): "c0718973312bd85df841f9feee4a16bd7348f675c1bc2dbc78aff536f4f6079a",
+    (9, 9000): "18475efae2a1334f0759c3c9bde57f079f93ed4691de90853ed4622513c56aed",
+    (12, 74): "8ed35a07a064fa3a9c1d2b7b5668da41124f20141e9ff1363fdb25b54f258ae1",
+    (12, 75): "0ed4bfeb7dcb41ce75e65dd4d0457391fe42c5f2e1d4f045738c313c5acc6b55",
+    (12, 9000): "c060023155800e6592194adfb2c60fc51c9fac50260a18bed193c16eaa0ef7ab",
+    (2 ** 20, 7): "808399b0a9542cb97dc949ef8160e3048f1c43f39a7c507b498135d2504f82bc",
+    (2 ** 20, 9000): "2444a1ae4866c73680fde6bc15ac681273ba5073bb9bcd5e41743eaa475fc089",
+    (_WIDEST, 7): "cf5312870ba7f0ae87ebb1b5c70a9519b7f531fe6764e425e344c36225a63cad",
+    (_WIDEST, 9000): "709a6f8c0062041cd8740cbadfb5086348b5aa1a3a016dd0a06ae5b768da8102",
+}
+
+
+@pytest.mark.parametrize("span, count", sorted(_DRAW_DIGESTS))
+def test_the_draw_is_pinned(span, count):
+    parts = biquaternion._draw_parts(random.Random(span + count), count, span)
+    assert parts.dtype == np.int64 and parts.shape == (count,)
+    assert hashlib.sha256(parts.astype("<i8").tobytes()).hexdigest() == \
+        _DRAW_DIGESTS[span, count]
+
+
+def test_the_table_and_the_direct_decode_agree():
+    # both routes of _draw_parts apply _decode: to every value, or to the kept ones
+    for span in (0, 2, 9, 2 ** 20, _WIDEST):
+        pairs = 3 * (2 * span + 1)
+        v = np.array(sorted({0, 1, pairs // 2, pairs - 2, pairs - 1}), dtype=np.uint32)
+        want = [(int(x) % (2 * span + 1) - span) * 6 // (int(x) // (2 * span + 1) + 1)
+                for x in v]
+        assert biquaternion._decode(v, span).tolist() == want
+    table = biquaternion._decode(np.arange(15), 2)
+    v = np.array([14, 0, 7, 7, 3], dtype=np.uint32)
+    assert np.array_equal(np.take(table, v), biquaternion._decode(v, 2))
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (37, 2), (2000, 3)])
+def test_every_batch_component_is_contiguous_int64(n, k):
+    for q in random_rational_batch(random.Random(n), n, k, 9):
+        for c in q.components():
+            for part in (c.re, c.im):
+                assert part.dtype == np.int64 and part.shape == (n,)
+                assert part.flags.c_contiguous
 
 
 def _exponent_defects(exps, max_deg, chi2_bound):

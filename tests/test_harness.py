@@ -65,6 +65,21 @@ def test_unknown_suite():
         run("definitely.not.a.suite", seed=0)
 
 
+def test_a_suite_id_is_looked_up_without_a_glob(monkeypatch):
+    # no id holds a glob character, so an id selects itself alone, and a
+    # glob still selects by fnmatch
+    assert not any(set(sid) & set("*?[]") for sid in harness.list_suites())
+    (alone,) = run("peirce.roundtrip", seed=6)
+
+    def refuse(*args):
+        raise AssertionError("an exact suite id went through fnmatch")
+
+    monkeypatch.setattr(harness.fnmatch, "fnmatch", refuse)
+    assert run("peirce.roundtrip", seed=6) == [alone]
+    with pytest.raises(AssertionError):
+        run("peirce.*", seed=6)
+
+
 def test_suite_isolation_order_independent():
     # a suite's row is identical whether it runs alone or with neighbours
     (alone,) = run("peirce.roundtrip", seed=6)
@@ -611,6 +626,21 @@ def test_the_batched_exponential_suite_draws_the_matrices_of_its_single_draw_loo
     spec.fn(rng, harness.Check(spec.tol))
     assert rng.getstate() == reference.getstate()
     assert np.array_equal(seen[0], singles)
+
+
+@pytest.mark.parametrize("seed", [2807086, 2793557, 9745554])
+def test_the_exponential_residual_is_relative(seed):
+    # at these round seeds the absolute defect ||exp(M) exp(-M) - I|| of
+    # one random matrix passed 1e-12; relative to ||exp(M)|| ||exp(-M)||,
+    # the rounding error it scales with, it is below 1e-14
+    rng = harness._rng_for(seed, "operators.exponential")
+    m = linops.RealLinearOp([[[rng.uniform(-1.5, 1.5) for _ in range(8)] for _ in range(8)]
+                             for _ in range(10)])
+    e = linops.op_exp(m).to_numpy() @ linops.op_exp(m.scale(-1.0)).to_numpy()
+    assert np.linalg.norm(e - np.eye(8), 2, axis=(-2, -1)).max() > 1e-12
+    assert harness._inverse_defect(m).max() < 1e-14
+    (row,) = run("operators.exponential", seed=seed)
+    assert row.status == "pass"
 
 
 @pytest.mark.parametrize("suite_id,original,calls", [
